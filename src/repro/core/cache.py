@@ -1,75 +1,56 @@
-"""Persistent scan-result cache: content-hash keyed, ruleset-versioned.
+"""Persistent result caches: content-hash keyed, ruleset-versioned.
 
-Re-scanning a repository is the dominant workload of a production scanner
-(IDE save loops, CI runs, pre-commit hooks), and most files do not change
-between runs.  :class:`ScanCache` makes repeat sweeps incremental: detect
-results are stored per *content digest* (SHA-256 of the file bytes) in a
-JSON store under ``.patchitpy-cache/`` at the scan root, so an unchanged
-file costs one hash instead of an 85-rule regex pass — and a renamed or
-copied file still hits, because the key is the content, not the path.
+Most content a scanner sees has been seen before (IDE save loops, CI
+runs, fleet siblings), so detect results are stored per *content digest*
+(SHA-256 of the analyzed bytes): unchanged content costs one hash instead
+of an 85-rule regex pass, and a renamed or copied file still hits.  Two
+stores share that key, the entry shape and the invalidation scheme:
 
-Invalidation is by construction:
+- :class:`ScanCache`, for tree scans, keeps a scan root's entries in one
+  JSON file under ``.patchitpy-cache/``, loaded once on open and written
+  once on close — the cheapest shape for a CLI run over thousands of
+  files.  A ``stat hints`` table maps absolute paths to ``(mtime_ns,
+  size, digest)``, so warm scans of untouched files skip even the
+  read+hash; the hint is trusted only when both mtime and size match.
+- :class:`ResultStore`, the fleet's shared snippet tier, keeps one file
+  per digest, ``objects-v<schema>-<fingerprint>/<d[:2]>/<d[2:]>``, the
+  way git stores loose objects: a lookup reads one file and a store
+  writes one, however many entries the tier holds.
 
-- **file edits** change the digest, so stale entries are simply never
-  looked up again (and a bounded-size store evicts them eventually);
-- **rule changes** change the ruleset fingerprint
-  (:meth:`~repro.core.rules.base.RuleSet.fingerprint`); a store written
-  under a different fingerprint is discarded wholesale on load;
-- **schema changes** bump :data:`CACHE_SCHEMA_VERSION` with the same
-  wholesale-discard behavior.
+Invalidation is by construction: an edit changes the digest, so the old
+entry is never looked up again (the bounded stores evict it eventually);
+a rule change changes the ruleset fingerprint
+(:meth:`~repro.core.rules.base.RuleSet.fingerprint`) and a schema change
+bumps :data:`CACHE_SCHEMA_VERSION` — a tree store written under either is
+discarded on load, and a result store never opens another fingerprint's
+or schema's object directory.  Neither store raises: corrupt or
+unreadable entries read as misses, and failed writes (read-only or full
+disks) return False.
 
-A secondary ``stat hints`` table maps absolute paths to
-``(mtime_ns, size, digest)`` so warm scans of untouched files skip even
-the read+hash — the mtime fast path every production scanner ships.  The
-hint is only trusted when both mtime and size match; the authoritative
-key remains the content digest.
+:class:`ScanCache` is safe to share between threads of one process (every
+public operation takes the instance lock — the daemon holds one open
+across overlapping requests), and :meth:`ScanCache.close` is idempotent,
+so several shutdown paths may close the same cache.
 
-The cache degrades gracefully: corrupt or unreadable stores load as
-empty, and save failures (read-only trees) are swallowed — a scan never
-fails because of its cache.
+**Concurrent-open contract (cross-process).**  Any number of processes
+may open the same directory at once; neither store is ever corrupted.
 
-The store is safe to share between concurrent readers/writers *within
-one process*: every public operation takes the instance lock, which is
-what lets the scan daemon hold one cache open across overlapping HTTP
-requests where the CLI opened one per run.  :meth:`ScanCache.close` is
-idempotent (it persists once and turns every later mutation into a
-no-op), so belt-and-braces shutdown paths can close the same cache from
-several places without double-writing.
+- :class:`ScanCache` stages its whole snapshot in a per-PID temp file and
+  publishes it with ``os.replace``, so a reader never sees a half-written
+  index.  It is a single-owner snapshot, read once at open: two processes
+  saving one root race last-writer-wins and lose each other's *new*
+  entries, never the index.
+- :class:`ResultStore` writes each entry to a temp file beside its final
+  name and publishes it with ``os.replace``, so a reader sees no entry or
+  a whole one.  Writers of distinct digests touch distinct files; racing
+  writers of one digest publish equivalent bytes, so whichever replace
+  lands last is right.  No lock, no merge, no in-process table: once
+  :meth:`ResultStore.store` returns True, every opener's next lookup of
+  that digest is a hit.
 
-**Concurrent-open contract (cross-process).**  Two processes may open
-the same cache root at once; the store must never be corrupted by it.
-Two guarantees hold in *every* mode:
-
-- each process stages its snapshot in a per-PID temp file and publishes
-  it with ``os.replace``, so a reader never observes a half-written
-  index — the worst outcome of an unsynchronized concurrent save is
-  last-writer-wins, losing the other process's *new* entries but never
-  producing an unparseable store;
-- loads of a corrupt, foreign-schema, or foreign-fingerprint store
-  degrade to an empty table, never to an exception.
-
-Opening with ``shared=True`` upgrades last-writer-wins to a real shared
-tier (the fleet's cross-worker result cache, ``docs/fleet.md``):
-
-- :meth:`save` becomes a read-merge-write transaction serialized by an
-  ``fcntl.flock`` exclusive lock on ``scan-cache.lock`` — the
-  single-writer guard — so concurrent savers union their entries
-  instead of clobbering each other (in-memory entries win over disk on
-  digest collision, which is harmless: same digest + same fingerprint
-  means the same verdict);
-- :meth:`lookup` misses consult the store file's ``(mtime_ns, size)``
-  and re-read it when another process has published since our last
-  load, so worker B serves a warm hit for bytes worker A scanned
-  moments ago without any network protocol between them.
-
-On platforms without ``fcntl`` (Windows) the flock guard degrades to
-the atomic-replace contract above: never corrupt, possibly lossy.
-
-Findings round-trip through :meth:`~repro.types.Finding.to_dict`, which
-includes any attached provenance record — so a traced scan's audit
-trails survive into warm scans, and ``--explain`` on a fully-cached scan
-still names every guard verdict without re-matching.  Findings stored
-without provenance (untraced scans) keep the pre-1.2 entry shape.
+Findings round-trip through :meth:`~repro.types.Finding.to_dict`,
+provenance included, so ``--explain`` on a fully cached scan still names
+every guard verdict without re-matching.
 """
 
 from __future__ import annotations
@@ -82,23 +63,20 @@ import shutil
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-try:  # POSIX single-writer guard for the shared tier
-    import fcntl
-except ImportError:  # pragma: no cover - Windows: atomic replace only
-    fcntl = None  # type: ignore[assignment]
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.types import Finding
 
 CACHE_DIR_NAME = ".patchitpy-cache"
 CACHE_FILE_NAME = "scan-cache.json"
-CACHE_LOCK_NAME = "scan-cache.lock"
 CACHE_SCHEMA_VERSION = 1
 
-# Entries beyond this are dropped (oldest-inserted first) at save time so
-# the store cannot grow without bound on long-lived checkouts.
+# Entries beyond this are dropped, oldest first, so neither store can grow
+# without bound on long-lived checkouts or fleets.
 DEFAULT_MAX_ENTRIES = 50_000
+
+#: A :class:`ResultStore` object directory is this + schema + fingerprint.
+OBJECTS_PREFIX = "objects-v"
 
 
 def hash_bytes(data: bytes) -> str:
@@ -119,8 +97,19 @@ class CachedResult:
     error: Optional[str] = None
 
 
+def _entry(findings: Sequence[Finding], error: Optional[str]) -> dict:
+    """The stored JSON shape of one analysis outcome."""
+    return {"findings": [finding.to_dict() for finding in findings], "error": error}
+
+
+def _result(entry: dict) -> CachedResult:
+    """Inverse of :func:`_entry`."""
+    findings = [Finding.from_dict(item) for item in entry.get("findings", ())]
+    return CachedResult(findings=findings, error=entry.get("error"))
+
+
 class ScanCache:
-    """Content-addressed store of per-file detect results.
+    """Content-addressed store of per-file detect results for tree scans.
 
     Parameters
     ----------
@@ -130,11 +119,6 @@ class ScanCache:
     fingerprint:
         The active ruleset fingerprint; a persisted store written under a
         different fingerprint is ignored and overwritten on save.
-    shared:
-        Opt into the cross-process shared tier: saves become flock-guarded
-        read-merge-write transactions and lookup misses re-read a store
-        another process has published since our last load (see the module
-        docstring's concurrent-open contract).
     """
 
     def __init__(
@@ -142,21 +126,15 @@ class ScanCache:
         root: Path,
         fingerprint: str,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        shared: bool = False,
     ) -> None:
         self.root = Path(root)
         self.fingerprint = fingerprint
         self.max_entries = max_entries
-        self.shared = shared
         self.hits = 0
         self.misses = 0
         self.stale_hints = 0
-        self.refreshes = 0
         self._entries: Dict[str, dict] = {}
         self._stat_hints: Dict[str, dict] = {}
-        #: ``(mtime_ns, size)`` of the store file as of our last read —
-        #: the shared tier's cheap "has anyone published?" probe.
-        self._store_state: Optional[Tuple[int, int]] = None
         self._dirty = False
         self._closed = False
         # Reentrant: save() runs under the lock and close() calls save().
@@ -173,29 +151,17 @@ class ScanCache:
     def cache_file(self) -> Path:
         return self.cache_dir / CACHE_FILE_NAME
 
-    @property
-    def lock_file(self) -> Path:
-        return self.cache_dir / CACHE_LOCK_NAME
-
     # ------------------------------------------------------------ lookup
 
     def lookup(self, digest: str) -> Optional[CachedResult]:
-        """Stored result for a content digest, or ``None`` on a miss.
-
-        In shared mode a miss first checks whether another process has
-        published a newer store and, if so, folds it in and retries —
-        the cross-worker warm-hit path.
-        """
+        """Stored result for a content digest, or ``None`` on a miss."""
         with self._lock:
             entry = self._entries.get(digest)
-            if entry is None and self.shared and self.refresh():
-                entry = self._entries.get(digest)
             if entry is None:
                 self.misses += 1
                 return None
             self.hits += 1
-        findings = [Finding.from_dict(item) for item in entry.get("findings", ())]
-        return CachedResult(findings=findings, error=entry.get("error"))
+        return _result(entry)
 
     def store(
         self,
@@ -204,10 +170,7 @@ class ScanCache:
         error: Optional[str] = None,
     ) -> None:
         """Record the analysis outcome for a content digest."""
-        entry = {
-            "findings": [finding.to_dict() for finding in findings],
-            "error": error,
-        }
+        entry = _entry(findings, error)
         with self._lock:
             if self._closed:
                 return
@@ -256,126 +219,56 @@ class ScanCache:
 
     # ------------------------------------------------------- persistence
 
-    def _store_stat(self) -> Optional[Tuple[int, int]]:
-        """``(mtime_ns, size)`` of the store file, or ``None`` if absent."""
-        try:
-            stat = os.stat(self.cache_file)
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
-    def _read_store(self) -> Tuple[Dict[str, dict], Dict[str, dict]]:
-        """Parse the persisted store into ``(entries, stat_hints)``.
+    def _load(self) -> None:
+        """Read the persisted store into the tables.
 
         Corruption, a foreign schema, or a foreign ruleset fingerprint
-        all degrade to empty tables — a cache must never raise.
+        all leave them empty — a cache must never raise.
         """
         try:
             raw = json.loads(self.cache_file.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            return {}, {}
+            return
         if not isinstance(raw, dict):
-            return {}, {}
+            return
         if raw.get("schema") != CACHE_SCHEMA_VERSION:
-            return {}, {}
+            return
         if raw.get("fingerprint") != self.fingerprint:
-            return {}, {}  # ruleset changed: every stored verdict is suspect
+            return  # ruleset changed: every stored verdict is suspect
         entries = raw.get("entries")
         hints = raw.get("stat_hints")
-        return (
-            entries if isinstance(entries, dict) else {},
-            hints if isinstance(hints, dict) else {},
-        )
-
-    def _load(self) -> None:
-        self._store_state = self._store_stat()
-        entries, hints = self._read_store()
-        if entries:
+        if isinstance(entries, dict):
             self._entries = entries
-        if hints:
+        if isinstance(hints, dict):
             self._stat_hints = hints
-
-    def _merge_disk(self) -> None:
-        """Fold the on-disk store into memory; in-memory entries win.
-
-        The preference is safe, not just convenient: a digest collision
-        under one fingerprint means both sides hold the same verdict, and
-        our copy may additionally be dirty (not yet persisted).
-        """
-        disk_entries, disk_hints = self._read_store()
-        for digest, entry in disk_entries.items():
-            self._entries.setdefault(digest, entry)
-        for path, hint in disk_hints.items():
-            self._stat_hints.setdefault(path, hint)
-
-    def refresh(self) -> bool:
-        """Shared tier: pick up entries another process has published.
-
-        Compares the store file's ``(mtime_ns, size)`` against what we
-        last read and re-reads on change.  Returns True when a newer
-        store was folded in.  No-op outside shared mode.
-        """
-        if not self.shared:
-            return False
-        with self._lock:
-            current = self._store_stat()
-            if current == self._store_state:
-                return False
-            self._merge_disk()
-            self._store_state = current
-            self.refreshes += 1
-            return True
-
-    @contextlib.contextmanager
-    def _writer_lock(self) -> Iterator[None]:
-        """The flock single-writer guard (shared mode on POSIX only)."""
-        if not self.shared or fcntl is None:
-            yield
-            return
-        with open(self.lock_file, "a+b") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
 
     def save(self) -> bool:
         """Persist the store atomically; returns False when skipped/failed.
 
-        Shared mode turns this into a read-merge-write transaction under
-        the flock single-writer guard, so two processes saving the same
-        root union their entries instead of clobbering each other.  The
-        staged snapshot always goes through a per-PID temp file plus
-        ``os.replace``, so even unsynchronized writers (default mode, or
-        platforms without ``fcntl``) can only lose entries, never corrupt
-        the index.
+        The snapshot is staged in a per-PID temp file and published with
+        ``os.replace``, so concurrent savers of one root can only lose
+        each other's entries, never corrupt the index.
         """
         with self._lock:
             if not self._dirty:
                 return False
             try:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
-                with self._writer_lock():
-                    if self.shared:
-                        # Re-read under the exclusive lock: another writer
-                        # may have published since our last refresh.
-                        self._merge_disk()
-                    if len(self._entries) > self.max_entries:
-                        overflow = len(self._entries) - self.max_entries
-                        for digest in list(self._entries)[:overflow]:
-                            del self._entries[digest]
-                    payload = {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "fingerprint": self.fingerprint,
-                        "entries": self._entries,
-                        "stat_hints": self._stat_hints,
-                    }
-                    tmp = self.cache_file.with_suffix(f".json.tmp{os.getpid()}")
-                    tmp.write_text(
-                        json.dumps(payload, separators=(",", ":")), encoding="utf-8"
-                    )
-                    os.replace(tmp, self.cache_file)
-                    self._store_state = self._store_stat()
+                if len(self._entries) > self.max_entries:
+                    overflow = len(self._entries) - self.max_entries
+                    for digest in list(self._entries)[:overflow]:
+                        del self._entries[digest]
+                payload = {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "fingerprint": self.fingerprint,
+                    "entries": self._entries,
+                    "stat_hints": self._stat_hints,
+                }
+                tmp = self.cache_file.with_suffix(f".json.tmp{os.getpid()}")
+                tmp.write_text(
+                    json.dumps(payload, separators=(",", ":")), encoding="utf-8"
+                )
+                os.replace(tmp, self.cache_file)
             except OSError:
                 return False
             self._dirty = False
@@ -423,3 +316,105 @@ class ScanCache:
             return False
         shutil.rmtree(directory, ignore_errors=True)
         return True
+
+
+class ResultStore:
+    """One result file per digest under ``root``, shared across processes.
+
+    Lookups and stores cost one file each at any size; the page cache is
+    the memory tier.  The directory is bounded at ``max_entries`` files,
+    oldest first, by :meth:`prune`, the only whole-directory pass.  It
+    never runs on a caller's thread: a store's first publish and every
+    ``max_entries // 8`` after it start one in the background, trimming
+    to seven eighths of the bound, so a lone writer stays within it and
+    N writers overshoot by at most ``(N - 1)/8``.  Every fingerprint and
+    schema counts, so a retired ruleset's entries go first.
+    """
+
+    def __init__(
+        self,
+        root: Path,
+        fingerprint: str,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+    ) -> None:
+        self.root = Path(root)
+        self.max_entries = max_entries
+        self.objects_dir = (
+            self.root / f"{OBJECTS_PREFIX}{CACHE_SCHEMA_VERSION}-{fingerprint}"
+        )
+        self._prune_every = max(1, max_entries // 8)
+        self._since_prune = self._prune_every  # the first publish prunes
+        self._pruner: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
+
+    def path_for(self, digest: str) -> str:
+        """Where the entry for ``digest`` lives."""
+        return os.path.join(self.objects_dir, digest[:2], digest[2:])
+
+    def lookup(self, digest: str) -> Optional[CachedResult]:
+        """The stored result for ``digest`` (one file read), or ``None``
+        when the entry is missing, truncated or malformed."""
+        try:
+            with open(self.path_for(digest), "rb") as handle:
+                entry = json.loads(handle.read())
+            return _result(entry)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+
+    def store(self, digest: str, findings: Sequence[Finding]) -> bool:
+        """Publish the findings for ``digest``; False when the write failed.
+
+        The entry goes to a temp file beside its final name, unique to
+        this process and thread, and is published with ``os.replace``.
+        """
+        data = json.dumps(_entry(findings, None), separators=(",", ":"))
+        path = self.path_for(digest)
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            return False
+        self._schedule_prune()
+        return True
+
+    def _schedule_prune(self) -> None:
+        with self._lock:
+            self._since_prune += 1
+            busy = self._pruner is not None and self._pruner.is_alive()
+            if self._since_prune < self._prune_every or busy:
+                return
+            self._since_prune = 0
+            self._pruner = threading.Thread(target=self.prune, daemon=True)
+            self._pruner.start()
+
+    def prune(self) -> None:
+        """Trim ``root`` to seven eighths of the bound, oldest files first —
+        every file in every object directory, temp files of killed writers
+        included."""
+        files: List[Tuple[int, str]] = []
+        for top, dirs, names in os.walk(self.root):
+            if top == str(self.root):
+                dirs[:] = [name for name in dirs if name.startswith(OBJECTS_PREFIX)]
+                continue
+            for name in names:
+                path = os.path.join(top, name)
+                try:
+                    files.append((os.stat(path).st_mtime_ns, path))
+                except OSError:
+                    pass  # removed by a concurrent prune
+        keep = self.max_entries - self._prune_every
+        if len(files) > keep:
+            files.sort()
+            for _, path in files[: len(files) - keep]:
+                with contextlib.suppress(OSError):  # a concurrent prune won
+                    os.unlink(path)
+
+    def close(self) -> None:
+        """Wait for a background prune to finish; the store stays usable."""
+        if self._pruner is not None:
+            self._pruner.join()

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.core.cache import ScanCache, hash_source
+from repro.core.cache import ResultStore, ScanCache, hash_source
 from repro.core.engine import PatchitPy
 from repro.core.project import ProjectScanner
 from repro.core.review import ReviewError, review
@@ -127,10 +127,10 @@ class ServerConfig:
     window_slots: int = 60
     #: Directory of the cross-process shared snippet-result cache (the
     #: fleet's content-addressed tier, ``docs/fleet.md``).  When set, the
-    #: server opens a :class:`ScanCache` in shared mode there: every
-    #: ``/v1/analyze`` and ``/v1/batch`` snippet is keyed by its SHA-256
-    #: digest, hits skip the detect pass entirely, and misses are
-    #: written through so sibling workers can serve them.
+    #: server opens a :class:`ResultStore` there: every ``/v1/analyze``
+    #: and ``/v1/batch`` snippet is keyed by its SHA-256 digest, hits skip
+    #: the detect pass entirely, and misses are written through before
+    #: the reply so sibling workers can serve them.
     shared_cache_dir: Optional[str] = None
 
 
@@ -220,31 +220,38 @@ def _apply_patch_fields(
 
 
 def cached_payload(
-    engine: PatchitPy, source: str, findings: List[Finding], patch: bool
-) -> Tuple[dict, dict]:
-    """Shape the analyze payload from shared-cache findings — no detect.
+    engine: PatchitPy, store: ResultStore, digest: str, source: str, patch: bool
+) -> Tuple[Optional[Tuple[dict, dict]], float]:
+    """Shape the analyze payload from the shared tier — no detect.
 
-    The cross-worker cache stores *findings* (the expensive part of the
-    pipeline); patch rendering, when asked for, still runs against the
-    submitted source so the returned edits anchor to it exactly as a
-    cold analysis would.  ``from_cache`` marks the payload so clients,
-    tests, and the fleet bench can observe the hit.
+    Returns ``(payload, snapshot)`` or ``None`` on a miss, and the
+    lookup's wall time.  Patch rendering, when asked for, runs against
+    the submitted source so the edits anchor to it exactly as a cold
+    analysis would; ``from_cache`` marks the payload as a hit.
     """
+    started = clock()
+    entry = store.lookup(digest)
+    spent = clock() - started
+    if entry is None:
+        return None, spent
     metrics = ScanMetrics()
     payload: dict = {
-        "vulnerable": bool(findings),
-        "findings": [f.to_dict() for f in findings],
+        "vulnerable": bool(entry.findings),
+        "findings": [f.to_dict() for f in entry.findings],
         "from_cache": True,
     }
     if patch:
-        _apply_patch_fields(engine, source, findings, payload, metrics)
-    return payload, metrics.to_dict()
+        _apply_patch_fields(engine, source, entry.findings, payload, metrics)
+    return (payload, metrics.to_dict()), spent
 
 
-def _store_snippet(cache: ScanCache, digest: str, findings: List[Finding]) -> None:
-    """Write one snippet verdict through to the shared tier (executor)."""
-    cache.store(digest, findings)
-    cache.save()
+def _publish(store: ResultStore, digest: str, payload: dict) -> Tuple[bool, float]:
+    """Write one analyzed snippet through to the shared tier; returns
+    whether it was published, and the wall time that took."""
+    started = clock()
+    findings = [Finding.from_dict(raw) for raw in payload["findings"]]
+    stored = store.store(digest, findings)
+    return stored, clock() - started
 
 
 class PatchitPyServer:
@@ -266,7 +273,7 @@ class PatchitPyServer:
         )
         self._caches: Dict[Path, ScanCache] = {}
         #: The cross-process shared snippet cache (fleet tier), or None.
-        self._snippet_cache: Optional[ScanCache] = None
+        self._snippet_store: Optional[ResultStore] = None
         self._pool: Optional[Executor] = None
         self._pool_kind = "none"
         self._uses_process_pool = False
@@ -306,10 +313,8 @@ class PatchitPyServer:
         self._stopped = asyncio.Event()
         self.engine.warmup()
         if self.config.shared_cache_dir:
-            shared_root = Path(self.config.shared_cache_dir)
-            shared_root.mkdir(parents=True, exist_ok=True)
-            self._snippet_cache = ScanCache(
-                shared_root, self.engine.rules.fingerprint(), shared=True
+            self._snippet_store = ResultStore(
+                Path(self.config.shared_cache_dir), self.engine.rules.fingerprint()
             )
         self._pool, self._pool_kind = self._build_pool()
         if self.config.unix_socket:
@@ -377,8 +382,8 @@ class PatchitPyServer:
             self._pool.shutdown(wait=False)
         for cache in self._caches.values():
             cache.close()
-        if self._snippet_cache is not None:
-            self._snippet_cache.close()
+        if self._snippet_store is not None:
+            self._snippet_store.close()
         self._stopped.set()
 
     # ---------------------------------------------------------- connection
@@ -551,58 +556,51 @@ class PatchitPyServer:
         self._pending += units
 
     def _submit_analysis(self, source: str, patch: bool) -> "asyncio.Future":
-        """One snippet onto the pool; the slot frees when the work ends."""
+        """One snippet onto the analysis pool."""
         loop = asyncio.get_running_loop()
         if self._uses_process_pool:
-            future = loop.run_in_executor(self._pool, _pool_analyze, source, patch)
-        else:
-            future = loop.run_in_executor(
-                self._pool, analyze_payload, self.engine, source, patch
-            )
-        future.add_done_callback(lambda _f: self._release_slot())
-        return future
+            return loop.run_in_executor(self._pool, _pool_analyze, source, patch)
+        return loop.run_in_executor(
+            self._pool, analyze_payload, self.engine, source, patch
+        )
 
-    def _submit_unit(self, source: str, patch: bool) -> "asyncio.Future":
-        """Cache-aware snippet submission (slot already acquired).
+    async def _run_unit(self, source: str, patch: bool) -> Tuple[dict, dict]:
+        """One snippet through the shared tier and the pool (slot held).
 
-        With the shared tier open, the snippet is keyed by its SHA-256
-        digest: a hit skips detection entirely (patch rendering, when
-        asked, runs from the cached findings on the default executor),
-        and a miss is analyzed normally then written through so sibling
-        workers can serve it.  Without a shared cache this is exactly
-        :meth:`_submit_analysis`.
+        A miss is published to the tier *before* this returns, so once a
+        reply carries a verdict every sibling worker can hit it.  Tier
+        calls run on the default executor, timed as the unit's
+        ``snippet_cache_time_s``; a failed publish only counts as
+        ``snippet_cache_write_errors``.  The slot frees when the unit
+        ends or is cancelled.
         """
-        cache = self._snippet_cache
-        if cache is None:
-            return self._submit_analysis(source, patch)
-        loop = asyncio.get_running_loop()
-        digest = hash_source(source)
-        hit = cache.lookup(digest)
-        if hit is not None and hit.error is None:
-            self.metrics.count("cache_hits")
-            self.metrics.count("snippet_cache_hits")
-            future = loop.run_in_executor(
-                None, cached_payload, self.engine, source, hit.findings, patch
+        try:
+            store = self._snippet_store
+            if store is None:
+                return await self._submit_analysis(source, patch)
+            loop = asyncio.get_running_loop()
+            digest = hash_source(source)
+            hit, cache_s = await loop.run_in_executor(
+                None, cached_payload, self.engine, store, digest, source, patch
             )
-            future.add_done_callback(lambda _f: self._release_slot())
-            return future
-        self.metrics.count("cache_misses")
-        self.metrics.count("snippet_cache_misses")
-        future = self._submit_analysis(source, patch)
-
-        def _write_through(completed: "asyncio.Future") -> None:
-            if completed.cancelled() or completed.exception() is not None:
-                return
-            payload, _snapshot = completed.result()
-            findings = [
-                Finding.from_dict(raw) for raw in payload.get("findings", [])
-            ]
-            # store + save off the event loop: the shared-mode save takes
-            # the flock writer lock and rewrites the store file
-            loop.run_in_executor(None, _store_snippet, cache, digest, findings)
-
-        future.add_done_callback(_write_through)
-        return future
+            if hit is not None:
+                self.metrics.count("cache_hits")
+                self.metrics.count("snippet_cache_hits")
+                payload, snapshot = hit
+            else:
+                self.metrics.count("cache_misses")
+                self.metrics.count("snippet_cache_misses")
+                payload, snapshot = await self._submit_analysis(source, patch)
+                stored, publish_s = await loop.run_in_executor(
+                    None, _publish, store, digest, payload
+                )
+                cache_s += publish_s
+                if not stored:
+                    self.metrics.count("snippet_cache_write_errors")
+            snapshot["timers"]["snippet_cache_time_s"] = cache_s
+            return payload, snapshot
+        finally:
+            self._release_slot()
 
     def _release_slot(self) -> None:
         self._pending = max(0, self._pending - 1)
@@ -641,7 +639,7 @@ class PatchitPyServer:
                 "inflight": self._inflight,
                 "requests_total": self.metrics.counters.get("server_requests", 0),
                 "open_caches": len(self._caches),
-                "shared_cache": self._snippet_cache is not None,
+                "shared_cache": self._snippet_store is not None,
             },
             status=503 if self.draining else 200,
         )
@@ -706,7 +704,7 @@ class PatchitPyServer:
             future.add_done_callback(lambda _f: self._release_slot())
         else:
             self._acquire_slots(1)
-            future = self._submit_unit(source, patch)
+            future = self._run_unit(source, patch)
         try:
             payload, snapshot = await self._await_deadline(future, deadline)
         except asyncio.TimeoutError:
@@ -717,15 +715,21 @@ class PatchitPyServer:
         elapsed = clock() - started
         payload["duration_ms"] = round(elapsed * 1000.0, 3)
         response = Response.json_response(payload)
-        # Queue wait = elapsed wall minus the work the engine accounted
-        # for in its own timers.  An idle pool makes this ~0; a saturated
-        # one makes it the time the snippet sat behind other units.
+        # Queue wait = elapsed wall minus the work the engine and the
+        # shared tier accounted for in their own timers.  An idle pool
+        # makes this ~0; a saturated one makes it the time the snippet
+        # sat behind other units.
         timers = snapshot.get("timers", {})
         work_s = sum(
             timers.get(name, 0.0)
-            for name in ("detect_time_s", "patch_time_s", "verify_time_s")
+            for name in (
+                "detect_time_s", "patch_time_s", "verify_time_s", "snippet_cache_time_s"
+            )
         )
-        response.phases = {"queue_wait": max(0.0, elapsed - work_s)}  # type: ignore[attr-defined]
+        phases = {"queue_wait": max(0.0, elapsed - work_s)}
+        if "snippet_cache_time_s" in timers:
+            phases["cache"] = timers["snippet_cache_time_s"]
+        response.phases = phases  # type: ignore[attr-defined]
         return response
 
     async def _handle_batch(self, request: Request) -> Response:
@@ -749,7 +753,9 @@ class PatchitPyServer:
             ids.append(item.get("id", index))
 
         self._acquire_slots(len(sources))
-        futures = [self._submit_unit(source, patch) for source in sources]
+        futures = [
+            asyncio.ensure_future(self._run_unit(source, patch)) for source in sources
+        ]
         if stream:
             return self._stream_batch(ids, futures, deadline, started)
         gathered = asyncio.gather(*futures, return_exceptions=True)
@@ -803,10 +809,7 @@ class PatchitPyServer:
 
         async def produce() -> "asyncio.AsyncIterator[bytes]":  # pragma: no branch
             loop = asyncio.get_running_loop()
-            pending: Dict["asyncio.Future", Any] = {
-                asyncio.ensure_future(future): item_id
-                for future, item_id in zip(futures, ids)
-            }
+            pending: Dict["asyncio.Future", Any] = dict(zip(futures, ids))
             deadline_at = None if deadline is None else loop.time() + deadline
             count = 0
             failed = 0

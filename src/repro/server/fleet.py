@@ -17,8 +17,8 @@ Requests are routed by **content digest** over a consistent-hash ring
 (:class:`~repro.server.router.HashRing`): the same snippet bytes always
 land on the same worker, so each worker's in-memory caches stay hot and
 disjoint.  All workers additionally share one content-addressed result
-cache directory (:class:`~repro.core.cache.ScanCache` in shared mode),
-so when the ring re-routes — a worker died mid-batch — the surviving
+cache directory (:class:`~repro.core.cache.ResultStore`, a file per
+digest), so when the ring re-routes — a worker died mid-batch — the surviving
 worker serves the bytes its dead sibling already scanned as a warm hit
 instead of re-analyzing them.  Per-tenant token buckets
 (:class:`~repro.server.router.TenantQuotas`) shed abusive load at the
@@ -769,8 +769,8 @@ class FleetRouter:
         if not isinstance(source, str):
             raise HttpError(400, "analyze requests must carry a string 'source'")
         self._admit(request, units=1.0)
-        # Same digest ScanCache uses — the ring and the shared cache
-        # tier agree on what "the same snippet" means.
+        # Same digest the result caches use — the ring and the shared
+        # cache tier agree on what "the same snippet" means.
         return await self._proxy(request, hash_source(source))
 
     async def _handle_scan(self, request: Request) -> Response:

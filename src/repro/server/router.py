@@ -8,7 +8,7 @@ contracts can be pinned by fast property tests
 - :class:`HashRing` — a consistent-hash ring mapping content digests to
   worker ids.  The fleet keys every ``/v1/analyze`` request by the
   snippet's SHA-256 digest (the exact key
-  :class:`~repro.core.cache.ScanCache` uses), so the same bytes always
+  :class:`~repro.core.cache.ResultStore` uses), so the same bytes always
   land on the same worker while that worker lives — which keeps each
   worker's in-memory state warm and makes the shared cache tier a
   *fallback*, not the common path.  Virtual nodes smooth the key

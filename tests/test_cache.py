@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.cache import (
     CACHE_DIR_NAME,
     CACHE_FILE_NAME,
     CACHE_SCHEMA_VERSION,
+    ResultStore,
     ScanCache,
     hash_source,
 )
@@ -334,107 +336,232 @@ def _finding(rule_id="PIT-A08-01"):
 
 
 class TestSharedCacheTier:
-    """The cross-process concurrent-open contract (``shared=True``).
+    """The cross-process concurrent-open contract of :class:`ResultStore`.
 
-    These tests simulate two fleet workers by holding two independently
-    constructed ``ScanCache`` instances open on the same directory —
-    which is exactly what two daemon processes do, minus the address
-    spaces.  The contract under test: saves merge instead of clobber,
-    and lookups refresh from disk on miss, so an entry stored by one
-    opener becomes a hit for its sibling without either restarting.
+    These tests simulate fleet workers by holding independently
+    constructed stores open on the same directory — which is exactly
+    what daemon processes do, minus the address spaces (the last test
+    adds those back).  The contract under test: one store's publish is
+    a sibling's hit on its very next lookup, with no lock, merge or
+    refresh in between, and nothing a writer or a corrupt file does can
+    turn a lookup into a wrong answer or an exception.
     """
 
-    def test_miss_refreshes_from_a_siblings_save(self, tmp_path):
-        writer = ScanCache(tmp_path, "fp", shared=True)
-        reader = ScanCache(tmp_path, "fp", shared=True)
-        writer.store("digest-shared", [_finding()])
-        assert writer.save()
+    def test_siblings_store_is_a_hit_on_next_lookup(self, tmp_path):
+        writer = ResultStore(tmp_path, "fp")
+        reader = ResultStore(tmp_path, "fp")
+        assert reader.lookup("digest-shared") is None
+        assert writer.store("digest-shared", [_finding()])
         entry = reader.lookup("digest-shared")
         assert entry is not None and entry.findings == [_finding()]
-        assert reader.refreshes == 1
-        assert reader.hits == 1 and reader.misses == 0
+        assert entry.error is None
+        writer.close()
 
     def test_unshared_cache_never_refreshes(self, tmp_path):
-        writer = ScanCache(tmp_path, "fp", shared=True)
-        reader = ScanCache(tmp_path, "fp")  # plain single-owner mode
+        """The tree store stays a load-once snapshot: a sibling's save
+        shows up only when the cache is reopened."""
+        writer = ScanCache(tmp_path, "fp")
+        reader = ScanCache(tmp_path, "fp")
         writer.store("digest-x", [_finding()])
         assert writer.save()
         assert reader.lookup("digest-x") is None
-        assert reader.refreshes == 0
+        assert ScanCache(tmp_path, "fp").lookup("digest-x") is not None
 
     def test_true_miss_probes_but_stays_a_miss(self, tmp_path):
-        writer = ScanCache(tmp_path, "fp", shared=True)
-        reader = ScanCache(tmp_path, "fp", shared=True)
-        writer.store("digest-present", [_finding()])
-        assert writer.save()
+        writer = ResultStore(tmp_path, "fp")
+        reader = ResultStore(tmp_path, "fp")
+        assert writer.store("digest-present", [_finding()])
         assert reader.lookup("digest-absent") is None
-        assert reader.misses == 1
-
-    def test_refresh_is_cheap_when_store_is_unchanged(self, tmp_path):
-        writer = ScanCache(tmp_path, "fp", shared=True)
-        reader = ScanCache(tmp_path, "fp", shared=True)
-        writer.store("d1", [_finding()])
-        assert writer.save()
-        assert reader.lookup("missing-1") is None
-        assert reader.lookup("missing-2") is None
-        # the (mtime_ns, size) probe noticed nothing new the second time
-        assert reader.refreshes == 1
+        assert reader.lookup("digest-present") is not None
+        writer.close()
 
     def test_saves_merge_instead_of_clobbering(self, tmp_path):
-        a = ScanCache(tmp_path, "fp", shared=True)
-        b = ScanCache(tmp_path, "fp", shared=True)
-        a.store("digest-a", [_finding("PIT-A08-01")])
-        b.store("digest-b", [_finding("PIT-A03-01")])
-        assert a.save()
-        assert b.save()  # must fold a's entry in, not overwrite it
-        fresh = ScanCache(tmp_path, "fp", shared=True)
-        assert fresh.lookup("digest-a") is not None
-        assert fresh.lookup("digest-b") is not None
+        a = ResultStore(tmp_path, "fp")
+        b = ResultStore(tmp_path, "fp")
+        assert a.store("digest-a", [_finding("PIT-A08-01")])
+        assert b.store("digest-b", [_finding("PIT-A03-01")])
+        fresh = ResultStore(tmp_path, "fp")
+        assert fresh.lookup("digest-a").findings[0].rule_id == "PIT-A08-01"
+        assert fresh.lookup("digest-b").findings[0].rule_id == "PIT-A03-01"
+        a.close()
+        b.close()
 
-    def test_in_memory_entry_wins_the_merge(self, tmp_path):
-        a = ScanCache(tmp_path, "fp", shared=True)
-        b = ScanCache(tmp_path, "fp", shared=True)
-        a.store("digest-dup", [_finding("PIT-A08-01")])
-        assert a.save()
-        b.store("digest-dup", [_finding("PIT-A03-01")])
-        assert b.save()
-        fresh = ScanCache(tmp_path, "fp", shared=True)
-        entry = fresh.lookup("digest-dup")
-        assert entry is not None
-        assert entry.findings[0].rule_id == "PIT-A03-01"
+    @pytest.mark.parametrize(
+        "damage",
+        [b"", b'{"findings": [{"rule_id": "PIT', b"not json", b"[]", b'{"findings": 5}'],
+        ids=["empty", "truncated", "non-json", "list", "bad-findings"],
+    )
+    def test_corrupt_entry_reads_as_a_miss_until_the_next_store(
+        self, tmp_path, damage
+    ):
+        store = ResultStore(tmp_path, "fp")
+        assert store.store("digest-bad", [_finding()])
+        Path(store.path_for("digest-bad")).write_bytes(damage)
+        assert store.lookup("digest-bad") is None
+        assert store.store("digest-bad", [_finding()])
+        assert store.lookup("digest-bad").findings == [_finding()]
+        store.close()
 
-    def test_writer_lock_file_is_created(self, tmp_path):
-        cache = ScanCache(tmp_path, "fp", shared=True)
-        cache.store("d", [_finding()])
-        assert cache.save()
-        assert cache.lock_file.exists()
+    def test_foreign_fingerprint_is_never_read(self, tmp_path):
+        old = ResultStore(tmp_path, "old-rules")
+        assert old.store("digest-x", [_finding()])
+        new = ResultStore(tmp_path, "new-rules")
+        assert new.lookup("digest-x") is None
+        # each ruleset (and schema) owns its own object directory
+        assert old.objects_dir != new.objects_dir
+        assert f"v{CACHE_SCHEMA_VERSION}" in new.objects_dir.name
+        old.close()
+
+    def test_entry_bound_holds_oldest_first(self, tmp_path):
+        """Every fingerprint counts toward the bound, so a retired
+        ruleset's entries age out first; mtimes are set a second apart
+        so that "oldest" is unambiguous on coarse-timestamp filesystems."""
+        now = time.time()
+        retired = ResultStore(tmp_path, "old-rules")
+        for i in range(4):
+            assert retired.store(f"old-{i}", [])
+            os.utime(retired.path_for(f"old-{i}"), (now - 3600, now - 3600))
+        retired.close()
+        live = ResultStore(tmp_path, "fp", max_entries=8)
+        for i in range(20):
+            assert live.store(f"new-{i}", [])
+            os.utime(live.path_for(f"new-{i}"), (now - 20 + i, now - 20 + i))
+        live.close()
+        # the stores' own background prunes already trimmed the directory
+        assert len([path for path in tmp_path.rglob("*") if path.is_file()]) < 24
+        live.prune()
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert 0 < len(files) <= 8
+        survivors = {f"new-{i}" for i in range(20) if live.lookup(f"new-{i}")}
+        assert survivors == {f"new-{i}" for i in range(20 - len(files), 20)}
+        assert all(retired.lookup(f"old-{i}") is None for i in range(4))
+
+    def test_store_and_lookup_touch_one_file_at_10k_entries(self, tmp_path):
+        """O(1) per entry, structurally: with 10^4 entries stored, a store
+        writes one file and a lookup opens one, and neither lists a
+        directory on the caller's thread."""
+        import sys
+        import threading
+
+        filler = ResultStore(tmp_path, "fp")
+        for i in range(10_000):
+            assert filler.store(hash_source(f"entry {i}"), [])
+        filler.close()
+        store = ResultStore(tmp_path, "fp")
+        caller = threading.get_ident()
+        events = []
+        watching = [False]
+
+        def audit(event, args):
+            if watching[0] and threading.get_ident() == caller:
+                if event in ("open", "os.rename", "os.scandir", "os.listdir"):
+                    events.append(event)
+
+        sys.addaudithook(audit)
+        digest = hash_source("one more")
+        try:
+            watching[0] = True
+            assert store.store(digest, [_finding()])
+            stored, events[:] = list(events), []
+            assert store.lookup(digest) is not None
+            looked = list(events)
+        finally:
+            watching[0] = False
+        store.close()
+        assert stored == ["open", "os.rename"]
+        assert looked == ["open"]
+
+    def test_threads_racing_on_one_store(self, tmp_path):
+        """The daemon's pattern: executor threads publishing through one
+        store, on one digest and on distinct ones, with a tiny switch
+        interval to shake out shared temp names or lost entries."""
+        import sys
+        import threading
+
+        store = ResultStore(tmp_path, "fp", max_entries=10_000)
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def writer(slot):
+            try:
+                barrier.wait(timeout=10)
+                for i in range(100):
+                    assert store.store("digest-race", [_finding()])
+                    assert store.store(f"digest-{slot}-{i}", [_finding()])
+                    assert store.lookup("digest-race") is not None
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(
+            store.lookup(f"digest-{n}-{i}") is not None
+            for n in range(8)
+            for i in range(100)
+        )
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_cross_process_write_through(self, tmp_path):
-        """A real second process stores an entry; this process hits it."""
+        """N real processes race on one digest and on distinct digests
+        while this process reads: no lookup ever sees a partial entry,
+        and every entry is readable afterwards."""
         import subprocess
         import sys
         import textwrap
 
-        reader = ScanCache(tmp_path, "fp", shared=True)
-        assert reader.lookup("digest-proc") is None
+        writers = 4
+        reader = ResultStore(tmp_path, "fp")
+        assert reader.lookup("digest-race") is None
         script = textwrap.dedent(
             f"""
+            import sys
             from pathlib import Path
-            from repro.core.cache import ScanCache
+            from repro.core.cache import ResultStore
             from repro.types import Confidence, Finding, Severity, Span
-            cache = ScanCache(Path({str(tmp_path)!r}), "fp", shared=True)
-            cache.store("digest-proc", [Finding(
+            me = int(sys.argv[1])
+            finding = Finding(
                 rule_id="PIT-A08-01", cwe_id="CWE-502", message="m",
                 span=Span(0, 1), snippet="s", severity=Severity.HIGH,
-                confidence=Confidence.HIGH, fixable=True)])
-            assert cache.save()
+                confidence=Confidence.HIGH, fixable=True)
+            store = ResultStore(Path({str(tmp_path)!r}), "fp")
+            for i in range(200):
+                assert store.store("digest-race", [finding])
+                assert store.store(f"digest-proc-{{me}}-{{i}}", [finding])
+            store.close()
             """
         )
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        subprocess.run(
-            [sys.executable, "-c", script], check=True, env=env, timeout=60
-        )
-        entry = reader.lookup("digest-proc")
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(n)], env=env)
+            for n in range(writers)
+        ]
+        deadline = time.monotonic() + 120
+        published = False
+        while any(proc.poll() is None for proc in procs):
+            assert time.monotonic() < deadline, "writer processes hung"
+            entry = reader.lookup("digest-race")  # never raises, never partial
+            # once published, an entry is only ever replaced whole
+            assert entry is not None or not published
+            if entry is not None:
+                assert [f.rule_id for f in entry.findings] == ["PIT-A08-01"]
+                published = True
+        assert [proc.wait(timeout=60) for proc in procs] == [0] * writers
+        entry = reader.lookup("digest-race")
         assert entry is not None and entry.findings[0].rule_id == "PIT-A08-01"
+        for n in range(writers):
+            for i in range(200):
+                assert reader.lookup(f"digest-proc-{n}-{i}") is not None
+        assert not list(tmp_path.rglob("*.tmp"))

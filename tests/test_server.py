@@ -26,6 +26,7 @@ from repro import (
     ServerError,
     ServerTransport,
 )
+from repro.core.cache import ResultStore, hash_source
 from repro.server.daemon import build_serve_parser, config_from_args
 
 VULN = "import pickle\n\ndata = pickle.loads(blob)\napp.run(debug=True)\n"
@@ -442,6 +443,81 @@ class TestProcessPool:
             with ServerClient(port=handle.port) as client:
                 assert client.healthz()["pool"] == "thread"
                 assert client.analyze(VULN)["vulnerable"] is True
+
+
+class TestSharedTier:
+    """The shared snippet tier (``--shared-cache``) behind analyze/batch."""
+
+    def test_reply_means_every_sibling_can_hit_the_entry(self, tmp_path):
+        """The write-through completes before the reply goes out: an
+        independent store hits every digest right after, with no sleep
+        and no poll."""
+        server = PatchitPyServer(
+            config=ServerConfig(port=0, shared_cache_dir=str(tmp_path))
+        )
+        single = "cold_one = pickle.loads(raw)\n"
+        items = [f"v{i} = eval(data{i})\n" for i in range(6)] + ["b = 2\n"]
+        with BackgroundServer(server) as handle:
+            with ServerClient(port=handle.port) as client:
+                sibling = ResultStore(tmp_path, server.engine.rules.fingerprint())
+                cold = client.analyze(single)
+                after_analyze = sibling.lookup(hash_source(single))
+                batch = client.batch(items)
+                after_batch = [sibling.lookup(hash_source(s)) for s in items]
+        assert cold.get("from_cache", False) is False
+        assert after_analyze is not None
+        assert len(after_analyze.findings) == len(cold["findings"])
+        assert batch["failed"] == 0
+        assert not any(item.get("from_cache") for item in batch["results"])
+        assert all(entry is not None for entry in after_batch)
+        assert [len(entry.findings) for entry in after_batch] == [
+            len(item["findings"]) for item in batch["results"]
+        ]
+
+    def test_cache_phase_is_timed_and_logged(self, tmp_path, capfd):
+        server = PatchitPyServer(
+            config=ServerConfig(
+                port=0, access_log=True, shared_cache_dir=str(tmp_path)
+            )
+        )
+        with BackgroundServer(server) as handle:
+            with ServerClient(port=handle.port) as client:
+                client.analyze(VULN, trace_id="cold-miss")
+                warm = client.analyze(VULN, trace_id="warm-hit")
+                text = client.metrics_text()
+        assert warm["from_cache"] is True
+        records = {
+            record.get("trace_id"): record
+            for record in (
+                json.loads(line)
+                for line in capfd.readouterr().err.splitlines()
+                if line.startswith("{")
+            )
+        }
+        for trace_id in ("cold-miss", "warm-hit"):
+            record = records[trace_id]
+            assert record["cache_ms"] > 0
+            # queue_wait no longer absorbs the awaited write-through
+            accounted = record["cache_ms"] + record["queue_wait_ms"]
+            assert accounted <= record["handler_ms"] + 0.01
+        assert 'patchitpy_phase_seconds_count{phase="cache"} 2' in text
+        assert "patchitpy_snippet_cache_time_s" in text
+
+    def test_failed_publish_is_counted_and_still_answers(self, tmp_path):
+        engine = PatchitPy()
+        # a file where the object directory belongs: every publish fails,
+        # whatever the process's privileges
+        ResultStore(tmp_path, engine.rules.fingerprint()).objects_dir.write_text("")
+        server = PatchitPyServer(
+            engine=engine, config=ServerConfig(port=0, shared_cache_dir=str(tmp_path))
+        )
+        with BackgroundServer(server) as handle:
+            with ServerClient(port=handle.port) as client:
+                result = client.analyze(VULN)
+                text = client.metrics_text()
+        assert result["vulnerable"] is True
+        assert "patchitpy_snippet_cache_write_errors 1" in text
+        assert server._pending == 0
 
 
 class TestUnixSocket:
