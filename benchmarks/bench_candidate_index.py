@@ -1,8 +1,10 @@
-"""E12 — candidate-index performance: one multi-literal pass vs per-rule prefilters.
+"""E12 — candidate-index performance: rule selection vs running every rule.
 
-Measures the indexed engine (``PatchitPy()``, default) against the naive
-per-rule prefilter path (``PatchitPy(use_index=False)``, the ablation
-seam) in the two regimes that matter:
+Measures the production engine (``PatchitPy()``: candidate index and
+grouped probe) against the naive tier, ``reference_run`` over every
+rule with no selection at all (served through a bench-local engine
+subclass so the project scanner can drive it), in the two regimes that
+matter:
 
 - **single-file** — repeated ``detect()`` calls over in-memory sources,
   the ``/v1/analyze`` daemon hot path;
@@ -30,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro import PatchitPy, ProjectScanner, ScanMetrics
+from repro.core import reference_run
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 
@@ -95,6 +98,13 @@ def build_corpus(root: Path, files: int, sections: int = 12) -> None:
         (root / f"module_{index:04d}.py").write_text(text)
 
 
+class NaiveEngine(PatchitPy):
+    """The naive tier: every rule through ``reference_run``, no selection."""
+
+    def detect(self, source, metrics=None, trace=None):
+        return reference_run(self.rules, source)
+
+
 def _best_of(repeats: int, action) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -109,7 +119,7 @@ def run_candidate_index_benchmark(
 ) -> Dict[str, float]:
     """Time indexed vs naive engines in both regimes; assert equivalence."""
     indexed = PatchitPy()
-    naive = PatchitPy(use_index=False)
+    naive = NaiveEngine()
     indexed.warmup()  # build the index outside the timed region, like the daemon
     naive.warmup()
 

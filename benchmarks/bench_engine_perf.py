@@ -2,12 +2,15 @@
 corpus size (the 'lightweight' claim of §II-B), plus the warm
 single-file latency benchmark for the three dispatch tiers.
 
-``run_engine_perf_benchmark`` times the grouped tier (``PatchitPy()``,
-default) against the indexed tier (``use_grouped=False``, the PR 5
-path) and the naive tier (``use_index=False``) on the clean-heavy
-corpus from :mod:`bench_candidate_index`, records warm per-``detect``
-latency quantiles through :class:`~repro.observability.LatencyHistogram`,
-asserts the three tiers produce byte-identical findings, and writes
+``run_engine_perf_benchmark`` times the production dispatch
+(``PatchitPy().detect``: candidate index, grouped probe, plan memo)
+against two tiers rebuilt from the public API — the indexed tier
+(``reference_run`` over the index's candidates, no grouped probe) and
+the naive tier (``reference_run`` over every rule, no selection at all)
+— on the clean-heavy corpus from :mod:`bench_candidate_index`, records
+warm per-``detect`` latency quantiles through
+:class:`~repro.observability.LatencyHistogram`, asserts the three tiers
+produce byte-identical findings, and writes
 ``benchmarks/output/engine_perf.{txt,json}``; CI uploads the JSON and
 ``scripts/check_bench_regression.py --engine-artifact`` gates on
 ``grouped_vs_indexed_speedup``.  Like the candidate-index benchmark it
@@ -23,7 +26,7 @@ import time
 from pathlib import Path
 from typing import Dict
 
-from repro.core import PatchitPy
+from repro.core import PatchitPy, reference_run
 from repro.core.rules import RuleSet, default_ruleset, extended_ruleset
 from repro.observability import LatencyHistogram
 
@@ -55,52 +58,58 @@ def run_engine_perf_benchmark(
     Returns a BENCH dict with best-of totals, per-``detect`` latency
     quantiles (p50/p95/p99 seconds) for the grouped and indexed tiers,
     the ``grouped_vs_indexed_speedup`` headline the CI gate reads, and
-    the grouped tier's cache/fold counters.  Asserts the three tiers'
+    the grouped tier's cache counters.  Asserts the three tiers'
     findings are byte-identical over the whole corpus first — the
     speedup is only meaningful if the tiers agree.
     """
     sources = _candidate_bench()._sources(files, sections)
 
-    grouped = PatchitPy()
-    indexed = PatchitPy(use_grouped=False)
-    naive = PatchitPy(use_index=False)
-    for engine in (grouped, indexed, naive):
-        engine.warmup()
+    engine = PatchitPy()
+    engine.warmup()
+    rules = engine.rules
+    index = rules.candidate_index()
+    grouped = engine.detect
+
+    def indexed(source):
+        # the index-only tier: every candidate through the per-rule body
+        return reference_run(index.lookup(source).candidates, source)
+
+    def naive(source):
+        return reference_run(rules, source)
 
     findings = 0
     for source in sources:
-        from_grouped = [f.to_dict() for f in grouped.detect(source)]
-        assert from_grouped == [f.to_dict() for f in indexed.detect(source)]
-        assert from_grouped == [f.to_dict() for f in naive.detect(source)]
+        from_grouped = [f.to_dict() for f in grouped(source)]
+        assert from_grouped == [f.to_dict() for f in indexed(source)]
+        assert from_grouped == [f.to_dict() for f in naive(source)]
         findings += len(from_grouped)
 
-    def _timed_pass(engine, histogram=None):
+    def _timed_pass(detect, histogram=None):
         clock = time.perf_counter
         if histogram is None:
             t0 = clock()
             for source in sources:
-                engine.detect(source)
+                detect(source)
             return clock() - t0
         t0 = clock()
         for source in sources:
             started = clock()
-            engine.detect(source)
+            detect(source)
             histogram.observe(clock() - started)
         return clock() - t0
 
-    def _best_of(engine, histogram=None):
-        return min(_timed_pass(engine, histogram) for _ in range(repeats))
+    def _best_of(detect, histogram=None):
+        return min(_timed_pass(detect, histogram) for _ in range(repeats))
 
-    # The equivalence sweep above already warmed every engine (plan
-    # memo, candidate index, regex caches); these passes are all-warm.
+    # The equivalence sweep above already warmed every tier (plan memo,
+    # candidate index, regex caches); these passes are all-warm.
     grouped_hist = LatencyHistogram()
     indexed_hist = LatencyHistogram()
     grouped_total = _best_of(grouped, grouped_hist)
     indexed_total = _best_of(indexed, indexed_hist)
     naive_total = _best_of(naive)
 
-    cache = grouped.rules.candidate_index().grouped_stats()
-    index = grouped.rules.candidate_index()
+    cache = index.grouped_stats()
     grouped_p50, grouped_p95, grouped_p99 = grouped_hist.quantiles((0.5, 0.95, 0.99))
     indexed_p50, indexed_p95, indexed_p99 = indexed_hist.quantiles((0.5, 0.95, 0.99))
     return {
@@ -121,8 +130,6 @@ def run_engine_perf_benchmark(
         "grouped_cache_misses": cache["misses"],
         "plan_hits": cache["plan_hits"],
         "plan_misses": cache["plan_misses"],
-        "fold_computes": index.fold_computes,
-        "fold_reuses": index.fold_reuses,
     }
 
 
@@ -141,17 +148,16 @@ def format_engine_perf_report(results: Dict[str, float]) -> str:
         f"   grouped vs naive: x{results['grouped_vs_naive_speedup']:.2f}\n"
         f"  grouped caches: {results['grouped_cache_misses']:.0f} compiled / "
         f"{results['grouped_cache_hits']:.0f} reused, plan memo "
-        f"{results['plan_hits']:.0f} hits / {results['plan_misses']:.0f} misses, "
-        f"fold {results['fold_reuses']:.0f} reuses"
+        f"{results['plan_hits']:.0f} hits / {results['plan_misses']:.0f} misses"
     )
 
 
 def test_engine_perf_benchmark():
     """Full benchmark: records the three-tier numbers as an artifact.
 
-    The acceptance claim of the grouped-dispatch PR: the warm grouped
-    tier beats the PR 5 indexed tier by at least x1.5 on the
-    clean-heavy corpus.
+    The acceptance claim of grouped dispatch: the warm production path
+    beats the index-only tier by at least x1.5 on the clean-heavy
+    corpus, and the naive no-selection loop by as much.
     """
     results = run_engine_perf_benchmark(files=120, sections=10)
     text = format_engine_perf_report(results)
@@ -252,38 +258,37 @@ def test_extension_selection_latency(benchmark):
 
 
 def test_prefilter_ablation(flat_samples, artifact_dir, benchmark):
-    """Literal prefiltering on/off (the production-scanner optimization)."""
+    """Rule selection on/off: production ``run_rules`` vs ``reference_run``.
+
+    Production selects through the candidate index (the multi-literal
+    prefilter) and the grouped probe; the reference runs every rule.
+    Each side gets its own fresh engine, so neither reads a plan the
+    other memoized, and one untimed sweep warms it before the timed
+    one: a cold sweep of this finding-dense corpus is dominated by
+    compiling one grouped alternation per distinct candidate mask.
+    """
     from conftest import write_artifact
 
-    from repro.core import PatchitPy, matching
+    from repro.core import reference_run, run_rules
 
-    engine = PatchitPy()
-
-    def measure():
-        for sample in flat_samples[:10]:
-            engine.is_vulnerable(sample.source)  # warm caches
+    def sweep(run):
+        rules = PatchitPy().rules
+        for sample in flat_samples:
+            run(rules, sample.source)
         t0 = time.perf_counter()
         for sample in flat_samples:
-            engine.is_vulnerable(sample.source)
-        with_prefilter = time.perf_counter() - t0
+            run(rules, sample.source)
+        return time.perf_counter() - t0
 
-        original = matching._prefilter_for
-        matching._prefilter_for = lambda rule: None
-        try:
-            t0 = time.perf_counter()
-            for sample in flat_samples:
-                engine.is_vulnerable(sample.source)
-            without_prefilter = time.perf_counter() - t0
-        finally:
-            matching._prefilter_for = original
-        return with_prefilter, without_prefilter
+    def measure():
+        return sweep(run_rules), sweep(reference_run)
 
-    with_pf, without_pf = benchmark.pedantic(measure, rounds=1, iterations=1)
+    production, reference = benchmark.pedantic(measure, rounds=1, iterations=1)
     text = (
-        "Literal-prefilter ablation (609-sample detection sweep):\n"
-        f"  with prefilter    : {with_pf:.3f}s\n"
-        f"  without prefilter : {without_pf:.3f}s\n"
-        f"  speedup           : x{without_pf / with_pf:.2f}"
+        "Rule-selection ablation (609-sample detection sweep):\n"
+        f"  run_rules (index + grouped probe): {production:.3f}s\n"
+        f"  reference_run (every rule)       : {reference:.3f}s\n"
+        f"  speedup                          : x{reference / production:.2f}"
     )
     write_artifact(artifact_dir, "prefilter_ablation.txt", text)
-    assert with_pf < without_pf
+    assert production < reference

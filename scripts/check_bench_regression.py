@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""CI gate: the candidate-indexed engine must not lose to the naive path.
+"""CI gate: the production engine must not lose to running every rule.
 
 Reads the BENCH JSON written by ``benchmarks/bench_candidate_index.py``
-and fails (exit 1) when any recorded speedup falls below the floor — an
-indexed engine slower than per-rule prefilters means the index has
-regressed into pure overhead and the PR should not merge.
+and fails (exit 1) when any recorded speedup falls below the floor — a
+production engine slower than ``reference_run`` over every rule means
+rule selection has regressed into pure overhead and the change should
+not merge.
 
 Usage::
 
@@ -25,7 +26,7 @@ daemon's tail-latency win, not just its median.
 With ``--engine-artifact`` the gate also reads the engine-perf BENCH
 JSON (``benchmarks/bench_engine_perf.py``) and fails when
 ``grouped_vs_indexed_speedup`` falls below ``--min-grouped-speedup``
-(default 1.0 — "no slower than the PR 5 indexed path"; the benchmark's
+(default 1.0 — "no slower than index-only selection"; the benchmark's
 own assertion demands the strict x1.5 win, so this gate is again the
 belt on noisy runners).
 
@@ -128,7 +129,7 @@ def main(argv: list[str]) -> int:
         elif value < args.min_speedup:
             problems.append(
                 f"{key}: x{value:.3f} is below the x{args.min_speedup:.2f} floor "
-                "— the indexed path lost to the naive per-rule prefilters"
+                "— production dispatch lost to running every rule"
             )
 
     server_note = ""

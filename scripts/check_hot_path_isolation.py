@@ -11,9 +11,10 @@ them:
    the traced path imports them function-locally, so the disabled path
    never pays the import (and never can, even by accident, reference a
    tracing symbol at module scope).
-2. The bodies of ``_match_rule_fast`` and ``_match_candidate_fast`` —
-   the hot loops every disabled scan runs per rule per file — contain no
-   ``trace``, ``provenance``, ``span_id`` or ``metrics`` token: zero
+2. The bodies of ``_match_candidate`` (the per-rule body) and
+   ``_run_each`` (the selection loop that runs it) — the hot loops every
+   disabled scan runs per rule per file — contain no ``trace``,
+   ``provenance``, ``span_id`` or ``metrics`` token: zero
    instrumentation, zero bookkeeping.
 3. ``repro/core/candidates.py`` (the candidate index every untraced scan
    now consults) imports nothing from ``repro.observability`` at all —
@@ -60,7 +61,7 @@ FORBIDDEN_MODULE_IMPORTS = (
 
 HOT_LOOP_TOKENS = ("trace", "provenance", "span_id", "metrics", "histogram", "observe")
 
-HOT_LOOP_FUNCTIONS = ("_match_rule_fast", "_match_candidate_fast")
+HOT_LOOP_FUNCTIONS = ("_match_candidate", "_run_each")
 
 
 def _function_body(source: str, name: str) -> str:
@@ -210,7 +211,7 @@ def main(argv: list[str]) -> int:
             print(f"  {problem}")
         return 1
     print("hot-path isolation ok: matching.py imports no tracing modules at "
-          "module level; _match_rule_fast/_match_candidate_fast are "
+          "module level; _match_candidate/_run_each are "
           "instrumentation-free; candidates.py imports no observability; "
           "verify.py and review.py stay off the hot detect path; "
           "groupcompile.py and histogram.py are stdlib-only and "

@@ -72,7 +72,7 @@ from repro.types import (
     Span,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisReport",

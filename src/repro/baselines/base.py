@@ -40,7 +40,14 @@ class DetectionTool(abc.ABC):
 
 
 class PatchitPyTool(DetectionTool):
-    """Adapter exposing the PatchitPy engine through the tool interface."""
+    """Adapter exposing the PatchitPy engine through the tool interface.
+
+    The default engine runs the paper's configuration: no verifier
+    stage (``verify=False``), which the evaluated tool did not have.
+    The verifier, on by default since 1.5, reverts some patches the
+    paper's tool shipped, so the patching rates of Table III are only
+    reproducible without it.
+    """
 
     name = "patchitpy"
     can_patch = True
@@ -48,7 +55,7 @@ class PatchitPyTool(DetectionTool):
     def __init__(self, engine=None) -> None:
         from repro.core import PatchitPy
 
-        self.engine = engine if engine is not None else PatchitPy()
+        self.engine = engine if engine is not None else PatchitPy(verify=False)
 
     def analyze(self, sample: CodeSample) -> AnalysisReport:
         findings = self.engine.detect(sample.source)

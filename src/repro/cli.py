@@ -73,20 +73,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="use the extended rule catalog instead of the paper's 85 rules",
     )
-    parser.add_argument(
-        "--no-index",
-        action="store_true",
-        help="disable the single-pass candidate index and fall back to "
-        "per-rule literal prefilters (ablation/debugging; findings are "
-        "identical either way)",
-    )
-    parser.add_argument(
-        "--no-grouped",
-        action="store_true",
-        help="disable grouped-alternation dispatch and run every index "
-        "candidate per-rule (ablation/debugging; findings are identical "
-        "either way)",
-    )
 
 
 def _add_observability_flags(
@@ -439,8 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = PatchitPy(
         rules=extended_ruleset() if args.extended else None,
         metrics=collector,
-        use_index=not args.no_index,
-        use_grouped=not args.no_grouped,
         verify=args.verify,
     )
     if tracer is not None:
@@ -549,8 +533,6 @@ def _scan_directory(args: argparse.Namespace) -> int:
     budget = args.slow_rule_budget_ms if args.slow_rule_budget_ms > 0 else None
     engine = PatchitPy(
         rules=extended_ruleset() if args.extended else None,
-        use_index=not args.no_index,
-        use_grouped=not args.no_grouped,
         verify=args.verify,
     )
     scanner = ProjectScanner(
@@ -643,8 +625,6 @@ def _run_review(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     tracer = TraceRecorder() if args.trace else None
     engine = PatchitPy(
         rules=extended_ruleset() if args.extended else None,
-        use_index=not args.no_index,
-        use_grouped=not args.no_grouped,
         verify=args.verify,
     )
     try:

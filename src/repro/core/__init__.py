@@ -10,7 +10,7 @@ imports the safe code needs.
 from repro.core.cache import ScanCache
 from repro.core.engine import PatchitPy, PatchResult
 from repro.core.imports import ImportManager
-from repro.core.matching import match_rule, run_rules
+from repro.core.matching import match_rule, reference_run, run_rules
 from repro.core.patcher import apply_patches
 from repro.core.project import ProjectReport, ProjectScanner, scan_paths
 from repro.core.review import ReviewFinding, ReviewReport, ReviewedFile, review
@@ -50,6 +50,7 @@ __all__ = [
     "dumps_plain",
     "dumps_sarif",
     "match_rule",
+    "reference_run",
     "run_rules",
     "to_plain_json",
     "to_sarif",

@@ -1,41 +1,26 @@
 """Single-pass multi-literal candidate selection for the rule engine.
 
-Every ``run_rules`` call used to perform one ``literal in source`` scan
-*per rule* — ~85 passes over each file before a single regex ran.  This
-module collapses those scans into one multi-pattern pass, the way
-production scanners in the Semgrep/ripgrep lineage do:
+Instead of one ``literal in source`` scan per rule (~85 passes over each
+file before a single regex ran), :class:`RuleIndex` — compiled once per
+:class:`~repro.core.rules.base.RuleSet` and carried through pickling into
+worker processes and the warm scan-server engine — maps one
+multi-pattern pass over a source to the exact candidate rule subset, the
+way Semgrep/ripgrep-lineage scanners do.  A rule is a candidate iff
+*all* of its required literals are present; rules with no derivable
+literal live in an always-run bucket, so selection never changes the
+findings of running every rule (:func:`~repro.core.matching.reference_run`).
 
-- :class:`AhoCorasick` — a pure-Python, pickle-safe Aho–Corasick
-  automaton over every rule's required literals.  It defines the
-  *semantics* of a lookup: which literals occur anywhere in the source,
-  discovered in one left-to-right pass.
-- :class:`RuleIndex` — compiled once per :class:`~repro.core.rules.base.RuleSet`
-  (and carried through pickling into ``ProcessPoolExecutor`` workers and
-  the warm scan-server engine), it maps one pass over a source to the
-  exact candidate rule subset.  A rule is a candidate iff *all* of its
-  required literals are present; rules with no derivable literal live in
-  an always-run bucket, so index-on and index-off matching provably
-  produce identical findings.
-
-CPython detail: a character-at-a-time automaton walk in Python is slower
-than C substring scans, so :meth:`RuleIndex.lookup` evaluates the same
-literal set through a C-accelerated equivalent (:class:`_TrieScanner`):
-high-frequency word-shaped literals are probed with single ``in`` checks
-and the selective remainder is swept by one trie-factored alternation
-regex with substring-implication closure.  The scanner is
-behavior-identical to the automaton — ``lookup(reference=True)`` runs
-the automaton instead, and the equivalence is pinned by tests.
+A lookup is plain substring tests — which literals occur anywhere in the
+source — through a C-accelerated scanner (:class:`_TrieScanner`):
+word-shaped literals are probed with single ``in`` checks and the rest
+swept by one trie-factored alternation regex with substring-implication
+closure.  Tests pin it against ``literal in text`` for every literal.
 
 ``IGNORECASE`` rules get case-folded literals (lowercased, checked
 against a lowercased copy of the source).  The fold is only trusted for
 ASCII sources, where ``str.lower()`` agrees exactly with the regex
 engine's case-insensitivity; a non-ASCII source simply promotes every
 folded-requirement rule to candidate (correct, never fast-and-wrong).
-The lowered copy is computed at most once per lookup and cached in a
-single slot keyed by source identity, so repeated scans of the same
-text (multi-pass patching, warm server snippets, verifier re-checks)
-reuse it — the ``fold_computes``/``fold_reuses`` counters make the
-reuse observable.
 
 A lookup also carries a bitmask of the candidate positions; the mask
 keys the grouped-alternation cache (:meth:`RuleIndex.grouped_for`), so
@@ -46,110 +31,15 @@ compiled :class:`~repro.core.groupcompile.GroupedAlternation`.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.groupcompile import (
-    GroupedAlternation,
-    GroupedCache,
-    catalog_fingerprint,
-)
+from repro.core.groupcompile import GroupedAlternation, GroupedCache
 from repro.core.prefilter import required_literal_groups, required_literals
 
-__all__ = ["AhoCorasick", "IndexLookup", "RuleIndex"]
+__all__ = ["IndexLookup", "RuleIndex"]
 
-
-class AhoCorasick:
-    """A pure-Python Aho–Corasick automaton over a set of literals.
-
-    Plain-data representation (per-node ``dict`` transition tables, flat
-    failure/output lists) so instances pickle cleanly into worker
-    processes.  Duplicate literals share a terminal node; empty literals
-    are rejected.
-    """
-
-    def __init__(self, literals: Sequence[str]) -> None:
-        self._literals: Tuple[str, ...] = tuple(literals)
-        if any(not literal for literal in self._literals):
-            raise ValueError("Aho-Corasick literals must be non-empty")
-        goto: List[Dict[str, int]] = [{}]
-        output: List[List[int]] = [[]]
-        for literal_id, literal in enumerate(self._literals):
-            node = 0
-            for char in literal:
-                nxt = goto[node].get(char)
-                if nxt is None:
-                    goto.append({})
-                    output.append([])
-                    nxt = len(goto) - 1
-                    goto[node][char] = nxt
-                node = nxt
-            output[node].append(literal_id)
-        fail = [0] * len(goto)
-        queue: "deque[int]" = deque()
-        for child in goto[0].values():
-            queue.append(child)
-        while queue:
-            node = queue.popleft()
-            for char, child in goto[node].items():
-                queue.append(child)
-                link = fail[node]
-                while link and char not in goto[link]:
-                    link = fail[link]
-                fail[child] = goto[link].get(char, 0) if node else 0
-                output[child].extend(output[fail[child]])
-        self._goto: Tuple[Dict[str, int], ...] = tuple(goto)
-        self._fail: Tuple[int, ...] = tuple(fail)
-        self._output: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(ids) for ids in output
-        )
-
-    @property
-    def literals(self) -> Tuple[str, ...]:
-        """The automaton's literal set, in id order."""
-        return self._literals
-
-    def __len__(self) -> int:
-        return len(self._literals)
-
-    def iter_matches(self, text: str) -> Iterator[Tuple[int, int]]:
-        """Yield ``(end_offset, literal_id)`` for every occurrence.
-
-        The classic automaton output: all occurrences of all literals —
-        overlapping ones included — discovered in one pass over ``text``.
-        """
-        goto, fail, output = self._goto, self._fail, self._output
-        state = 0
-        for offset, char in enumerate(text):
-            nxt = goto[state].get(char)
-            while nxt is None and state:
-                state = fail[state]
-                nxt = goto[state].get(char)
-            state = nxt if nxt is not None else 0
-            for literal_id in output[state]:
-                yield offset + 1, literal_id
-
-    def present(self, text: str) -> Set[int]:
-        """Ids of every literal occurring anywhere in ``text``.
-
-        One pass, early exit once every literal has been seen.
-        """
-        goto, fail, output = self._goto, self._fail, self._output
-        total = len(self._literals)
-        found: Set[int] = set()
-        state = 0
-        for char in text:
-            nxt = goto[state].get(char)
-            while nxt is None and state:
-                state = fail[state]
-                nxt = goto[state].get(char)
-            state = nxt if nxt is not None else 0
-            if output[state]:
-                found.update(output[state])
-                if len(found) == total:
-                    break
-        return found
+Plan = Tuple[Tuple[object, ...], int, Optional[str], int]
 
 
 # Literals shaped like bare identifiers ("return", "password") occur in
@@ -195,10 +85,10 @@ def _trie_pattern(literals: Sequence[str]) -> str:
 
 
 class _TrieScanner:
-    """C-accelerated equivalent of :meth:`AhoCorasick.present`.
+    """C-accelerated presence test for a fixed literal set.
 
-    Returns the found-literal set as a bitmask (bit ``i`` set iff
-    literal ``i`` occurs in the text).  Word-shaped literals are probed
+    Returns the found-literal set as a bitmask: bit ``i`` is set iff
+    ``literals[i] in text``.  Word-shaped literals are probed
     with direct ``in`` checks; the rest are swept by one trie-factored
     alternation, resuming one character past each match start so
     overlapping occurrences cannot be skipped.  Every hit folds in its
@@ -281,10 +171,10 @@ class RuleIndex:
     disjunction groups (one-of,
     :func:`repro.core.prefilter.required_literal_groups`) are pooled
     into two literal tables — case-sensitive and case-folded — each
-    compiled into an :class:`AhoCorasick` automaton plus its accelerated
-    scanner.  Per rule, the requirement is a bitmask conjunction over
-    table ids plus an any-bit check per group; rules contributing no
-    literal at all form the always-run bucket.
+    compiled into a :class:`_TrieScanner`.  Per rule, the requirement
+    is a bitmask conjunction over table ids plus an any-bit check per
+    group; rules contributing no literal at all form the always-run
+    bucket.
 
     The whole structure is plain data (dicts, tuples, ints, compiled
     regexes), so a built index survives pickling into worker processes
@@ -330,26 +220,16 @@ class RuleIndex:
         self.exact_literals: Tuple[str, ...] = tuple(exact_ids)
         self.folded_literals: Tuple[str, ...] = tuple(folded_ids)
         self.always_run: Tuple[object, ...] = tuple(always)
-        self.automaton = AhoCorasick(self.exact_literals)
-        self.folded_automaton = AhoCorasick(self.folded_literals)
         self._exact_scanner = _TrieScanner(self.exact_literals)
         self._folded_scanner = _TrieScanner(self.folded_literals)
         self._folded_all = (1 << len(self.folded_literals)) - 1
-        self._fingerprint: Optional[str] = None
         self._grouped = GroupedCache()
-        # Single-slot fold cache: (source, lowered) as one tuple so a
-        # concurrent replacement can never pair one source's key with
-        # another's lowered copy.  Counters are best-effort (a lost
-        # increment under threads is acceptable for observability).
-        self._fold_slot: Optional[Tuple[str, str]] = None
-        self.fold_computes = 0
-        self.fold_reuses = 0
         # Bounded per-source memo of grouped dispatch plans (FIFO, plain
         # dict: every operation is a single atomic dict op under the
         # GIL, so no lock — and no lock means the index still pickles
         # into worker processes unchanged).  Only rule *selection* is
         # memoized, never findings; matching always runs live.
-        self._plan_memo: Dict[str, Tuple[Tuple[object, ...], int, Optional[str]]] = {}
+        self._plan_memo: Dict[str, Plan] = {}
         self._plan_maxsize = 256
         self.plan_hits = 0
         self.plan_misses = 0
@@ -362,33 +242,13 @@ class RuleIndex:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def lookup(self, source: str, reference: bool = False) -> IndexLookup:
-        """Partition the rules into candidates and provable skips.
-
-        ``reference=True`` evaluates literal presence through the
-        Aho–Corasick automatons instead of the accelerated scanners —
-        same result by construction (tests pin it), useful for
-        verification and as a semantic oracle.
-        """
-        if reference:
-            exact_found = _mask_of(self.automaton.present(source))
-        else:
-            exact_found = self._exact_scanner.present_mask(source)
+    def lookup(self, source: str) -> IndexLookup:
+        """Partition the rules into candidates and provable skips."""
+        exact_found = self._exact_scanner.present_mask(source)
         folded_found = 0
         if self.folded_literals:
             if source.isascii():
-                slot = self._fold_slot
-                if slot is not None and (slot[0] is source or slot[0] == source):
-                    lowered = slot[1]
-                    self.fold_reuses += 1
-                else:
-                    lowered = source.lower()
-                    self._fold_slot = (source, lowered)
-                    self.fold_computes += 1
-                if reference:
-                    folded_found = _mask_of(self.folded_automaton.present(lowered))
-                else:
-                    folded_found = self._folded_scanner.present_mask(lowered)
+                folded_found = self._folded_scanner.present_mask(source.lower())
             else:
                 # A non-ASCII source can satisfy IGNORECASE literals
                 # through one-to-many Unicode case mappings a substring
@@ -415,43 +275,30 @@ class RuleIndex:
             bit <<= 1
         return IndexLookup(candidates=candidates, skipped=skipped, mask=mask)
 
-    @property
-    def fingerprint(self) -> str:
-        """Catalog fingerprint keying the grouped-alternation cache.
-
-        Computed lazily on first use; a concurrent first computation is
-        benign (both threads derive the same digest).
-        """
-        if self._fingerprint is None:
-            self._fingerprint = catalog_fingerprint(self._rules)
-        return self._fingerprint
-
     def grouped_for(self, lookup: IndexLookup) -> GroupedAlternation:
         """The grouped-alternation plan for one lookup's candidate set.
 
-        Memoized per ``(catalog fingerprint, candidate mask)``: distinct
-        sources selecting the same candidate subset share one compiled
-        plan, so a warm engine pays grouped compilation once per mask.
+        Memoized per candidate mask (the cache is this index's own):
+        distinct sources selecting the same candidate subset share one
+        compiled plan, so a warm engine compiles once per mask.
         """
-        return self._grouped.get_or_build(
-            self.fingerprint, lookup.mask, lookup.candidates
-        )
+        return self._grouped.get_or_build(lookup.mask, lookup.candidates)
 
-    def grouped_plan(
-        self, source: str
-    ) -> Tuple[Tuple[object, ...], int, Optional[str]]:
-        """``(dispatch, cleared, first_hit_rule_id)`` for one source, memoized.
+    def grouped_plan(self, source: str) -> Plan:
+        """``(dispatch, cleared, first_hit_rule_id, mask)`` for one source, memoized.
 
-        The grouped tier's warm entry point: the candidate lookup, the
+        The production selection: the candidate lookup, the
         grouped compilation *and* the bucket probes are all pure
         functions of ``(catalog, source)``, so the resulting dispatch
         selection is memoized per source in a bounded FIFO.  A warm
         repeat — multi-pass patching re-detecting the same text at
         fixpoint, the verifier re-scanning, the scan daemon serving a
-        seen snippet — collapses the whole selection to one dict probe.
-        Only the *selection* is cached: the dispatched rules still run
-        live every call, so findings stay byte-identical by
-        construction.  Keys hold source strings, hence the small bound.
+        seen snippet — collapses the whole selection to one dict probe;
+        the candidate ``mask`` lets a measured scan account index skips
+        without a second lookup.  Only the *selection* is cached: the
+        dispatched rules still run live every call, so findings stay
+        byte-identical by construction.  Keys hold source strings, hence
+        the small bound.
         """
         memo = self._plan_memo
         entry = memo.get(source)
@@ -460,7 +307,7 @@ class RuleIndex:
             return entry
         lookup = self.lookup(source)
         plan = self.grouped_for(lookup).plan(source)
-        entry = (tuple(plan[0]), plan[1], plan[2])
+        entry = (tuple(plan[0]), plan[1], plan[2], lookup.mask)
         if len(memo) >= self._plan_maxsize:
             try:  # FIFO eviction; best-effort under concurrent clears
                 memo.pop(next(iter(memo)), None)
@@ -488,9 +335,3 @@ class RuleIndex:
             "or_groups": sum(len(entry[3]) for entry in self._entries),
         }
 
-
-def _mask_of(ids: Set[int]) -> int:
-    mask = 0
-    for literal_id in ids:
-        mask |= 1 << literal_id
-    return mask

@@ -8,7 +8,6 @@ imports the patch requires — the end-to-end flow of Fig. 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -87,19 +86,6 @@ class PatchitPy:
         enabled recorder every finding additionally carries a
         :class:`~repro.observability.Provenance` record.  Per-call
         ``trace=`` arguments override it, mirroring ``metrics``.
-    use_index:
-        When on (the default) and the rule set exposes a candidate index
-        (:class:`RuleSet` does), each detect consults one multi-literal
-        pass instead of per-rule literal checks.  ``use_index=False`` is
-        the ablation seam: identical findings, naive per-rule path.
-    use_grouped:
-        When on (the default, and only effective with ``use_index``),
-        each candidate set's patterns additionally run as one grouped
-        alternation (:mod:`repro.core.groupcompile`): a combined regex
-        with no match clears its member rules outright, and only on a
-        hit do the members take per-rule dispatch.  Identical findings
-        either way — ``use_grouped=False`` is the ablation seam pinning
-        the grouped tier independently of the index tier.
     verify:
         When on (the default) every :meth:`patch` call runs the Verifier
         stage (:mod:`repro.core.verify`) on its output and re-patches
@@ -121,10 +107,8 @@ class PatchitPy:
         prune_imports: bool = True,
         metrics: Optional[ScanMetrics] = None,
         trace: Optional[TraceRecorder] = None,
-        use_index: bool = True,
         verify: bool = True,
         max_verify_attempts: int = 3,
-        use_grouped: bool = True,
     ) -> None:
         if max_passes < 1:
             raise ValueError("max_passes must be >= 1")
@@ -135,8 +119,6 @@ class PatchitPy:
         self.prune_imports = prune_imports
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.trace = trace if trace is not None else NULL_TRACE
-        self.use_index = use_index
-        self.use_grouped = use_grouped
         self.verify = verify
         self.max_verify_attempts = max_verify_attempts
 
@@ -174,21 +156,9 @@ class PatchitPy:
         m = self._metrics(metrics)
         t = self._trace(trace)
         if not m.enabled and not t.enabled:
-            return run_rules(
-                self.rules,
-                source,
-                use_index=self.use_index,
-                use_grouped=self.use_grouped,
-            )
+            return run_rules(self.rules, source)
         start = clock()
-        findings = run_rules(
-            self.rules,
-            source,
-            m if m.enabled else None,
-            t,
-            use_index=self.use_index,
-            use_grouped=self.use_grouped,
-        )
+        findings = run_rules(self.rules, source, m if m.enabled else None, t)
         if m.enabled:
             elapsed = clock() - start
             m.count("detect_calls")
@@ -204,7 +174,7 @@ class PatchitPy:
     def warmup(self) -> int:
         """Prime the engine so the first real request pays no lazy costs.
 
-        Builds the candidate index (when in use) and runs probe detects,
+        Builds the candidate index and runs probe detects,
         so a long-lived process (the scan daemon) pays the index
         compilation and module-level matcher setup once at startup — the
         built index then serves every request.  The probes also prime
@@ -213,10 +183,9 @@ class PatchitPy:
         compiled plans pickle into worker processes along with the
         index.  Returns the number of rules primed.
         """
-        if self.use_index:
-            builder = getattr(self.rules, "candidate_index", None)
-            if builder is not None:
-                builder()
+        builder = getattr(self.rules, "candidate_index", None)
+        if builder is not None:
+            builder()
         self.detect("# patchitpy warmup probe\n")
         self.detect(
             "import os\n"
@@ -543,19 +512,13 @@ class PatchitPy:
         patch: bool = True,
         metrics: Optional[ScanMetrics] = None,
         trace: Optional[TraceRecorder] = None,
-        **legacy: Optional[bool],
     ) -> AnalysisReport:
         """Full detect(+patch) pipeline returning a consolidated report.
 
         ``patch=False`` stops after detection.  Every finding in the
         report carries a provenance record — recorded inline when tracing
-        is enabled, reconstructed post hoc otherwise.  ``patch=`` is the
-        only supported switch; the pre-1.1 spelling ``apply_patches_flag=``
-        is accepted solely to warn (``DeprecationWarning``, removal in
-        2.0) before being folded into ``patch``.
+        is enabled, reconstructed post hoc otherwise.
         """
-        if legacy:
-            patch = self._fold_legacy_patch_kwarg(legacy, patch)
         m = self._metrics(metrics)
         t = self._trace(trace)
         findings = self._ensure_provenance(source, self._detect_with(source, m, t))
@@ -566,23 +529,3 @@ class PatchitPy:
             report.patched_source = result.patched
             report.verdicts = result.verdicts
         return report
-
-    @staticmethod
-    def _fold_legacy_patch_kwarg(legacy: dict, patch: bool) -> bool:
-        """Deprecation shim: map ``apply_patches_flag=`` onto ``patch=``."""
-        unknown = set(legacy) - {"apply_patches_flag"}
-        if unknown:
-            name = sorted(unknown)[0]
-            raise TypeError(
-                f"analyze() got an unexpected keyword argument {name!r}"
-            )
-        value = legacy["apply_patches_flag"]
-        if value is None:
-            return patch
-        warnings.warn(
-            "PatchitPy.analyze(apply_patches_flag=...) is deprecated; "
-            "use analyze(patch=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return bool(value)

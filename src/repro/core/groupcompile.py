@@ -46,13 +46,13 @@ per-rule dispatch permanently:
   hiding in character classes, parser/text disagreements) — fallback,
   never fast-and-wrong.
 
-Compiled groups are memoized per ``(catalog fingerprint, candidate
-mask)`` in a bounded LRU (:class:`GroupedCache`): distinct sources
-collapse onto a small number of masks, so a warm engine compiles each
-combined regex once and reuses it for every later file.  The cache is
-plain data apart from its lock, so a primed cache pickles with the rule
-index into ``ProcessPoolExecutor`` workers and the scan daemon's warm
-engine.
+Compiled groups are memoized per candidate mask in a bounded LRU
+(:class:`GroupedCache`, one per rule index, so the mask alone names a
+candidate set): distinct sources collapse onto a small number of masks,
+so a warm engine compiles each combined regex once and reuses it for
+every later file.  The cache is plain data apart from its lock, so a
+primed cache pickles with the rule index into ``ProcessPoolExecutor``
+workers and the scan daemon's warm engine.
 
 This module is deliberately stdlib-only (``scripts/check_hot_path_isolation.py``
 enforces it): it sits on the untraced hot path and must never drag
@@ -61,11 +61,10 @@ observability — or any other repro machinery — into the match loop.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # Python 3.11+: re._parser; older: sre_parse
     from re import _parser as _sre_parse  # type: ignore[attr-defined]
@@ -76,7 +75,6 @@ __all__ = [
     "GroupedAlternation",
     "GroupedCache",
     "build_grouped",
-    "catalog_fingerprint",
     "mergeable",
 ]
 
@@ -413,26 +411,8 @@ def build_grouped(rules: Sequence[object]) -> GroupedAlternation:
     return GroupedAlternation(tuple(buckets), tuple(fallback))
 
 
-def catalog_fingerprint(rules: Iterable[object]) -> str:
-    """Stable digest of the rules' identity, order, and patterns.
-
-    Cheaper than :meth:`repro.core.rules.base.RuleSet.fingerprint` (no
-    guard/patch descriptors — grouping only depends on the patterns) but
-    collision-safe for cache keying: two catalogs share a fingerprint
-    only when their grouped compilation would be identical.
-    """
-    digest = hashlib.sha256()
-    for rule in rules:
-        digest.update(rule.rule_id.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(rule.pattern.pattern.encode("utf-8"))
-        digest.update(str(rule.pattern.flags).encode("utf-8"))
-        digest.update(b"\x01")
-    return digest.hexdigest()
-
-
 class GroupedCache:
-    """Bounded LRU of :class:`GroupedAlternation` per ``(fingerprint, mask)``.
+    """Bounded LRU of :class:`GroupedAlternation` per candidate mask.
 
     Candidate masks repeat heavily across real sources (most clean files
     select one of a handful of candidate sets), so a small LRU turns
@@ -440,16 +420,15 @@ class GroupedCache:
     cache is thread-safe (the scan daemon serves detects from a thread
     pool) and pickle-safe minus the lock, which is recreated on
     unpickling — a primed cache ships to worker processes and keeps its
-    compiled entries.
+    compiled entries.  A mask is a bitset over one catalog's positions,
+    so each rule index owns its own cache.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple[str, int], GroupedAlternation]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[int, GroupedAlternation]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -476,27 +455,24 @@ class GroupedCache:
         self.misses = state["misses"]
         self.evictions = state["evictions"]
 
-    def get_or_build(
-        self, fingerprint: str, mask: int, rules: Sequence[object]
-    ) -> GroupedAlternation:
+    def get_or_build(self, mask: int, rules: Sequence[object]) -> GroupedAlternation:
         """The grouped plan for one candidate set, compiled at most once."""
-        key = (fingerprint, mask)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(mask)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(mask)
                 self.hits += 1
                 return entry
         # Compile outside the lock: regex compilation can be slow and
         # concurrent builders at worst duplicate work, never corrupt.
         built = build_grouped(rules)
         with self._lock:
-            existing = self._entries.get(key)
+            existing = self._entries.get(mask)
             if existing is not None:
                 self.hits += 1
                 return existing
             self.misses += 1
-            self._entries[key] = built
+            self._entries[mask] = built
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1

@@ -10,36 +10,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.candidates import RuleIndex
 from repro.core.rules.base import DetectionRule
 from repro.observability.collector import ScanMetrics, clock
 from repro.types import Finding, LineIndex, Span
-
-
-def _prefilter_for(rule: DetectionRule) -> Optional[str]:
-    """The rule's required literal, precomputed at rule construction.
-
-    Rules carry their prefilter as a frozen field (see
-    :class:`~repro.core.rules.base.DetectionRule`), so there is no shared
-    mutable cache here: matching is thread-safe and rules pickle cleanly
-    into worker processes.  This indirection survives as a seam for the
-    prefilter-ablation benchmark, which monkeypatches it to ``None``.
-    """
-    return rule.prefilter
-
-
-def _index_for(rules: Iterable[DetectionRule]):
-    """The collection's candidate index, or ``None`` for plain iterables.
-
-    :class:`~repro.core.rules.base.RuleSet` exposes a cached
-    ``candidate_index()``; lists and generators of rules have no such
-    method and fall back to per-rule prefilter checks.  Like
-    :func:`_prefilter_for`, the indirection doubles as the
-    index-ablation seam — benchmarks monkeypatch it to ``None``.
-    """
-    builder = getattr(rules, "candidate_index", None)
-    if builder is None:
-        return None
-    return builder()
 
 
 def _applies(
@@ -64,85 +38,41 @@ def _applies(
     return True
 
 
-def match_rule(
-    rule: DetectionRule,
-    source: str,
-    metrics: Optional[ScanMetrics] = None,
-    lines: Optional[LineIndex] = None,
-) -> List[Finding]:
-    """All non-vetoed matches of ``rule`` in ``source`` as findings.
-
-    A literal prefilter (the longest substring every match must contain)
-    skips the regex entirely on files that cannot match — the same
-    optimization production scanners use.  With an enabled ``metrics``
-    collector the call also records per-rule wall time, match count, and
-    how each skip/veto mechanism fired; without one the uninstrumented
-    fast path runs.  ``lines`` optionally shares one per-source
-    :class:`~repro.types.LineIndex` across rules for line-scope guards.
-    """
-    if metrics is None or not metrics.enabled:
-        return _match_rule_fast(rule, source, lines)
-    start = clock()
-    stats = metrics.rule_stats(rule.rule_id)
-    stats.calls += 1
-    findings: List[Finding] = []
-    literal = _prefilter_for(rule)
-    if literal is not None and literal not in source:
-        stats.prefilter_skips += 1
-    elif not rule.applies_to(source):
-        stats.prereq_skips += 1
-    else:
-        for match in rule.pattern.finditer(source):
-            if any(
-                guard.vetoes(source, match, lines) for guard in rule.all_guards()
-            ):
-                stats.guard_vetoes += 1
-                continue
-            findings.append(_finding_for(rule, match))
-        stats.matches += len(findings)
-    elapsed = clock() - start
-    stats.time_s += elapsed
-    metrics.observe("rule_seconds/" + rule.rule_id, elapsed)
-    return findings
-
-
-def _match_rule_fast(
-    rule: DetectionRule, source: str, lines: Optional[LineIndex] = None
-) -> List[Finding]:
-    """The metrics-free hot path (identical behavior, no bookkeeping)."""
-    findings: List[Finding] = []
-    literal = _prefilter_for(rule)
-    if literal is not None and literal not in source:
-        return findings
-    if not rule.applies_to(source):
-        return findings
-    for match in rule.pattern.finditer(source):
-        if any(guard.vetoes(source, match, lines) for guard in rule.all_guards()):
-            continue
-        findings.append(_finding_for(rule, match))
-    return findings
-
-
-def _match_candidate_fast(
+def _match_candidate(
     rule: DetectionRule,
     source: str,
     memo: Dict[Tuple[str, int], bool],
     lines: Optional[LineIndex] = None,
-) -> List[Finding]:
-    """Hot path for an index-proven candidate (no literal re-check).
+) -> Optional[Tuple[List[Finding], int]]:
+    """The one per-rule body: prerequisites, ``finditer``, guards.
 
-    The candidate index already established that every literal the rule
-    requires is present, so the per-rule substring check is skipped and
-    prerequisite verdicts come from the shared per-source ``memo``.
+    Returns the non-vetoed findings and the vetoed-match count, or
+    ``None`` when a prerequisite fails (verdicts shared through ``memo``);
+    required literals are the caller's selection, never checked here.
     """
-    findings: List[Finding] = []
     if not _applies(rule, source, memo):
-        return findings
+        return None
+    findings: List[Finding] = []
+    vetoes = 0
+    guards = rule.all_guards()
     for match in rule.pattern.finditer(source):
-        if any(guard.vetoes(source, match, lines) for guard in rule.all_guards()):
+        if any(guard.vetoes(source, match, lines) for guard in guards):
+            vetoes += 1
             continue
         findings.append(_finding_for(rule, match))
-    return findings
+    return findings, vetoes
+
+
+def match_rule(
+    rule: DetectionRule, source: str, lines: Optional[LineIndex] = None
+) -> List[Finding]:
+    """All non-vetoed matches of ``rule`` in ``source`` as findings.
+
+    ``lines`` optionally shares one per-source
+    :class:`~repro.types.LineIndex` across rules for line-scope guards.
+    """
+    result = _match_candidate(rule, source, {}, lines)
+    return [] if result is None else result[0]
 
 
 def _finding_for(rule: DetectionRule, match) -> Finding:
@@ -159,153 +89,121 @@ def _finding_for(rule: DetectionRule, match) -> Finding:
 
 
 def run_rules(
-    rules: Iterable[DetectionRule],
+    rule_set: Iterable[DetectionRule],
     source: str,
     metrics: Optional[ScanMetrics] = None,
     trace: Optional["object"] = None,
-    use_index: bool = True,
-    use_grouped: bool = True,
 ) -> List[Finding]:
-    """Run every rule and return findings ordered by position then rule id.
+    """Run the rule set and return findings ordered by position then rule id.
 
     When two rules of the *same CWE* match overlapping spans, only the
     earlier (more specific, per catalog order) finding is kept, so a single
     vulnerable line does not inflate the report.
 
-    When ``rules`` is a :class:`~repro.core.rules.base.RuleSet` (and
-    ``use_index`` is left on), one pass of its candidate index replaces
-    the per-rule literal checks: index-skipped rules never run, and
-    index-proven candidates skip their redundant literal re-check.  On
-    top of that, ``use_grouped`` (the default) runs the candidate set's
-    grouped alternation (:mod:`repro.core.groupcompile`) first: a bucket
-    whose combined regex finds nothing clears every member without a
-    per-rule pass; a bucket with a hit sends its members to exactly the
-    per-rule dispatch they always ran.  The whole selection is memoized
-    per source (:meth:`~repro.core.candidates.RuleIndex.grouped_plan`),
-    so a warm repeat skips even the lookup.  The finding set is identical
-    across all three tiers — ``use_index=False`` / ``use_grouped=False``
-    are the ablation seams that pin this.
+    This is the one dispatch: the set's candidate index (a plain iterable
+    gets a fresh :class:`RuleIndex`) and grouped probe select the rules,
+    memoized per source (:meth:`RuleIndex.grouped_plan`), and each runs
+    live through :func:`_match_candidate`.  Findings equal
+    :func:`reference_run`'s.
 
-    With an enabled ``trace`` recorder every rule execution, guard
-    verdict and match is additionally emitted as a structured span event
-    and each surviving finding carries a full provenance record; the
-    traced path bypasses grouped dispatch on purpose — its job is the
-    complete per-rule audit trail.  The tracing machinery is imported
-    only on that path, so the disabled scan runs exactly the pre-tracing
-    code.
+    With an enabled ``metrics`` collector the same selection is counted
+    and the same per-rule body timed.  With an enabled ``trace``
+    recorder every rule execution, guard verdict and match is
+    additionally emitted as a structured span event and each surviving
+    finding carries a full provenance record; the tracing machinery is
+    imported only on that path, so the disabled scan runs exactly the
+    pre-tracing code.
     """
-    findings: List[Finding] = []
-    index = _index_for(rules) if use_index else None
+    builder = getattr(rule_set, "candidate_index", None)
+    index = builder() if builder is not None else RuleIndex(rule_set)
     lines = LineIndex(source)
     if trace is not None and getattr(trace, "enabled", False):
-        findings = _run_rules_traced(rules, source, metrics, trace, index)
+        findings = _run_traced(index, source, metrics, trace)
     elif metrics is None or not metrics.enabled:
-        if index is None:
-            for rule in rules:
-                findings.extend(_match_rule_fast(rule, source, lines))
-        else:
-            if use_grouped:
-                # The memoized grouped tier: lookup, grouped compilation
-                # and bucket probes collapse to one dict hit on a warm
-                # repeat (selection only — matching below runs live).
-                dispatch = index.grouped_plan(source)[0]
-            else:
-                dispatch = index.lookup(source).candidates
-            memo: Dict[Tuple[str, int], bool] = {}
-            for rule in dispatch:
-                findings.extend(_match_candidate_fast(rule, source, memo, lines))
-    elif index is None:
-        for rule in rules:
-            findings.extend(match_rule(rule, source, metrics, lines))
+        findings = _run_each(index.grouped_plan(source)[0], source, lines)
     else:
-        findings = _run_candidates_measured(
-            source, metrics, index, use_grouped, lines
-        )
+        findings = _run_measured(index, source, metrics, lines)
     findings.sort(key=lambda f: (f.span.start, f.span.end, f.rule_id))
     return _dedupe_same_cwe_overlaps(findings)
 
 
-def _run_candidates_measured(
-    source: str,
-    metrics: ScanMetrics,
-    index,
-    use_grouped: bool = True,
-    lines: Optional[LineIndex] = None,
-) -> List[Finding]:
-    """The instrumented indexed path: same counters, one literal pass.
+def reference_run(rules: Iterable[DetectionRule], source: str) -> List[Finding]:
+    """The oracle: every rule through the per-rule body, nothing selected.
 
-    Index-skipped rules are still accounted (a call plus a prefilter
-    skip, exactly as the per-rule path would have recorded), and the
-    lookup itself feeds the ``index_candidates``/``index_skips``
-    counters.  With grouped dispatch on, rules a combined-alternation
-    bucket proves matchless are cleared — accounted as a call plus the
-    ``grouped_cleared`` aggregate (they can have no matches by
-    construction) — and only the surviving dispatch list pays per-rule
-    time.  ``index_fold_reuse`` surfaces the lookup's fold-cache reuse.
+    No index, no grouped probe, no literal prefilter, then the ordering
+    and same-CWE dedupe of :func:`run_rules`; tests compare against it.
     """
-    fold_before = getattr(index, "fold_reuses", 0)
-    lookup = index.lookup(source)
-    fold_reused = getattr(index, "fold_reuses", 0) - fold_before
-    if fold_reused > 0:
-        metrics.count("index_fold_reuse", fold_reused)
-    metrics.count("index_candidates", len(lookup.candidates))
-    metrics.count("index_skips", len(lookup.skipped))
-    for rule in lookup.skipped:
-        stats = metrics.rule_stats(rule.rule_id)
-        stats.calls += 1
-        stats.prefilter_skips += 1
-    if use_grouped:
-        dispatch, cleared, hit_rule = index.grouped_for(lookup).plan(source)
-        metrics.count("grouped_cleared", cleared)
-        metrics.count("grouped_dispatch", len(dispatch))
-        if hit_rule is not None:
-            metrics.count("grouped_hits", 1)
-        if cleared:
-            live = {id(rule) for rule in dispatch}
-            for rule in lookup.candidates:
-                if id(rule) not in live:
-                    metrics.rule_stats(rule.rule_id).calls += 1
-    else:
-        dispatch = lookup.candidates
+    findings = _run_each(rules, source, LineIndex(source))
+    findings.sort(key=lambda f: (f.span.start, f.span.end, f.rule_id))
+    return _dedupe_same_cwe_overlaps(findings)
+
+
+def _run_each(
+    rules: Iterable[DetectionRule], source: str, lines: LineIndex
+) -> List[Finding]:
+    """The uninstrumented loop: each given rule through the per-rule body."""
+    findings: List[Finding] = []
+    memo: Dict[Tuple[str, int], bool] = {}
+    for rule in rules:
+        result = _match_candidate(rule, source, memo, lines)
+        if result is not None:
+            findings.extend(result[0])
+    return findings
+
+
+def _run_measured(
+    index: RuleIndex, source: str, metrics: ScanMetrics, lines: LineIndex
+) -> List[Finding]:
+    """The metrics pass: the production selection, counted, and its body, timed.
+
+    Every rule counts one call; index-skipped rules also count a
+    prefilter skip, grouped-cleared ones only the call (they can have no
+    matches by construction).  Only dispatched rules pay per-rule time.
+    """
+    dispatch, cleared, hit_rule, mask = index.grouped_plan(source)
+    rules = index.rules
+    candidates = bin(mask).count("1")
+    metrics.count("index_candidates", candidates)
+    metrics.count("index_skips", len(rules) - candidates)
+    metrics.count("grouped_cleared", cleared)
+    metrics.count("grouped_dispatch", len(dispatch))
+    if hit_rule is not None:
+        metrics.count("grouped_hits", 1)
+    live = {id(rule) for rule in dispatch}
+    for position, rule in enumerate(rules):
+        if id(rule) not in live:
+            stats = metrics.rule_stats(rule.rule_id)
+            stats.calls += 1
+            if not mask >> position & 1:
+                stats.prefilter_skips += 1
     findings: List[Finding] = []
     memo: Dict[Tuple[str, int], bool] = {}
     for rule in dispatch:
         start = clock()
         stats = metrics.rule_stats(rule.rule_id)
         stats.calls += 1
-        rule_findings: List[Finding] = []
-        if not _applies(rule, source, memo):
+        result = _match_candidate(rule, source, memo, lines)
+        if result is None:
             stats.prereq_skips += 1
         else:
-            for match in rule.pattern.finditer(source):
-                if any(
-                    guard.vetoes(source, match, lines) for guard in rule.all_guards()
-                ):
-                    stats.guard_vetoes += 1
-                    continue
-                rule_findings.append(_finding_for(rule, match))
-            stats.matches += len(rule_findings)
+            findings.extend(result[0])
+            stats.matches += len(result[0])
+            stats.guard_vetoes += result[1]
         stats.time_s += clock() - start
-        findings.extend(rule_findings)
     return findings
 
 
-def _run_rules_traced(
-    rules: Iterable[DetectionRule],
-    source: str,
-    metrics: Optional[ScanMetrics],
-    trace,
-    index=None,
+def _run_traced(
+    index: RuleIndex, source: str, metrics: Optional[ScanMetrics], trace
 ) -> List[Finding]:
     """The traced matching path: events + provenance, same findings.
 
-    Behavior-identical to the fast path (guard vetoes, prefilter and
-    prerequisite skips produce the same finding set) but every decision
-    is recorded: an ``index-lookup`` event with the candidate partition
-    (when an index is in play), a ``rule`` span per rule with its
-    outcome — index-skipped rules keep their span, with outcome
-    ``prefilter-skip`` — a ``guard-decision`` event per guard per
-    candidate match (all guards are evaluated rather than
+    Selects through the candidate lookup alone (no grouped probe: the
+    audit covers every candidate) and records every decision: an
+    ``index-lookup`` event with the candidate partition, a ``rule`` span
+    per rule with its outcome — index-skipped rules keep their span,
+    with outcome ``prefilter-skip`` — a ``guard-decision`` event per
+    guard per candidate match (all guards are evaluated rather than
     short-circuiting, because the audit trail names each verdict), and a
     :class:`Provenance` record attached to every surviving finding.
     Feeds ``metrics`` too when enabled, so a traced scan still produces
@@ -317,21 +215,19 @@ def _run_rules_traced(
 
     findings: List[Finding] = []
     record_metrics = metrics is not None and metrics.enabled
-    indexed_skips = None
-    if index is not None:
-        lookup = index.lookup(source)
-        indexed_skips = {rule.rule_id for rule in lookup.skipped}
-        trace.event(
-            "index-lookup",
-            "candidates",
-            candidates=len(lookup.candidates),
-            skipped=len(lookup.skipped),
-        )
-        if record_metrics:
-            metrics.count("index_candidates", len(lookup.candidates))
-            metrics.count("index_skips", len(lookup.skipped))
+    lookup = index.lookup(source)
+    skipped = {id(rule) for rule in lookup.skipped}
+    trace.event(
+        "index-lookup",
+        "candidates",
+        candidates=len(lookup.candidates),
+        skipped=len(lookup.skipped),
+    )
+    if record_metrics:
+        metrics.count("index_candidates", len(lookup.candidates))
+        metrics.count("index_skips", len(lookup.skipped))
     memo: Dict[Tuple[str, int], bool] = {}
-    for rule in rules:
+    for rule in index.rules:
         start = clock()
         stats = metrics.rule_stats(rule.rule_id) if record_metrics else None
         if stats is not None:
@@ -340,14 +236,7 @@ def _run_rules_traced(
         outcome = "no-match"
         rule_findings: List[Finding] = []
         vetoes = 0
-        if indexed_skips is None:
-            literal = _prefilter_for(rule)
-            literal_missing = literal is not None and literal not in source
-        else:
-            # One index pass already decided literal presence for every
-            # rule; candidates skip the redundant substring re-check.
-            literal_missing = rule.rule_id in indexed_skips
-        if literal_missing:
+        if id(rule) in skipped:
             outcome = "prefilter-skip"
             if stats is not None:
                 stats.prefilter_skips += 1

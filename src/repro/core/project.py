@@ -533,18 +533,13 @@ class ProjectScanner:
         ships the *built* candidate index — and the grouped-alternation
         plans its probes compiled — inside that pickle, so no worker
         pays the compilation again.  Engines without ``warmup`` (custom
-        subclasses) fall back to building just the index.  Always
-        returns True (it participates in the ``_analyze_batch``
-        condition chain purely for ordering).
+        duck-typed engines) are shipped as they are.  Always returns
+        True (it participates in the ``_analyze_batch`` condition chain
+        purely for ordering).
         """
         warm = getattr(self.engine, "warmup", None)
         if warm is not None:
             warm()
-            return True
-        if getattr(self.engine, "use_index", False):
-            builder = getattr(getattr(self.engine, "rules", None), "candidate_index", None)
-            if builder is not None:
-                builder()
         return True
 
     def _picklable(self) -> bool:

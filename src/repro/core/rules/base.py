@@ -114,9 +114,9 @@ class DetectionRule:
     prerequisites: Tuple["re.Pattern[str]", ...] = ()
     message: str = ""
     # Literal prefilter (the longest substring every match must contain),
-    # derived once at construction.  Storing it on the rule keeps matching
-    # free of shared mutable caches and survives pickling into worker
-    # processes, unlike the previous module-global id()-keyed cache.
+    # derived once at construction.  Provenance data only: --explain,
+    # SARIF and the HTML report print it, while matching selects rules
+    # through the candidate index (repro.core.candidates).
     prefilter: Optional[str] = field(default=None, compare=False, repr=False)
 
     def applies_to(self, source: str) -> bool:

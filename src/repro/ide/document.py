@@ -9,9 +9,9 @@ flat character offsets, which is how the extension maps engine findings
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.exceptions import DocumentError
+from repro.types import LineIndex
 
 
 @dataclass(frozen=True, order=True)
@@ -52,13 +52,18 @@ class Selection(Range):
 
 
 class TextDocument:
-    """An in-memory editor buffer with position/offset conversion."""
+    """An in-memory editor buffer with position/offset conversion.
+
+    Line arithmetic is delegated to a :class:`~repro.types.LineIndex`
+    (lines split on ``"\n"`` only, so a CRLF line keeps its ``"\r"``),
+    rebuilt lazily after each edit.
+    """
 
     def __init__(self, text: str = "", uri: str = "untitled:Untitled-1") -> None:
         self._text = text
         self.uri = uri
         self.version = 1
-        self._line_starts = _compute_line_starts(text)
+        self._lines = LineIndex(text)
 
     # ------------------------------------------------------------ content
 
@@ -71,25 +76,19 @@ class TextDocument:
     @property
     def line_count(self) -> int:
         """Number of lines (a trailing newline adds an empty one)."""
-        return len(self._line_starts)
+        return len(self._lines)
 
     def line_text(self, line: int) -> str:
         """Text of one zero-based line, without its newline."""
         self._check_line(line)
-        start = self._line_starts[line]
-        end = (
-            self._line_starts[line + 1] - 1
-            if line + 1 < len(self._line_starts)
-            else len(self._text)
-        )
-        return self._text[start:end]
+        return self._lines.line_text(self._lines.line_start(line + 1))
 
     # ------------------------------------------------------- conversions
 
     def offset_at(self, position: Position) -> int:
         """Flat character offset of a position."""
         self._check_line(position.line)
-        line_start = self._line_starts[position.line]
+        line_start = self._lines.line_start(position.line + 1)
         line_length = len(self.line_text(position.line))
         if position.character > line_length:
             raise DocumentError(
@@ -102,14 +101,8 @@ class TextDocument:
         """Position of a flat character offset."""
         if offset < 0 or offset > len(self._text):
             raise DocumentError(f"offset {offset} outside document")
-        low, high = 0, len(self._line_starts) - 1
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self._line_starts[mid] <= offset:
-                low = mid
-            else:
-                high = mid - 1
-        return Position(low, offset - self._line_starts[low])
+        line = self._lines.line_of(offset)
+        return Position(line - 1, offset - self._lines.line_start(line))
 
     def full_range(self) -> Range:
         """Range covering the whole document."""
@@ -131,21 +124,13 @@ class TextDocument:
         start = self.offset_at(range_.start)
         end = self.offset_at(range_.end)
         self._text = self._text[:start] + new_text + self._text[end:]
-        self._line_starts = _compute_line_starts(self._text)
+        self._lines = LineIndex(self._text)
         self.version += 1
 
     # ------------------------------------------------------------ helpers
 
     def _check_line(self, line: int) -> None:
-        if not (0 <= line < len(self._line_starts)):
+        if not (0 <= line < len(self._lines)):
             raise DocumentError(
-                f"line {line} outside document of {len(self._line_starts)} lines"
+                f"line {line} outside document of {len(self._lines)} lines"
             )
-
-
-def _compute_line_starts(text: str) -> List[int]:
-    starts = [0]
-    for index, char in enumerate(text):
-        if char == "\n":
-            starts.append(index + 1)
-    return starts

@@ -123,6 +123,13 @@ class LineIndex:
             )
         return bisect_right(self._build(), offset)
 
+    def line_start(self, line: int) -> int:
+        """Offset where 1-based line ``line`` starts."""
+        starts = self._build()
+        if line < 1 or line > len(starts):
+            raise ValueError(f"line {line} outside source of {len(starts)} lines")
+        return starts[line - 1]
+
     def line_bounds(self, offset: int) -> Tuple[int, int]:
         """``(start, end)`` offsets of the line holding ``offset``.
 

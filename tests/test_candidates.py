@@ -1,11 +1,12 @@
 """Tests for the single-pass candidate index (repro.core.candidates).
 
 The load-bearing property is at the bottom: over the full bundled corpus
-and the complete default ruleset, detection with the index enabled is
-byte-identical to detection without it.  Everything above pins the
-pieces that property rests on — automaton correctness against brute
-force, scanner/automaton agreement, case folding, the always-run bucket,
-pickling, and every rule being reachable through the index.
+and the complete default ruleset, production dispatch (candidate index,
+grouped probe, plan memo) is byte-identical to ``reference_run``, which
+runs every rule with no selection at all.  Everything above pins the
+pieces that property rests on — the scanner against brute-force
+substring checks, case folding, the always-run bucket, pickling, and
+every rule being reachable through the index.
 """
 
 import pickle
@@ -14,7 +15,8 @@ import re
 
 import pytest
 
-from repro.core.candidates import AhoCorasick, RuleIndex
+from repro.core import reference_run
+from repro.core.candidates import RuleIndex, _TrieScanner
 from repro.core.engine import PatchitPy
 from repro.core.matching import run_rules
 from repro.core.rules import RuleSet, default_ruleset, extended_ruleset
@@ -26,77 +28,31 @@ def _brute_force_present(literals, text):
     return {i for i, literal in enumerate(literals) if literal in text}
 
 
-class TestAhoCorasick:
-    def test_simple_presence(self):
-        ac = AhoCorasick(["abc", "bcd", "zz"])
-        assert ac.present("xabcdx") == {0, 1}
-        assert ac.present("zz") == {2}
-        assert ac.present("nothing") == set()
-
-    def test_overlapping_and_nested_literals(self):
-        # "bc" ends inside "abc"; "abcd" contains both — all must report
-        ac = AhoCorasick(["abcd", "abc", "bc"])
-        assert ac.present("abcd") == {0, 1, 2}
-        assert ac.present("xbc") == {2}
-
-    def test_iter_matches_reports_every_occurrence(self):
-        ac = AhoCorasick(["ab", "b"])
-        matches = list(ac.iter_matches("abab"))
-        assert (2, 0) in matches and (4, 0) in matches  # "ab" twice
-        assert (2, 1) in matches and (4, 1) in matches  # "b" twice
-
-    def test_empty_literal_rejected(self):
-        with pytest.raises(ValueError):
-            AhoCorasick(["ok", ""])
-
-    def test_no_literals(self):
-        ac = AhoCorasick([])
-        assert ac.present("anything") == set()
-        assert len(ac) == 0
-
-    def test_brute_force_equivalence_on_random_inputs(self):
-        rng = random.Random(1337)
-        alphabet = "abcx"
-        for _ in range(150):
-            literals = list(
-                {
-                    "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
-                    for _ in range(rng.randrange(1, 8))
-                }
-            )
-            ac = AhoCorasick(literals)
-            for _ in range(10):
-                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
-                assert ac.present(text) == _brute_force_present(literals, text), (
-                    literals,
-                    text,
-                )
-
-    def test_pickle_round_trip(self):
-        ac = AhoCorasick(["pickle.loads(", "yaml.load(", "eval("])
-        clone = pickle.loads(pickle.dumps(ac))
-        probe = "data = yaml.load(eval(x))"
-        assert clone.present(probe) == ac.present(probe) == {1, 2}
+def _present(scanner, text):
+    mask = scanner.present_mask(text)
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
 class TestScannerMatchesAutomaton:
-    """lookup() and lookup(reference=True) must partition identically."""
+    """``_TrieScanner.present_mask`` must equal ``literal in text`` per literal."""
 
     @pytest.mark.parametrize("ruleset_factory", [default_ruleset, extended_ruleset])
     def test_on_real_sources(self, ruleset_factory, flat_samples):
         index = RuleIndex(list(ruleset_factory()))
+        exact = _TrieScanner(index.exact_literals)
+        folded = _TrieScanner(index.folded_literals)
         for sample in flat_samples[:150]:
-            fast = index.lookup(sample.source)
-            reference = index.lookup(sample.source, reference=True)
-            assert [r.rule_id for r in fast.candidates] == [
-                r.rule_id for r in reference.candidates
-            ]
-            assert [r.rule_id for r in fast.skipped] == [
-                r.rule_id for r in reference.skipped
-            ]
+            text = sample.source
+            assert _present(exact, text) == _brute_force_present(
+                index.exact_literals, text
+            ), sample.sample_id
+            assert _present(folded, text.lower()) == _brute_force_present(
+                index.folded_literals, text.lower()
+            ), sample.sample_id
 
     def test_on_random_texts(self):
-        index = RuleIndex(list(default_ruleset()))
+        literals = RuleIndex(list(default_ruleset())).exact_literals
+        scanner = _TrieScanner(literals)
         rng = random.Random(99)
         fragments = [
             "pickle.loads(", "yaml.load(", "eval(", "return ", "password",
@@ -104,11 +60,25 @@ class TestScannerMatchesAutomaton:
         ]
         for _ in range(100):
             text = "".join(rng.choice(fragments) for _ in range(rng.randrange(0, 30)))
-            fast = index.lookup(text)
-            reference = index.lookup(text, reference=True)
-            assert [r.rule_id for r in fast.candidates] == [
-                r.rule_id for r in reference.candidates
-            ]
+            assert _present(scanner, text) == _brute_force_present(literals, text), text
+
+    def test_on_random_literal_sets(self):
+        # overlapping, nested and same-prefix literals over a tiny alphabet
+        rng = random.Random(1337)
+        alphabet = "abcx_"
+        for _ in range(150):
+            literals = sorted(
+                {
+                    "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
+                    for _ in range(rng.randrange(1, 8))
+                }
+            )
+            scanner = _TrieScanner(literals)
+            for _ in range(10):
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
+                assert _present(scanner, text) == _brute_force_present(
+                    literals, text
+                ), (literals, text)
 
 
 class TestRuleIndex:
@@ -239,7 +209,7 @@ class TestRuleSetIntegration:
         ]
 
     def test_plain_rule_lists_have_no_index(self):
-        # run_rules over a bare list silently falls back to per-rule checks
+        # run_rules over a bare list builds an index of its own
         rules = list(default_ruleset())
         probe = "eval(input())\n"
         assert [f.to_dict() for f in run_rules(rules, probe)] == [
@@ -258,12 +228,6 @@ class TestObservabilityIntegration:
         assert counters["index_candidates"] + counters["index_skips"] == len(
             engine.rules
         )
-
-    def test_no_index_counters_on_ablated_engine(self):
-        metrics = ScanMetrics()
-        engine = PatchitPy(metrics=metrics, use_index=False)
-        engine.detect("import pickle\npickle.loads(x)\n")
-        assert "index_candidates" not in metrics.counters
 
     def test_index_skipped_rules_still_accounted_as_prefilter_skips(self):
         metrics = ScanMetrics()
@@ -325,41 +289,75 @@ class TestPrerequisiteMemo:
         assert len(run_rules(rules, "import flask\nalphaone('x')\n")) == 1
 
 
+def _mutations(source):
+    """CRLF endings, a mid-token truncation, and a non-ASCII fold line."""
+    cut = len(source) * 2 // 3
+    while cut < len(source) - 1 and not (
+        source[cut - 1].isalnum() and source[cut].isalnum()
+    ):
+        cut += 1  # advance until the cut splits a token
+    # "ſ" and the Kelvin sign fold to ASCII under IGNORECASE, and any
+    # non-ASCII text sends the index down its promote-every-folded-rule path
+    return [source.replace("\n", "\r\n"), source[:cut], "# \u017f \u212a\n" + source]
+
+
 class TestEquivalenceProperty:
-    """The acceptance property: index on == index off, byte for byte."""
+    """The acceptance property: production == ``reference_run``, byte for byte.
+
+    ``reference_run`` runs every rule through the per-rule body with no
+    candidate index, no grouped probe and no literal prefilter; the
+    engine selects through all of them and memoizes the selection per
+    source.  Where all three regimes run back to back on one engine, the
+    measured regime reads the plan the fast regime memoized.  Traced
+    findings are compared without their provenance records.
+    """
+
+    REGIMES = ("fast", "measured", "traced")
 
     @pytest.fixture(scope="class")
-    def engines(self):
-        return PatchitPy(), PatchitPy(use_index=False)
+    def engine(self):
+        return PatchitPy()
 
-    def test_findings_identical_across_full_corpus(self, flat_samples, engines):
-        indexed, naive = engines
+    @staticmethod
+    def _detect(engine, source, regime):
+        if regime == "measured":
+            return engine.detect(source, metrics=ScanMetrics())
+        if regime == "traced":
+            traced = engine.detect(source, trace=TraceRecorder())
+            return [f.with_provenance(None) for f in traced]
+        return engine.detect(source)
+
+    def _assert_equivalent(self, engine, source, label, regimes=REGIMES):
+        expected = [f.to_dict() for f in reference_run(engine.rules, source)]
+        for regime in regimes:
+            found = self._detect(engine, source, regime)
+            assert [f.to_dict() for f in found] == expected, (label, regime)
+
+    def test_findings_identical_across_full_corpus(self, flat_samples, engine):
         assert len(flat_samples) > 500  # the whole corpus, not a slice
         for sample in flat_samples:
-            with_index = [f.to_dict() for f in indexed.detect(sample.source)]
-            without = [f.to_dict() for f in naive.detect(sample.source)]
-            assert with_index == without, sample.sample_id
+            self._assert_equivalent(engine, sample.source, sample.sample_id, ["fast"])
+
+    def test_instrumented_paths_equivalent(self, flat_samples, engine):
+        for sample in flat_samples:
+            self._assert_equivalent(
+                engine, sample.source, sample.sample_id, ["measured"]
+            )
+
+    def test_traced_path_equivalent(self, flat_samples, engine):
+        for sample in flat_samples:
+            self._assert_equivalent(engine, sample.source, sample.sample_id, ["traced"])
 
     def test_extended_ruleset_equivalence(self, flat_samples):
-        indexed = PatchitPy(rules=extended_ruleset())
-        naive = PatchitPy(rules=extended_ruleset(), use_index=False)
+        engine = PatchitPy(rules=extended_ruleset())
         for sample in flat_samples[:150]:
-            assert [f.to_dict() for f in indexed.detect(sample.source)] == [
-                f.to_dict() for f in naive.detect(sample.source)
-            ]
+            self._assert_equivalent(engine, sample.source, sample.sample_id)
 
-    def test_instrumented_paths_equivalent(self, flat_samples):
-        indexed = PatchitPy(metrics=ScanMetrics())
-        naive = PatchitPy(metrics=ScanMetrics(), use_index=False)
+    @pytest.mark.parametrize("catalog", [default_ruleset, extended_ruleset])
+    def test_mutations_equivalent(self, flat_samples, catalog):
+        engine = PatchitPy(rules=catalog())
         for sample in flat_samples[:100]:
-            assert [f.to_dict() for f in indexed.detect(sample.source)] == [
-                f.to_dict() for f in naive.detect(sample.source)
-            ]
-
-    def test_traced_path_equivalent(self, flat_samples):
-        for sample in flat_samples[:40]:
-            indexed = PatchitPy(trace=TraceRecorder())
-            naive = PatchitPy(trace=TraceRecorder(), use_index=False)
-            assert [f.to_dict() for f in indexed.detect(sample.source)] == [
-                f.to_dict() for f in naive.detect(sample.source)
-            ]
+            for kind, mutated in zip(
+                ("crlf", "truncated", "non-ascii"), _mutations(sample.source)
+            ):
+                self._assert_equivalent(engine, mutated, (sample.sample_id, kind))

@@ -6,6 +6,7 @@ These run the actual scripts the CI workflow runs, so a local
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +92,18 @@ class TestDocsExamples:
 
         assert linter.check_json('{"ok": true}\n') == ""
         assert "does not parse" in linter.check_json("{nope}\n")
+
+
+class TestVersionMetadata:
+    def test_release_metadata_matches_package_version(self):
+        """pyproject.toml and CITATION.cff carry ``repro.__version__``."""
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+        from repro import __version__
+
+        # read by pattern, not tomllib: tomllib is 3.11+ and CI runs 3.9
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        match = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+        assert match is not None and match.group(1) == __version__
+        citation = (REPO_ROOT / "CITATION.cff").read_text()
+        match = re.search(r"^version:\s*(\S+)", citation, re.MULTILINE)
+        assert match is not None and match.group(1) == __version__

@@ -166,14 +166,6 @@ class TestAnalyze:
         report = engine.analyze(SQLI, patch=False)
         assert report.findings and not report.patches
 
-    def test_legacy_flag_warns_and_still_works(self, engine):
-        with pytest.warns(DeprecationWarning, match="apply_patches_flag"):
-            report = engine.analyze(SQLI, apply_patches_flag=False)
-        assert report.findings and not report.patches
-        with pytest.warns(DeprecationWarning):
-            patched = engine.analyze(SQLI, apply_patches_flag=True)
-        assert patched.patches
-
 
 class TestApplyPatches:
     def test_ordered_application(self):

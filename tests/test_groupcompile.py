@@ -2,12 +2,15 @@
 
 The load-bearing property sits at the bottom: over the full bundled
 corpus and the complete default catalog, detection through the grouped
-tier is byte-identical to the indexed tier and to the naive per-rule
-path, in every execution regime (fast, instrumented, traced, CLI).
-Everything above pins the pieces that property rests on — mergeability
-classification, alpha-renaming of member group names, clear-on-miss /
-fallback-on-hit planning, the compilation LRU, the per-source plan
-memo, and pickling of primed caches into worker processes.
+tier is byte-identical to the index-only tier (``reference_run`` over
+the index's candidates) and to the naive tier (``reference_run`` over
+every rule), in every execution regime.  The broader production ==
+``reference_run`` property, mutations included, lives in
+tests/test_candidates.py.  Everything above pins the pieces the grouped
+tier rests on — mergeability classification, alpha-renaming of member
+group names, clear-on-miss / fallback-on-hit planning, the compilation
+LRU, the per-source plan memo, and pickling of primed caches into
+worker processes.
 """
 
 import importlib.util
@@ -17,13 +20,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import reference_run
 from repro.core.candidates import RuleIndex
 from repro.core.engine import PatchitPy
 from repro.core.groupcompile import (
     GroupedCache,
     _rename_groups,
     build_grouped,
-    catalog_fingerprint,
     mergeable,
 )
 from repro.core.rules import default_ruleset, extended_ruleset, full_catalog
@@ -168,9 +171,8 @@ class TestGroupedCache:
     def test_memoizes_per_fingerprint_and_mask(self):
         rules = _rules(("R1", r"eval\("))
         cache = GroupedCache()
-        fingerprint = catalog_fingerprint(rules)
-        first = cache.get_or_build(fingerprint, 0b1, rules)
-        second = cache.get_or_build(fingerprint, 0b1, rules)
+        first = cache.get_or_build(0b1, rules)
+        second = cache.get_or_build(0b1, rules)
         assert first is second
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
@@ -178,24 +180,22 @@ class TestGroupedCache:
     def test_distinct_masks_get_distinct_entries(self):
         rules = _rules(("R1", r"eval\("), ("R2", r"exec\("))
         cache = GroupedCache()
-        fingerprint = catalog_fingerprint(rules)
-        assert cache.get_or_build(fingerprint, 0b11, rules) is not cache.get_or_build(
-            fingerprint, 0b01, rules[:1]
+        assert cache.get_or_build(0b11, rules) is not cache.get_or_build(
+            0b01, rules[:1]
         )
         assert len(cache) == 2
 
     def test_bounded_lru_evicts_oldest(self):
         rules = _rules(("R1", r"eval\("))
         cache = GroupedCache(maxsize=2)
-        fingerprint = catalog_fingerprint(rules)
         for mask in (1, 2, 3):
-            cache.get_or_build(fingerprint, mask, rules)
+            cache.get_or_build(mask, rules)
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
         # mask 1 was evicted; rebuilding it is a miss, mask 3 still hits
-        cache.get_or_build(fingerprint, 3, rules)
+        cache.get_or_build(3, rules)
         assert cache.stats()["hits"] == 1
-        cache.get_or_build(fingerprint, 1, rules)
+        cache.get_or_build(1, rules)
         assert cache.stats()["misses"] == 4
 
     def test_rejects_silly_sizes(self):
@@ -205,11 +205,10 @@ class TestGroupedCache:
     def test_primed_cache_pickles_with_entries(self):
         rules = _rules(("R1", r"eval\("))
         cache = GroupedCache()
-        fingerprint = catalog_fingerprint(rules)
-        cache.get_or_build(fingerprint, 0b1, rules)
+        cache.get_or_build(0b1, rules)
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 1
-        clone.get_or_build(fingerprint, 0b1, rules)
+        clone.get_or_build(0b1, rules)
         assert clone.stats()["hits"] == 1  # served from the pickled entry
 
 
@@ -247,6 +246,7 @@ class TestRuleIndexGroupedTier:
             live = index.grouped_for(lookup).plan(sample.source)
             assert list(memoized[0]) == live[0]
             assert memoized[1] == live[1]
+            assert memoized[3] == lookup.mask  # the entry carries the mask
 
     def test_index_pickles_with_primed_grouped_tier(self):
         index = RuleIndex(list(default_ruleset()))
@@ -258,86 +258,64 @@ class TestRuleIndexGroupedTier:
         ]
         assert clone.grouped_stats()["size"] >= 1  # compiled entries traveled
 
-    def test_fold_cache_counters(self):
-        rules = _rules(("CI", r"select\s+\*", re.IGNORECASE))
-        index = RuleIndex(rules)
-        assert index.folded_literals  # the fold path is actually in play
-        source = "q = 'SELECT * FROM t'\n"
-        index.lookup(source)
-        assert (index.fold_computes, index.fold_reuses) == (1, 0)
-        index.lookup(source)  # same object: single-slot cache reuses
-        assert (index.fold_computes, index.fold_reuses) == (1, 1)
-        index.lookup("other = 1\n")
-        assert index.fold_computes == 2
-
 
 class TestEngineAblation:
-    def test_use_grouped_flag_reaches_the_index(self):
-        engine = PatchitPy(use_grouped=False)
-        engine.warmup()
-        index = engine.rules.candidate_index()
-        assert index.grouped_stats()["plan_misses"] == 0  # tier never entered
-        grouped = PatchitPy()
-        grouped.warmup()
-        assert grouped.rules.candidate_index().grouped_stats()["plan_misses"] > 0
-
     def test_warmup_primes_grouped_cache(self):
         engine = PatchitPy()
         engine.warmup()
         stats = engine.rules.candidate_index().grouped_stats()
         assert stats["size"] >= 1 and stats["misses"] >= 1
 
-    def test_cli_no_grouped_flag(self, tmp_path, capsys):
-        from repro.cli import main
 
-        target = tmp_path / "target.py"
-        target.write_text("import pickle\n\nstate = pickle.loads(blob)\n")
-        assert main([str(target)]) == 1
-        grouped_out = capsys.readouterr().out
-        assert main([str(target), "--no-grouped"]) == 1
-        ungrouped_out = capsys.readouterr().out
-        assert grouped_out == ungrouped_out
-        assert "CWE-502" in grouped_out
+def _dicts(findings):
+    return [f.to_dict() for f in findings]
+
+
+def _indexed(engine, source):
+    """The index-only tier: the index's candidates, no grouped probe."""
+    candidates = engine.rules.candidate_index().lookup(source).candidates
+    return reference_run(candidates, source)
 
 
 class TestEquivalenceProperty:
     """The acceptance property: grouped == indexed == naive, byte for byte."""
 
-    @pytest.fixture(scope="class")
-    def engines(self):
-        return (
-            PatchitPy(),
-            PatchitPy(use_grouped=False),
-            PatchitPy(use_index=False),
-        )
-
-    def test_findings_identical_across_full_corpus(self, flat_samples, engines):
-        grouped, indexed, naive = engines
+    def test_findings_identical_across_full_corpus(self, flat_samples):
+        engine = PatchitPy()
         assert len(flat_samples) > 500  # the whole corpus, not a slice
         for sample in flat_samples:
-            reference = [f.to_dict() for f in grouped.detect(sample.source)]
-            assert reference == [
-                f.to_dict() for f in indexed.detect(sample.source)
-            ], sample.sample_id
-            assert reference == [
-                f.to_dict() for f in naive.detect(sample.source)
-            ], sample.sample_id
+            grouped = _dicts(engine.detect(sample.source))
+            assert grouped == _dicts(_indexed(engine, sample.source)), (
+                sample.sample_id
+            )
+            assert grouped == _dicts(reference_run(engine.rules, sample.source)), (
+                sample.sample_id
+            )
 
     def test_extended_ruleset_equivalence(self, flat_samples):
-        grouped = PatchitPy(rules=extended_ruleset())
-        indexed = PatchitPy(rules=extended_ruleset(), use_grouped=False)
+        engine = PatchitPy(rules=extended_ruleset())
         for sample in flat_samples[:150]:
-            assert [f.to_dict() for f in grouped.detect(sample.source)] == [
-                f.to_dict() for f in indexed.detect(sample.source)
-            ]
+            assert _dicts(engine.detect(sample.source)) == _dicts(
+                _indexed(engine, sample.source)
+            ), sample.sample_id
 
     def test_instrumented_paths_equivalent(self, flat_samples):
-        grouped = PatchitPy(metrics=ScanMetrics())
-        indexed = PatchitPy(metrics=ScanMetrics(), use_grouped=False)
+        engine = PatchitPy(metrics=ScanMetrics())
         for sample in flat_samples[:100]:
-            assert [f.to_dict() for f in grouped.detect(sample.source)] == [
-                f.to_dict() for f in indexed.detect(sample.source)
-            ]
+            assert _dicts(engine.detect(sample.source)) == _dicts(
+                _indexed(engine, sample.source)
+            ), sample.sample_id
+
+    def test_traced_path_equivalent_to_grouped(self, flat_samples):
+        # tracing selects through the index lookup, not the grouped probe
+        # (its audit names every guard's verdict), so its finding set —
+        # provenance aside — must agree with the grouped fast path.
+        grouped = PatchitPy()
+        for sample in flat_samples[:40]:
+            traced = PatchitPy(trace=TraceRecorder()).detect(sample.source)
+            assert _dicts(f.with_provenance(None) for f in traced) == _dicts(
+                grouped.detect(sample.source)
+            ), sample.sample_id
 
     def test_instrumented_scan_accounts_cleared_rules(self):
         metrics = ScanMetrics()
@@ -356,26 +334,6 @@ class TestEquivalenceProperty:
         assert findings
         assert metrics.counters.get("grouped_hits", 0) >= 1
         assert metrics.counters.get("grouped_dispatch", 0) >= 1
-
-    def test_traced_path_equivalent_to_grouped(self, flat_samples):
-        # tracing bypasses grouped dispatch on purpose (full audit
-        # trail), so the toggle must be a no-op there; and the traced
-        # finding set — provenance aside — must agree with the grouped
-        # fast path.
-        for sample in flat_samples[:40]:
-            traced = PatchitPy(trace=TraceRecorder())
-            traced_ungrouped = PatchitPy(trace=TraceRecorder(), use_grouped=False)
-            grouped = PatchitPy()
-            from_traced = traced.detect(sample.source)
-            assert [f.to_dict() for f in from_traced] == [
-                f.to_dict() for f in traced_ungrouped.detect(sample.source)
-            ]
-            assert [
-                (f.rule_id, f.span.start, f.span.end) for f in from_traced
-            ] == [
-                (f.rule_id, f.span.start, f.span.end)
-                for f in grouped.detect(sample.source)
-            ]
 
 
 _BENCH_PATH = (

@@ -49,9 +49,19 @@ class TestTextDocument:
         assert doc.line_text(1) == "line two"
 
     def test_offset_roundtrip(self):
-        doc = TextDocument(SAMPLE)
-        for offset in range(len(SAMPLE) + 1):
-            assert doc.offset_at(doc.position_at(offset)) == offset
+        crlf = SAMPLE.replace("\n", "\r\n")
+        for text in (SAMPLE, crlf, SAMPLE.rstrip("\n"), ""):
+            doc = TextDocument(text)
+            # lines split on "\n" only: a CRLF line keeps its "\r"
+            lines = text.split("\n")
+            assert doc.line_count == len(lines), text
+            assert [doc.line_text(i) for i in range(len(lines))] == lines
+            for offset in range(len(text) + 1):
+                line = text.count("\n", 0, offset)
+                column = offset - (text.rfind("\n", 0, offset) + 1)
+                assert doc.position_at(offset) == Position(line, column), (text, offset)
+                assert doc.offset_at(doc.position_at(offset)) == offset
+            assert doc.full_range().end == doc.position_at(len(text))
 
     def test_offset_at_position(self):
         doc = TextDocument(SAMPLE)

@@ -379,11 +379,10 @@ class TestCliSurface:
 
 
 class TestDeprecationShim:
-    def test_legacy_keyword_warns(self):
+    def test_legacy_keyword_is_rejected(self):
         engine = PatchitPy()
-        with pytest.warns(DeprecationWarning, match="apply_patches_flag"):
-            report = engine.analyze(VULN_PICKLE, apply_patches_flag=False)
-        assert report.findings and not report.patches
+        with pytest.raises(TypeError, match="apply_patches_flag"):
+            engine.analyze(VULN_PICKLE, apply_patches_flag=False)
 
     def test_new_keyword_does_not_warn(self):
         engine = PatchitPy()

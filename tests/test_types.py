@@ -95,6 +95,16 @@ class TestLineIndex:
         with pytest.raises(ValueError):
             index.line_bounds(-1)
 
+    def test_line_start_inverts_line_of(self):
+        source = "ab\n\ncd"
+        index = LineIndex(source)
+        assert [index.line_start(line) for line in (1, 2, 3)] == [0, 3, 4]
+        for offset in range(len(source) + 1):
+            assert index.line_start(index.line_of(offset)) <= offset
+        for line in (0, 4):
+            with pytest.raises(ValueError):
+                index.line_start(line)
+
     def test_line_text_keeps_carriage_return(self):
         # "\r\n" terminators: "\r" is ordinary text on its line
         index = LineIndex("one\r\ntwo\r\n")
