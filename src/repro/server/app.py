@@ -53,17 +53,12 @@ history; ``--access-log`` emits one structured JSON line per request.
 from __future__ import annotations
 
 import asyncio
-import json
 import pickle
-import re
-import sys
-import threading
 import time
-import uuid
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import ResultStore, ScanCache, hash_source
 from repro.core.engine import PatchitPy
@@ -72,28 +67,23 @@ from repro.core.review import ReviewError, review
 from repro.core.sarif import review_to_sarif
 from repro.observability.collector import ScanMetrics, clock
 from repro.observability.exporters import to_prometheus
-from repro.observability.histogram import RollingWindow
 from repro.observability.trace import TraceRecorder
-from repro.server.statusz import render_statusz
-from repro.server.http11 import (
-    ChunkedResponse,
-    HttpError,
-    Request,
-    Response,
-    read_request,
-    write_chunked_response,
-    write_response,
+from repro.server.http11 import HttpError, Request, Response
+from repro.server.pipeline import (
+    Background,
+    Pipeline,
+    batch_items,
+    batch_reply,
+    batch_stream,
+    deadline_s,
+    json_object,
+    require_root,
+    require_source,
 )
+from repro.server.statusz import render_statusz
 from repro.types import Finding
 
 __all__ = ["BackgroundServer", "PatchitPyServer", "ServerConfig"]
-
-_Handler = Callable[[Request], Awaitable[Response]]
-
-#: Shape a caller-supplied ``X-Trace-Id`` must match to be honoured —
-#: anything else (empty, over-long, control characters that could forge
-#: log lines) falls back to a server-generated id.
-_TRACE_ID_OK = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
 @dataclass
@@ -254,8 +244,11 @@ def _publish(store: ResultStore, digest: str, payload: dict) -> Tuple[bool, floa
     return stored, clock() - started
 
 
-class PatchitPyServer:
+class PatchitPyServer(Pipeline):
     """A warm-engine scan daemon over asyncio (see module docstring)."""
+
+    prefix = "server"
+    time_handler = True
 
     def __init__(
         self,
@@ -263,13 +256,18 @@ class PatchitPyServer:
         config: Optional[ServerConfig] = None,
     ) -> None:
         self.engine = engine if engine is not None else PatchitPy()
-        self.config = config if config is not None else ServerConfig()
-        #: Server-lifetime metrics — per-request snapshots merge in here.
-        self.metrics = ScanMetrics()
-        #: Rolling SLO windows for /statusz (rates + recent percentiles).
-        self.window = RollingWindow(
-            interval_s=self.config.window_interval_s,
-            slots=self.config.window_slots,
+        super().__init__(
+            config if config is not None else ServerConfig(),
+            {
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("GET", "/v1/metrics.json"): self._handle_metrics_json,
+                ("GET", "/statusz"): self._handle_statusz,
+                ("POST", "/v1/analyze"): self._handle_analyze,
+                ("POST", "/v1/batch"): self._handle_batch,
+                ("POST", "/v1/scan"): self._handle_scan,
+                ("POST", "/v1/review"): self._handle_review,
+            },
         )
         self._caches: Dict[Path, ScanCache] = {}
         #: The cross-process shared snippet cache (fleet tier), or None.
@@ -277,55 +275,20 @@ class PatchitPyServer:
         self._pool: Optional[Executor] = None
         self._pool_kind = "none"
         self._uses_process_pool = False
-        self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._started_at = 0.0
         self._pending = 0  # queued-or-running analysis units (backpressure)
-        self._inflight = 0  # HTTP requests currently being handled
-        self._conn_tasks: set = set()  # connection handler tasks, for drain
-        self._idle: Optional[asyncio.Event] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self.draining = False
-        self._routes: Dict[Tuple[str, str], _Handler] = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("GET", "/v1/metrics.json"): self._handle_metrics_json,
-            ("GET", "/statusz"): self._handle_statusz,
-            ("POST", "/v1/analyze"): self._handle_analyze,
-            ("POST", "/v1/batch"): self._handle_batch,
-            ("POST", "/v1/scan"): self._handle_scan,
-            ("POST", "/v1/review"): self._handle_review,
-        }
 
     # ----------------------------------------------------------- lifecycle
 
-    @property
-    def port(self) -> Optional[int]:
-        """The bound TCP port (``None`` before start / on unix sockets)."""
-        if self._asyncio_server is None or self.config.unix_socket:
-            return None
-        sockets = self._asyncio_server.sockets or []
-        return sockets[0].getsockname()[1] if sockets else None
-
     async def start(self) -> "PatchitPyServer":
         """Warm the engine, build the pool, and bind the listener."""
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._stopped = asyncio.Event()
         self.engine.warmup()
         if self.config.shared_cache_dir:
             self._snippet_store = ResultStore(
                 Path(self.config.shared_cache_dir), self.engine.rules.fingerprint()
             )
         self._pool, self._pool_kind = self._build_pool()
-        if self.config.unix_socket:
-            self._asyncio_server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.unix_socket
-            )
-        else:
-            self._asyncio_server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host, port=self.config.port
-            )
-        self._started_at = time.monotonic()
+        cfg = self.config
+        await self._bind(cfg.host, cfg.port, cfg.unix_socket)
         return self
 
     def _build_pool(self) -> Tuple[Executor, str]:
@@ -347,192 +310,14 @@ class PatchitPyServer:
         except Exception:
             return False
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`shutdown` has fully drained the server."""
-        assert self._stopped is not None, "server not started"
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight work, persist.
-
-        Idempotent — SIGTERM followed by SIGINT (or a test calling it
-        twice) runs the drain once.
-        """
-        if self.draining:
-            return
-        self.draining = True
-        if self._asyncio_server is not None:
-            self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-        assert self._idle is not None and self._stopped is not None
-        try:
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout_s
-            )
-        except asyncio.TimeoutError:
-            pass  # drain budget spent; abandon stragglers
-        # In-flight requests are done (or abandoned); what remains are
-        # idle keep-alive connections parked in read_request.  Cancel
-        # them so no handler task outlives the loop.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+    async def _release(self) -> None:
+        """After the drain: stop the pool and persist every open cache."""
         if self._pool is not None:
             self._pool.shutdown(wait=False)
         for cache in self._caches.values():
             cache.close()
         if self._snippet_store is not None:
             self._snippet_store.close()
-        self._stopped.set()
-
-    # ---------------------------------------------------------- connection
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        cfg = self.config
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, cfg.max_body_bytes, cfg.idle_timeout_s, cfg.io_timeout_s
-                    )
-                except HttpError as error:
-                    await write_response(writer, Response.from_error(error), False)
-                    break
-                if request is None:
-                    break
-                supplied = request.headers.get("x-trace-id", "")
-                if _TRACE_ID_OK.match(supplied):
-                    trace_id = supplied
-                else:
-                    trace_id = uuid.uuid4().hex[:16]
-                started = clock()
-                self._inflight += 1
-                assert self._idle is not None
-                self._idle.clear()
-                try:
-                    response = await self._dispatch(request)
-                except HttpError as error:
-                    response = Response.from_error(error)
-                except Exception as error:  # noqa: BLE001 - must answer 500
-                    response = Response.from_error(
-                        HttpError(500, f"internal error: {error}")
-                    )
-                finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.set()
-                keep = request.keep_alive and not self.draining
-                if isinstance(response, ChunkedResponse):
-                    # Streaming: the head goes out now, the chunks as the
-                    # producer yields them; accounting runs after the last
-                    # chunk so the recorded duration covers the stream.
-                    try:
-                        await write_chunked_response(
-                            writer,
-                            response,
-                            keep,
-                            extra_headers={"X-Patchitpy-Trace-Id": trace_id},
-                        )
-                    except (ConnectionError, OSError):
-                        self._account(request, response, trace_id, clock() - started)
-                        break
-                    self._account(request, response, trace_id, clock() - started)
-                    if not keep:
-                        break
-                    continue
-                self._account(request, response, trace_id, clock() - started)
-                try:
-                    await write_response(
-                        writer,
-                        response,
-                        keep,
-                        extra_headers={"X-Patchitpy-Trace-Id": trace_id},
-                    )
-                except (ConnectionError, OSError):
-                    break
-                if not keep:
-                    break
-        except asyncio.CancelledError:
-            pass  # drain cancelled an idle keep-alive connection
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-
-    def _endpoint_label(self, request: Request) -> str:
-        """A bounded-cardinality endpoint label for histograms/windows.
-
-        Known routes label as their path; anything else (typo'd paths,
-        scanners probing the port) collapses into ``other`` so a hostile
-        client cannot mint unbounded label values.
-        """
-        if any(path == request.path for _, path in self._routes):
-            return request.path
-        return "other"
-
-    def _account(
-        self, request: Request, response: Response, trace_id: str, seconds: float
-    ) -> None:
-        """Fold one request into the lifetime collector, the rolling SLO
-        windows, and (when enabled) the structured access log."""
-        m = self.metrics
-        m.count("server_requests")
-        m.count(f"server_responses_{response.status // 100}xx")
-        m.add_time("server_request_time_s", seconds)
-        endpoint = self._endpoint_label(request)
-        m.observe("server_request_seconds/" + endpoint, seconds)
-        phases: Dict[str, float] = getattr(response, "phases", None) or {}
-        for phase, spent in phases.items():
-            m.observe("phase_seconds/" + phase, spent)
-        window = self.window
-        window.count("requests/" + endpoint)
-        window.observe("latency/" + endpoint, seconds)
-        window.count(f"responses/{response.status // 100}xx")
-        if response.status in (429, 504):
-            window.count(f"responses/{response.status}")
-        if self.config.access_log:
-            record: Dict[str, Any] = {
-                "trace_id": trace_id,
-                "method": request.method,
-                "path": request.path,
-                "status": response.status,
-                "bytes": len(response.body),
-                "duration_ms": round(seconds * 1000.0, 3),
-            }
-            for phase, spent in sorted(phases.items()):
-                record[phase + "_ms"] = round(spent * 1000.0, 3)
-            record.update(getattr(response, "access", None) or {})
-            print(json.dumps(record, sort_keys=True), file=sys.stderr)
-
-    async def _dispatch(self, request: Request) -> Response:
-        handler = self._routes.get((request.method, request.path))
-        if handler is None:
-            if any(path == request.path for _, path in self._routes):
-                raise HttpError(405, f"method {request.method} not allowed")
-            raise HttpError(404, f"no such endpoint: {request.path}")
-        if self.draining and request.path.startswith("/v1/"):
-            raise HttpError(503, "server is draining", headers={"Retry-After": "1"})
-        handler_started = clock()
-        response = await handler(request)
-        # Response is a plain dataclass, so handlers hang phase timings
-        # off it (``phases``) for _account to fold; the handler phase is
-        # always present, queue_wait only where a handler measured one.
-        phases = getattr(response, "phases", None)
-        if phases is None:
-            phases = {}
-            response.phases = phases  # type: ignore[attr-defined]
-        phases.setdefault("handler", clock() - handler_started)
-        return response
 
     # ------------------------------------------------------------- workers
 
@@ -605,20 +390,22 @@ class PatchitPyServer:
     def _release_slot(self) -> None:
         self._pending = max(0, self._pending - 1)
 
-    def _deadline_s(self, body: dict) -> Optional[float]:
-        raw = body.get("deadline_ms", self.config.default_deadline_ms)
-        try:
-            deadline_ms = float(raw)
-        except (TypeError, ValueError):
-            raise HttpError(400, f"deadline_ms must be a number, got {raw!r}")
-        return deadline_ms / 1000.0 if deadline_ms > 0 else None
+    def _off_loop(self, fn: Callable[..., Any], *args: Any) -> "asyncio.Future":
+        """``fn(*args)`` on the loop's default executor, holding one slot."""
+        self._acquire_slots(1)
+        future = asyncio.get_running_loop().run_in_executor(None, fn, *args)
+        future.add_done_callback(lambda _f: self._release_slot())
+        return future
 
-    @staticmethod
-    def _require_source(payload: dict, where: str = "request") -> str:
-        source = payload.get("source")
-        if not isinstance(source, str):
-            raise HttpError(400, f"{where} must carry a string 'source' field")
-        return source
+    def _gauges(self) -> Dict[str, float]:
+        """Point-in-time server gauges for ``/metrics`` and its JSON twin."""
+        return {
+            "server_uptime_seconds": time.monotonic() - self._started_at,
+            "server_inflight_requests": float(self._inflight),
+            "server_queued_units": float(self._pending),
+            "server_queue_capacity": float(self.config.queue_depth),
+            "server_open_caches": float(len(self._caches)),
+        }
 
     # ------------------------------------------------------------ handlers
 
@@ -645,14 +432,9 @@ class PatchitPyServer:
         )
 
     async def _handle_metrics(self, request: Request) -> Response:
-        gauges = {
-            "server_uptime_seconds": time.monotonic() - self._started_at,
-            "server_inflight_requests": float(self._inflight),
-            "server_queued_units": float(self._pending),
-            "server_queue_capacity": float(self.config.queue_depth),
-            "server_open_caches": float(len(self._caches)),
-        }
-        return Response.text_response(to_prometheus(self.metrics, extra_gauges=gauges))
+        return Response.text_response(
+            to_prometheus(self.metrics, extra_gauges=self._gauges())
+        )
 
     async def _handle_metrics_json(self, request: Request) -> Response:
         """The lifetime collector as mergeable JSON — the fleet's feed.
@@ -666,13 +448,7 @@ class PatchitPyServer:
         return Response.json_response(
             {
                 "metrics": self.metrics.to_dict(),
-                "gauges": {
-                    "server_uptime_seconds": time.monotonic() - self._started_at,
-                    "server_inflight_requests": float(self._inflight),
-                    "server_queued_units": float(self._pending),
-                    "server_queue_capacity": float(self.config.queue_depth),
-                    "server_open_caches": float(len(self._caches)),
-                },
+                "gauges": self._gauges(),
                 "pool": self._pool_kind,
                 "draining": self.draining,
             }
@@ -682,35 +458,24 @@ class PatchitPyServer:
         return Response.html_response(render_statusz(self))
 
     async def _handle_analyze(self, request: Request) -> Response:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        source = self._require_source(body)
+        body = json_object(request)
+        source = require_source(body)
         patch = bool(body.get("patch", False))
         want_trace = bool(body.get("trace", False))
-        deadline = self._deadline_s(body)
+        deadline = deadline_s(body, self.config.default_deadline_ms)
         started = clock()
 
         if want_trace:
             # Traced analysis runs inline on the loop's default executor:
             # the recorder's event buffer must come back with the result,
             # and the trace is a debugging surface, not the hot path.
-            self._acquire_slots(1)
-            recorder = TraceRecorder()
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(
-                None, analyze_payload, self.engine, source, patch, recorder
+            future = self._off_loop(
+                analyze_payload, self.engine, source, patch, TraceRecorder()
             )
-            future.add_done_callback(lambda _f: self._release_slot())
         else:
             self._acquire_slots(1)
             future = self._run_unit(source, patch)
-        try:
-            payload, snapshot = await self._await_deadline(future, deadline)
-        except asyncio.TimeoutError:
-            raise HttpError(
-                504, f"analysis missed its deadline of {deadline * 1000.0:g}ms"
-            )
+        payload, snapshot = await _await_deadline(future, deadline, "analysis")
         self.metrics.merge(ScanMetrics.from_dict(snapshot))
         elapsed = clock() - started
         payload["duration_ms"] = round(elapsed * 1000.0, 3)
@@ -733,144 +498,83 @@ class PatchitPyServer:
         return response
 
     async def _handle_batch(self, request: Request) -> Response:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        items = body.get("items")
-        if not isinstance(items, list) or not items:
-            raise HttpError(400, "batch requests need a non-empty 'items' list")
+        body = json_object(request)
+        ids, sources, deadline = batch_items(body, self.config.default_deadline_ms)
         patch = bool(body.get("patch", False))
         stream = bool(body.get("stream", False))
-        deadline = self._deadline_s(body)
         started = clock()
-
-        sources: List[str] = []
-        ids: List[Any] = []
-        for index, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise HttpError(400, f"items[{index}] must be a JSON object")
-            sources.append(self._require_source(item, where=f"items[{index}]"))
-            ids.append(item.get("id", index))
 
         self._acquire_slots(len(sources))
         futures = [
             asyncio.ensure_future(self._run_unit(source, patch)) for source in sources
         ]
         if stream:
-            return self._stream_batch(ids, futures, deadline, started)
+            return batch_stream(self._stream_lines(ids, futures, deadline), started)
         gathered = asyncio.gather(*futures, return_exceptions=True)
-        try:
-            outcomes = await self._await_deadline(gathered, deadline)
-        except asyncio.TimeoutError:
-            gathered.cancel()
-            raise HttpError(
-                504,
-                f"batch of {len(sources)} missed its deadline of "
-                f"{deadline * 1000.0:g}ms",
-            )
-
-        results: List[dict] = []
-        failed = 0
-        for item_id, outcome in zip(ids, outcomes):
-            if isinstance(outcome, BaseException):
-                failed += 1
-                results.append({"id": item_id, "error": str(outcome)})
-                continue
-            payload, snapshot = outcome
-            self.metrics.merge(ScanMetrics.from_dict(snapshot))
-            payload["id"] = item_id
-            results.append(payload)
-        return Response.json_response(
-            {
-                "results": results,
-                "count": len(results),
-                "failed": failed,
-                "duration_ms": round((clock() - started) * 1000.0, 3),
-            }
+        await _await_deadline(gathered, deadline, f"batch of {len(sources)}")
+        return batch_reply(
+            [self._item_line(item_id, f) for item_id, f in zip(ids, futures)], started
         )
 
-    def _stream_batch(
+    def _item_line(self, item_id: Any, future: "asyncio.Future") -> dict:
+        """One finished batch unit as its result line, or its error line."""
+        try:
+            payload, snapshot = future.result()
+        except (Exception, asyncio.CancelledError) as error:
+            return {"id": item_id, "error": str(error)}
+        self.metrics.merge(ScanMetrics.from_dict(snapshot))
+        payload["id"] = item_id
+        return payload
+
+    async def _stream_lines(
         self,
         ids: List[Any],
         futures: List["asyncio.Future"],
         deadline: Optional[float],
-        started: float,
-    ) -> ChunkedResponse:
-        """``/v1/batch`` with ``"stream": true`` — NDJSON as work finishes.
+    ) -> AsyncIterator[dict]:
+        """The batch's item lines in completion order, for streaming.
 
-        Each completed item becomes one newline-terminated JSON line the
-        moment its analysis lands (completion order, not submission
-        order — clients correlate by ``id``), followed by a final
-        ``{"done": true, ...}`` summary line.  A missed deadline turns
-        every still-pending item into an error line instead of failing
-        the whole response: by then the head and earlier results are
+        Clients correlate by ``id``.  A missed deadline turns every
+        still-pending item into an error line instead of failing the
+        whole response: by then the head and earlier results are
         already on the wire.
         """
-
-        async def produce() -> "asyncio.AsyncIterator[bytes]":  # pragma: no branch
-            loop = asyncio.get_running_loop()
-            pending: Dict["asyncio.Future", Any] = dict(zip(futures, ids))
-            deadline_at = None if deadline is None else loop.time() + deadline
-            count = 0
-            failed = 0
-            while pending:
-                timeout = (
-                    None if deadline_at is None else max(0.0, deadline_at - loop.time())
-                )
-                done, _ = await asyncio.wait(
-                    set(pending), timeout=timeout, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not done:  # deadline expired with work still queued
-                    for future, item_id in pending.items():
-                        future.cancel()
-                        count += 1
-                        failed += 1
-                        line = {
-                            "id": item_id,
-                            "error": (
-                                "batch item missed its deadline of "
-                                f"{(deadline or 0.0) * 1000.0:g}ms"
-                            ),
-                        }
-                        yield (json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
-                    self.metrics.count("server_stream_deadline_drops", len(pending))
-                    break
-                for future in done:
-                    item_id = pending.pop(future)
-                    count += 1
-                    try:
-                        payload, snapshot = future.result()
-                    except BaseException as error:  # noqa: BLE001 - per-item error line
-                        failed += 1
-                        line = {"id": item_id, "error": str(error)}
-                    else:
-                        self.metrics.merge(ScanMetrics.from_dict(snapshot))
-                        payload["id"] = item_id
-                        line = payload
-                    yield (json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
-            summary = {
-                "done": True,
-                "count": count,
-                "failed": failed,
-                "duration_ms": round((clock() - started) * 1000.0, 3),
-            }
-            yield (json.dumps(summary, sort_keys=True) + "\n").encode("utf-8")
-
-        return ChunkedResponse(chunks=produce())
+        loop = asyncio.get_running_loop()
+        pending: Dict["asyncio.Future", Any] = dict(zip(futures, ids))
+        deadline_at = None if deadline is None else loop.time() + deadline
+        while pending:
+            timeout = (
+                None if deadline_at is None else max(0.0, deadline_at - loop.time())
+            )
+            done, _ = await asyncio.wait(
+                set(pending), timeout=timeout, return_when=asyncio.FIRST_COMPLETED
+            )
+            if not done:  # deadline expired with work still queued
+                for future, item_id in pending.items():
+                    future.cancel()
+                    yield {
+                        "id": item_id,
+                        "error": (
+                            "batch item missed its deadline of "
+                            f"{(deadline or 0.0) * 1000.0:g}ms"
+                        ),
+                    }
+                self.metrics.count("server_stream_deadline_drops", len(pending))
+                break
+            for future in done:
+                yield self._item_line(pending.pop(future), future)
 
     async def _handle_scan(self, request: Request) -> Response:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        raw_root = body.get("root")
-        if not isinstance(raw_root, str) or not raw_root:
-            raise HttpError(400, "scan requests need a string 'root' field")
-        root = Path(raw_root)
+        body = json_object(request)
+        root = Path(require_root(body, "scan"))
         if not root.is_dir():
             raise HttpError(400, f"scan root is not a directory: {root}")
-        jobs = max(1, int(body.get("jobs", 1)))
+        try:
+            jobs = max(1, int(body.get("jobs", 1)))
+        except (TypeError, ValueError, OverflowError):
+            raise HttpError(400, "jobs must be an integer")
         use_cache = bool(body.get("use_cache", True))
-        deadline = self._deadline_s(body)
+        deadline = deadline_s(body, self.config.default_deadline_ms)
         started = clock()
 
         collector = ScanMetrics()
@@ -883,16 +587,7 @@ class PatchitPyServer:
         # Tree scans run on the loop's default thread executor, not the
         # analysis pool: a scan inside a process-pool worker could not
         # itself fan out, and one scan must not starve snippet analyses.
-        self._acquire_slots(1)
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(None, run_scan)
-        future.add_done_callback(lambda _f: self._release_slot())
-        try:
-            report = await self._await_deadline(future, deadline)
-        except asyncio.TimeoutError:
-            raise HttpError(
-                504, f"scan missed its deadline of {deadline * 1000.0:g}ms"
-            )
+        report = await _await_deadline(self._off_loop(run_scan), deadline, "scan")
         self.metrics.merge(collector)
         response = Response.json_response(
             {
@@ -936,13 +631,8 @@ class PatchitPyServer:
         lifetime collector and ``trace`` returns the recorder's events,
         exactly as ``/v1/analyze`` does.
         """
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        raw_root = body.get("root")
-        if not isinstance(raw_root, str) or not raw_root:
-            raise HttpError(400, "review requests need a string 'root' field")
-        root = Path(raw_root)
+        body = json_object(request)
+        root = Path(require_root(body, "review"))
         if not root.is_dir():
             raise HttpError(400, f"review root is not a directory: {root}")
         diff_text = body.get("diff")
@@ -960,7 +650,7 @@ class PatchitPyServer:
         include_preexisting = bool(body.get("include_preexisting", False))
         want_sarif = bool(body.get("sarif", False))
         use_cache = bool(body.get("use_cache", True))
-        deadline = self._deadline_s(body)
+        deadline = deadline_s(body, self.config.default_deadline_ms)
         started = clock()
 
         collector = ScanMetrics()
@@ -983,15 +673,9 @@ class PatchitPyServer:
         # Reviews run on the loop's default thread executor for the same
         # reason tree scans do: they hold the server's open cache and
         # must not starve snippet analyses in the pool.
-        self._acquire_slots(1)
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(None, run_review)
-        future.add_done_callback(lambda _f: self._release_slot())
         try:
-            report = await self._await_deadline(future, deadline)
-        except asyncio.TimeoutError:
-            raise HttpError(
-                504, f"review missed its deadline of {deadline * 1000.0:g}ms"
+            report = await _await_deadline(
+                self._off_loop(run_review), deadline, "review"
             )
         except ReviewError as error:
             raise HttpError(400, str(error))
@@ -1026,14 +710,20 @@ class PatchitPyServer:
             self._caches[key] = cache
         return cache
 
-    @staticmethod
-    async def _await_deadline(awaitable, deadline_s: Optional[float]):
-        if deadline_s is None:
-            return await awaitable
-        return await asyncio.wait_for(awaitable, timeout=deadline_s)
 
 
-class BackgroundServer:
+async def _await_deadline(awaitable, deadline: Optional[float], what: str) -> Any:
+    """``awaitable``'s result, or 504 once ``deadline`` seconds pass
+    (the awaited work is cancelled; pool work already running drains)."""
+    if deadline is None:
+        return await awaitable
+    try:
+        return await asyncio.wait_for(awaitable, timeout=deadline)
+    except asyncio.TimeoutError:
+        raise HttpError(504, f"{what} missed its deadline of {deadline * 1000.0:g}ms")
+
+
+class BackgroundServer(Background):
     """Run a :class:`PatchitPyServer` on a thread — tests and benchmarks.
 
     The daemon proper (``patchitpy serve``) owns the main thread; this
@@ -1047,61 +737,9 @@ class BackgroundServer:
     """
 
     def __init__(self, server: PatchitPyServer) -> None:
+        super().__init__(server)
         self.server = server
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread = None
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def port(self) -> Optional[int]:
-        return self.server.port
 
     @property
     def unix_socket(self) -> Optional[str]:
         return self.server.config.unix_socket
-
-    def start(self) -> "BackgroundServer":
-        ready = threading.Event()
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.server.start())
-            except BaseException as error:  # noqa: BLE001 - reported to caller
-                self._startup_error = error
-                ready.set()
-                return
-            ready.set()
-            try:
-                loop.run_until_complete(self.server.wait_stopped())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="patchitpy-server", daemon=True
-        )
-        self._thread.start()
-        ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        if not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(), self._loop)
-        try:
-            future.result(timeout=timeout)
-        except Exception:
-            pass
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -1,10 +1,11 @@
 """``patchitpy serve`` — run the scan daemon in the foreground.
 
-This module owns the serve-mode argument parser and the process-level
-glue (signal handling, event loop lifetime) around
-:class:`~repro.server.app.PatchitPyServer`.  The CLI dispatches here
-when the first argument is ``serve``; everything else about the daemon
-lives in :mod:`repro.server.app`.
+This module owns the serve-mode argument parser and hands a
+:class:`~repro.server.app.PatchitPyServer` to the foreground runner
+(:func:`~repro.server.pipeline.run_foreground`: signal handling, event
+loop lifetime) that ``patchitpy fleet`` uses too.  The CLI dispatches
+here when the first argument is ``serve``; everything else about the
+daemon lives in :mod:`repro.server.app`.
 
 Exit codes mirror the main CLI contract: ``0`` for a clean (signalled)
 shutdown, ``2`` when the server cannot start (bad arguments, bind
@@ -14,14 +15,11 @@ failure).
 from __future__ import annotations
 
 import argparse
-import asyncio
-import os
-import signal
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.server.app import PatchitPyServer, ServerConfig
+from repro.server.pipeline import add_pipeline_flags, pipeline_settings, run_foreground
 
 __all__ = ["build_serve_parser", "main"]
 
@@ -84,22 +82,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default 30000; 0 disables, requests may override)",
     )
     parser.add_argument(
-        "--max-body-bytes",
-        type=int,
-        default=2 * 1024 * 1024,
-        metavar="N",
-        help="largest accepted request body; bigger answers 413 "
-        "(default 2097152)",
-    )
-    parser.add_argument(
-        "--drain-timeout-s",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="on SIGTERM/SIGINT, how long to wait for in-flight requests "
-        "before stopping anyway (default 10)",
-    )
-    parser.add_argument(
         "--shared-cache",
         metavar="DIR",
         help="open the cross-process shared snippet cache at DIR: analyze "
@@ -125,22 +107,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="emit one structured JSON log line per request (trace id, "
         "method, path, status, bytes, durations by phase) to stderr",
     )
-    parser.add_argument(
-        "--window-interval-s",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="rolling SLO window slot width in seconds; /statusz rates and "
-        "percentiles aggregate over these slots (default 5)",
-    )
-    parser.add_argument(
-        "--window-slots",
-        type=int,
-        default=60,
-        metavar="N",
-        help="number of rolling-window slots; slots x interval bounds the "
-        "/statusz look-back (default 60, i.e. 5 minutes)",
-    )
+    add_pipeline_flags(parser)
     return parser
 
 
@@ -153,47 +120,9 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         jobs=max(1, args.jobs),
         queue_depth=max(1, args.queue_depth),
         default_deadline_ms=max(0.0, args.deadline_ms),
-        max_body_bytes=max(1, args.max_body_bytes),
-        drain_timeout_s=max(0.0, args.drain_timeout_s),
-        access_log=args.access_log,
-        window_interval_s=max(0.1, args.window_interval_s),
-        window_slots=max(1, args.window_slots),
         shared_cache_dir=args.shared_cache,
+        **pipeline_settings(args),
     )
-
-
-async def _serve(server: PatchitPyServer, port_file: Optional[str] = None) -> None:
-    await server.start()
-    if port_file and server.port is not None:
-        # Written post-bind so a supervisor polling the file always reads
-        # a live port; the temp+replace keeps the read atomic.
-        target = Path(port_file)
-        tmp = target.with_suffix(target.suffix + f".tmp{os.getpid()}")
-        tmp.write_text(f"{server.port}\n", encoding="utf-8")
-        os.replace(tmp, target)
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(server.shutdown())
-            )
-        except (NotImplementedError, RuntimeError):
-            # Non-main thread or platforms without loop signal support;
-            # the embedder stops the server via shutdown() directly.
-            pass
-    where = (
-        server.config.unix_socket
-        if server.config.unix_socket
-        else f"http://{server.config.host}:{server.port}"
-    )
-    print(
-        f"patchitpy server listening on {where} "
-        f"({len(server.engine.rules)} rules, pool={server._pool_kind}, "
-        f"jobs={max(1, server.config.jobs)}, "
-        f"queue_depth={server.config.queue_depth})",
-        file=sys.stderr,
-    )
-    await server.wait_stopped()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -204,14 +133,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     engine = PatchitPy(rules=extended_ruleset() if args.extended else None)
     server = PatchitPyServer(engine=engine, config=config_from_args(args))
-    try:
-        asyncio.run(_serve(server, port_file=args.port_file))
-    except OSError as error:
-        print(f"error: cannot start server: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        pass
-    return 0
+    cfg = server.config
+
+    def banner() -> str:
+        where = cfg.unix_socket if cfg.unix_socket else f"http://{cfg.host}:{server.port}"
+        return (
+            f"patchitpy server listening on {where} "
+            f"({len(server.engine.rules)} rules, pool={server._pool_kind}, "
+            f"jobs={max(1, cfg.jobs)}, queue_depth={cfg.queue_depth})"
+        )
+
+    return run_foreground(server, "server", banner, port_file=args.port_file)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,7 +31,10 @@ exposition with the collector's exact associative merge (histogram
 quantiles match what a single process would have reported), plus
 router-side ``fleet_*`` families and labeled per-tenant / per-worker
 series; ``/statusz`` renders the worker table and routing health as one
-HTML page (:mod:`repro.server.fleetz`).
+HTML page (:func:`~repro.server.statusz.render_fleet_statusz`).  The
+front door runs the daemon's own request code — connection loop,
+dispatch, accounting, access log, drain and body checks — from
+:mod:`repro.server.pipeline`.
 
 Operational story, tunables, and failure drills: ``docs/fleet.md`` and
 ``docs/deployment.md``.
@@ -46,15 +49,12 @@ import http.client
 import json
 import math
 import os
-import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -62,19 +62,24 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.cache import hash_source
 from repro.observability.collector import ScanMetrics, clock
 from repro.observability.exporters import to_prometheus
-from repro.observability.histogram import RollingWindow
 from repro.server.client import ServerClient
-from repro.server.fleetz import render_fleet_statusz
-from repro.server.http11 import (
-    ChunkedResponse,
-    HttpError,
-    Request,
-    Response,
-    read_request,
-    write_chunked_response,
-    write_response,
+from repro.server.http11 import HttpError, Request, Response
+from repro.server.pipeline import (
+    Background,
+    Pipeline,
+    add_pipeline_flags,
+    batch_items,
+    batch_reply,
+    batch_stream,
+    deadline_s,
+    json_object,
+    pipeline_settings,
+    require_root,
+    require_source,
+    run_foreground,
 )
 from repro.server.router import HashRing, TenantQuotas, tenant_label
+from repro.server.statusz import render_fleet_statusz
 
 __all__ = [
     "BackgroundFleet",
@@ -92,10 +97,6 @@ _PROXY_ERRORS = (http.client.HTTPException, ConnectionError, OSError)
 
 #: Keep-alive connections pooled per worker; beyond this, extras close.
 _POOL_LIMIT = 8
-
-#: Caller-supplied trace ids the fleet echoes and forwards (same shape
-#: the daemon accepts).
-_TRACE_ID_OK = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 
 @dataclass
@@ -324,17 +325,27 @@ class FleetWorker:
         return result
 
 
-class FleetRouter:
-    """The fleet front door: one listener, N supervised daemon shards."""
+class FleetRouter(Pipeline):
+    """The fleet front door: one listener, N supervised daemon shards.
+
+    Router-side ``metrics`` hold the ``fleet_*`` families only; worker
+    families merge in at scrape time and are never stored here.
+    """
+
+    prefix = "fleet"
 
     def __init__(self, config: Optional[FleetConfig] = None) -> None:
-        self.config = config if config is not None else FleetConfig()
-        #: Router-side lifetime metrics (``fleet_*`` families only —
-        #: worker families merge in at scrape time, never stored here).
-        self.metrics = ScanMetrics()
-        self.window = RollingWindow(
-            interval_s=self.config.window_interval_s,
-            slots=self.config.window_slots,
+        super().__init__(
+            config if config is not None else FleetConfig(),
+            {
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("GET", "/statusz"): self._handle_statusz,
+                ("POST", "/v1/analyze"): self._handle_analyze,
+                ("POST", "/v1/batch"): self._handle_batch,
+                ("POST", "/v1/scan"): self._handle_rooted,
+                ("POST", "/v1/review"): self._handle_rooted,
+            },
         )
         self.ring = HashRing(replicas=self.config.replicas)
         self.quotas = TenantQuotas(
@@ -343,46 +354,19 @@ class FleetRouter:
             max_tenants=self.config.max_tenants,
         )
         self.workers: Dict[str, FleetWorker] = {}
-        self.draining = False
         self.run_dir: Optional[Path] = None
         self.shared_cache_dir: Optional[Path] = None
         self._owns_run_dir = False
         self._executor = None
-        self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._supervisor: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
-        self._idle: Optional[asyncio.Event] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._inflight = 0
-        self._started_at = 0.0
-        self._routes = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("GET", "/statusz"): self._handle_statusz,
-            ("POST", "/v1/analyze"): self._handle_analyze,
-            ("POST", "/v1/batch"): self._handle_batch,
-            ("POST", "/v1/scan"): self._handle_scan,
-            ("POST", "/v1/review"): self._handle_review,
-        }
 
     # ----------------------------------------------------------- lifecycle
-
-    @property
-    def port(self) -> Optional[int]:
-        """The bound front-door port (``None`` before start)."""
-        if self._asyncio_server is None:
-            return None
-        sockets = self._asyncio_server.sockets or []
-        return sockets[0].getsockname()[1] if sockets else None
 
     async def start(self) -> "FleetRouter":
         """Spawn the workers, wait for them healthy, bind the listener."""
         from concurrent.futures import ThreadPoolExecutor
 
         cfg = self.config
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._stopped = asyncio.Event()
         if cfg.run_dir:
             self.run_dir = Path(cfg.run_dir)
             self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -412,10 +396,7 @@ class FleetRouter:
         if not self.ring.members:
             raise OSError("no fleet worker became healthy before the timeout")
 
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, host=cfg.host, port=cfg.port
-        )
-        self._started_at = time.monotonic()
+        await self._bind(cfg.host, cfg.port)
         self._supervisor = asyncio.ensure_future(self._supervise())
         return self
 
@@ -426,14 +407,7 @@ class FleetRouter:
         while loop.time() < deadline:
             if not worker.alive():
                 break
-            if worker.port is None:
-                worker.port = worker.poll_port()
-            if worker.port is not None and await loop.run_in_executor(
-                self._executor, worker.probe
-            ):
-                worker.state = "up"
-                worker.up_since = loop.time()
-                self.ring.add(worker.worker_id)
+            if await self._try_join(worker, loop.time()):
                 return
             await asyncio.sleep(0.05)
         # Did not come up: leave it "down" so the supervisor keeps trying
@@ -441,32 +415,26 @@ class FleetRouter:
         worker.kill()
         self._mark_down(worker, "did not become healthy at start")
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`shutdown` has fully drained the fleet."""
-        assert self._stopped is not None, "fleet not started"
-        await self._stopped.wait()
+    async def _try_join(self, worker: FleetWorker, now: float) -> bool:
+        """Port file, then a passing health probe: the worker joins the ring."""
+        if worker.port is None:
+            worker.port = worker.poll_port()
+        if worker.port is None or not await asyncio.get_running_loop().run_in_executor(
+            self._executor, worker.probe
+        ):
+            return False
+        worker.state = "up"
+        worker.up_since = now
+        worker.probe_failures = 0
+        self.ring.add(worker.worker_id)
+        return True
 
-    async def shutdown(self) -> None:
-        """Drain in-flight requests, stop the workers, clean the run dir."""
-        if self.draining:
-            return
-        self.draining = True
+    async def _release(self) -> None:
+        """After the drain: stop the workers, clean the run dir."""
         if self._supervisor is not None:
             self._supervisor.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._supervisor
-        if self._asyncio_server is not None:
-            self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-        assert self._idle is not None and self._stopped is not None
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout_s
-            )
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
         for worker in self.workers.values():
             worker.terminate()
         deadline = time.monotonic() + self.config.drain_timeout_s
@@ -479,7 +447,6 @@ class FleetRouter:
             self._executor.shutdown(wait=False)
         if self._owns_run_dir and self.run_dir is not None:
             shutil.rmtree(self.run_dir, ignore_errors=True)
-        self._stopped.set()
 
     # --------------------------------------------------------- supervision
 
@@ -550,15 +517,7 @@ class FleetRouter:
                     if now >= worker.next_restart_at:
                         self._respawn(worker, now)
                 elif worker.state == "starting":
-                    if worker.port is None:
-                        worker.port = worker.poll_port()
-                    if worker.port is not None and await loop.run_in_executor(
-                        self._executor, worker.probe
-                    ):
-                        worker.state = "up"
-                        worker.up_since = now
-                        worker.probe_failures = 0
-                        self.ring.add(worker.worker_id)
+                    if await self._try_join(worker, now):
                         continue
                     if (
                         not worker.alive()
@@ -568,129 +527,15 @@ class FleetRouter:
                         worker.kill()
                         self._mark_down(worker, "restart did not become healthy")
 
-    # ---------------------------------------------------------- connection
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        cfg = self.config
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader,
-                        cfg.max_body_bytes,
-                        cfg.idle_timeout_s,
-                        cfg.io_timeout_s,
-                    )
-                except HttpError as error:
-                    await write_response(writer, Response.from_error(error), False)
-                    break
-                if request is None:
-                    break
-                supplied = request.headers.get("x-trace-id", "")
-                trace_id = (
-                    supplied
-                    if _TRACE_ID_OK.match(supplied)
-                    else uuid.uuid4().hex[:16]
-                )
-                started = clock()
-                self._inflight += 1
-                assert self._idle is not None
-                self._idle.clear()
-                try:
-                    response = await self._dispatch(request)
-                except HttpError as error:
-                    response = Response.from_error(error)
-                except Exception as error:  # noqa: BLE001 - must answer 500
-                    response = Response.from_error(
-                        HttpError(500, f"internal error: {error}")
-                    )
-                finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.set()
-                keep = request.keep_alive and not self.draining
-                if isinstance(response, ChunkedResponse):
-                    try:
-                        await write_chunked_response(
-                            writer,
-                            response,
-                            keep,
-                            extra_headers={"X-Patchitpy-Trace-Id": trace_id},
-                        )
-                    except (ConnectionError, OSError):
-                        self._account(request, response, clock() - started)
-                        break
-                    self._account(request, response, clock() - started)
-                    if not keep:
-                        break
-                    continue
-                self._account(request, response, clock() - started)
-                try:
-                    await write_response(
-                        writer,
-                        response,
-                        keep,
-                        extra_headers={"X-Patchitpy-Trace-Id": trace_id},
-                    )
-                except (ConnectionError, OSError):
-                    break
-                if not keep:
-                    break
-        except asyncio.CancelledError:
-            pass  # drain cancelled an idle keep-alive connection
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-
-    async def _dispatch(self, request: Request):
-        handler = self._routes.get((request.method, request.path))
-        if handler is None:
-            if any(path == request.path for _, path in self._routes):
-                raise HttpError(405, f"method {request.method} not allowed")
-            raise HttpError(404, f"no such endpoint: {request.path}")
-        if self.draining and request.path.startswith("/v1/"):
-            raise HttpError(503, "fleet is draining", headers={"Retry-After": "1"})
-        return await handler(request)
-
-    def _endpoint_label(self, request: Request) -> str:
-        if any(path == request.path for _, path in self._routes):
-            return request.path
-        return "other"
-
-    def _account(self, request: Request, response, seconds: float) -> None:
-        m = self.metrics
-        m.count("fleet_requests")
-        m.count(f"fleet_responses_{response.status // 100}xx")
-        m.add_time("fleet_request_time_s", seconds)
-        endpoint = self._endpoint_label(request)
-        m.observe("fleet_request_seconds/" + endpoint, seconds)
-        window = self.window
-        window.count("requests/" + endpoint)
-        window.observe("latency/" + endpoint, seconds)
-        window.count(f"responses/{response.status // 100}xx")
-        if response.status in (429, 503, 504):
-            window.count(f"responses/{response.status}")
-
     # -------------------------------------------------------------- proxy
 
     def _forward_headers(self, request: Request) -> Dict[str, str]:
-        headers = {
-            "Content-Type": request.headers.get("content-type", "application/json")
+        # The id the front door answers with, supplied or generated, so
+        # the worker's access log names the same request.
+        return {
+            "Content-Type": request.headers.get("content-type", "application/json"),
+            "X-Trace-Id": request.trace_id,
         }
-        supplied = request.headers.get("x-trace-id", "")
-        if _TRACE_ID_OK.match(supplied):
-            headers["X-Trace-Id"] = supplied
-        return headers
 
     def _admit(self, request: Request, units: float = 1.0) -> None:
         """Per-tenant quota gate: 429 + Retry-After when over budget."""
@@ -747,98 +592,69 @@ class FleetRouter:
             key, request.method, request.path, request.body,
             self._forward_headers(request),
         )
-        return Response(
+        response = Response(
             status=status,
             body=raw,
             content_type=content_type,
             headers={"X-Fleet-Worker": worker_id},
         )
+        # The serving shard travels to the front-door access log.
+        response.access = {"worker": worker_id}  # type: ignore[attr-defined]
+        return response
 
     # ------------------------------------------------------------ handlers
 
-    @staticmethod
-    def _json_object(request: Request) -> dict:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-        return body
-
     async def _handle_analyze(self, request: Request) -> Response:
-        body = self._json_object(request)
-        source = body.get("source")
-        if not isinstance(source, str):
-            raise HttpError(400, "analyze requests must carry a string 'source'")
+        body = json_object(request)
+        source = require_source(body)
+        deadline_s(body, 0.0)  # the daemon's check, before quota is spent
         self._admit(request, units=1.0)
         # Same digest the result caches use — the ring and the shared
         # cache tier agree on what "the same snippet" means.
         return await self._proxy(request, hash_source(source))
 
-    async def _handle_scan(self, request: Request) -> Response:
-        return await self._proxy_rooted(request, "scan")
-
-    async def _handle_review(self, request: Request) -> Response:
-        return await self._proxy_rooted(request, "review")
-
-    async def _proxy_rooted(self, request: Request, kind: str) -> Response:
-        body = self._json_object(request)
-        root = body.get("root")
-        if not isinstance(root, str) or not root:
-            raise HttpError(400, f"{kind} requests need a string 'root' field")
+    async def _handle_rooted(self, request: Request) -> Response:
+        """``/v1/scan`` and ``/v1/review``: route by the body's root."""
+        kind = request.path.rpartition("/")[2]  # "scan" or "review"
+        root = require_root(json_object(request), kind)
         self._admit(request, units=1.0)
         # Scans and reviews key by root so one project's incremental
         # cache stays resident on one worker across requests.
         return await self._proxy(request, f"root:{root}")
 
     async def _handle_batch(self, request: Request):
-        body = self._json_object(request)
-        items = body.get("items")
-        if not isinstance(items, list) or not items:
-            raise HttpError(400, "batch requests need a non-empty 'items' list")
+        body = json_object(request)
+        # The whole body passes the daemon's checks before quota is spent;
+        # each worker then enforces the forwarded deadline per item.
+        ids, sources, _ = batch_items(body, 0.0)
         patch = bool(body.get("patch", False))
         stream = bool(body.get("stream", False))
         deadline_ms = body.get("deadline_ms")
         started = clock()
         # A batch debits one token per item: a tenant's quota is spent
         # in units of analysis work, not HTTP envelopes.
-        self._admit(request, units=float(len(items)))
+        self._admit(request, units=float(len(sources)))
 
         headers = self._forward_headers(request)
-        jobs: List[Tuple[Any, str, bytes]] = []
-        for index, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise HttpError(400, f"items[{index}] must be a JSON object")
-            source = item.get("source")
-            if not isinstance(source, str):
-                raise HttpError(
-                    400, f"items[{index}] must carry a string 'source' field"
-                )
+        tasks = []
+        for item_id, source in zip(ids, sources):
             sub: Dict[str, Any] = {"source": source, "patch": patch}
             if deadline_ms is not None:
                 sub["deadline_ms"] = deadline_ms
-            jobs.append(
-                (
-                    item.get("id", index),
-                    hash_source(source),
-                    json.dumps(sub).encode("utf-8"),
+            payload = json.dumps(sub).encode("utf-8")
+            tasks.append(
+                asyncio.ensure_future(
+                    self._batch_item(item_id, hash_source(source), payload, headers)
                 )
             )
+        if not stream:
+            return batch_reply(await asyncio.gather(*tasks), started)
 
-        tasks = [
-            asyncio.ensure_future(self._batch_item(item_id, key, payload, headers))
-            for item_id, key, payload in jobs
-        ]
-        if stream:
-            return self._stream_batch(tasks, started)
-        lines = await asyncio.gather(*tasks)
-        failed = sum(1 for line in lines if "error" in line)
-        return Response.json_response(
-            {
-                "results": lines,
-                "count": len(lines),
-                "failed": failed,
-                "duration_ms": round((clock() - started) * 1000.0, 3),
-            }
-        )
+        async def completed():  # NDJSON out as items complete anywhere
+            for next_done in asyncio.as_completed(tasks):
+                yield await next_done
+
+        return batch_stream(completed(), started)
 
     async def _batch_item(
         self, item_id: Any, key: str, payload: bytes, headers: Dict[str, str]
@@ -871,30 +687,6 @@ class FleetRouter:
             decoded["id"] = item_id
             return decoded
         return {"id": item_id, "error": "worker answered a non-object body"}
-
-    def _stream_batch(
-        self, tasks: List["asyncio.Future"], started: float
-    ) -> ChunkedResponse:
-        """NDJSON out as items complete anywhere in the fleet."""
-
-        async def produce():
-            count = 0
-            failed = 0
-            for next_done in asyncio.as_completed(tasks):
-                line = await next_done
-                count += 1
-                if "error" in line:
-                    failed += 1
-                yield (json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
-            summary = {
-                "done": True,
-                "count": count,
-                "failed": failed,
-                "duration_ms": round((clock() - started) * 1000.0, 3),
-            }
-            yield (json.dumps(summary, sort_keys=True) + "\n").encode("utf-8")
-
-        return ChunkedResponse(chunks=produce())
 
     # -------------------------------------------------- fleet observability
 
@@ -1001,45 +793,24 @@ class FleetRouter:
                 value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
             )
 
-        out: List[str] = []
+        rows = self.worker_table()
         rejections = self.quotas.snapshot_rejections()
-        out.append(
-            "# HELP patchitpy_fleet_quota_rejections_total Requests shed "
-            "by per-tenant quota."
+        families = (
+            ("quota_rejections_total", "counter", "Requests shed by per-tenant quota.",
+             "tenant", [(tenant, rejections[tenant]) for tenant in sorted(rejections)]),
+            ("worker_up", "gauge", "Worker liveness (1 up, 0 not).",
+             "worker", [(row["id"], int(row["state"] == "up")) for row in rows]),
+            ("worker_restarts_total", "counter", "Supervisor restarts per worker.",
+             "worker", [(row["id"], row["restarts"]) for row in rows]),
+            ("worker_proxied_total", "counter", "Requests answered per worker.",
+             "worker", [(row["id"], row["proxied"]) for row in rows]),
         )
-        out.append("# TYPE patchitpy_fleet_quota_rejections_total counter")
-        for tenant in sorted(rejections):
-            out.append(
-                f'patchitpy_fleet_quota_rejections_total{{tenant="{esc(tenant)}"}} '
-                f"{rejections[tenant]}"
-            )
-        out.append("# HELP patchitpy_fleet_worker_up Worker liveness (1 up, 0 not).")
-        out.append("# TYPE patchitpy_fleet_worker_up gauge")
-        for row in self.worker_table():
-            out.append(
-                f'patchitpy_fleet_worker_up{{worker="{esc(row["id"])}"}} '
-                f"{1 if row['state'] == 'up' else 0}"
-            )
-        out.append(
-            "# HELP patchitpy_fleet_worker_restarts_total Supervisor restarts "
-            "per worker."
-        )
-        out.append("# TYPE patchitpy_fleet_worker_restarts_total counter")
-        for row in self.worker_table():
-            out.append(
-                f'patchitpy_fleet_worker_restarts_total{{worker="{esc(row["id"])}"}} '
-                f"{row['restarts']}"
-            )
-        out.append(
-            "# HELP patchitpy_fleet_worker_proxied_total Requests answered "
-            "per worker."
-        )
-        out.append("# TYPE patchitpy_fleet_worker_proxied_total counter")
-        for row in self.worker_table():
-            out.append(
-                f'patchitpy_fleet_worker_proxied_total{{worker="{esc(row["id"])}"}} '
-                f"{row['proxied']}"
-            )
+        out: List[str] = []
+        for name, kind, help_text, label, samples in families:
+            family = "patchitpy_fleet_" + name
+            out.append(f"# HELP {family} {help_text}")
+            out.append(f"# TYPE {family} {kind}")
+            out.extend(f'{family}{{{label}="{esc(key)}"}} {value}' for key, value in samples)
         return "\n".join(out) + "\n"
 
     async def _handle_statusz(self, request: Request) -> Response:
@@ -1049,12 +820,12 @@ class FleetRouter:
         )
 
 
-class BackgroundFleet:
+class BackgroundFleet(Background):
     """Run a :class:`FleetRouter` on a thread — tests and benchmarks.
 
-    Mirrors :class:`~repro.server.app.BackgroundServer`: the event loop
-    spins on a daemon thread, ``start`` blocks until the front door is
-    bound (which itself waits for every worker's first health pass)::
+    The same harness as :class:`~repro.server.app.BackgroundServer`:
+    ``start`` blocks until the front door is bound (which itself waits
+    for every worker's first health pass)::
 
         with BackgroundFleet(FleetRouter(FleetConfig(port=0))) as fleet:
             client = ServerClient(port=fleet.port)
@@ -1062,60 +833,8 @@ class BackgroundFleet:
     """
 
     def __init__(self, router: FleetRouter) -> None:
+        super().__init__(router)
         self.router = router
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def port(self) -> Optional[int]:
-        return self.router.port
-
-    def start(self) -> "BackgroundFleet":
-        ready = threading.Event()
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.router.start())
-            except BaseException as error:  # noqa: BLE001 - reported to caller
-                self._startup_error = error
-                ready.set()
-                return
-            ready.set()
-            try:
-                loop.run_until_complete(self.router.wait_stopped())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="patchitpy-fleet", daemon=True
-        )
-        self._thread.start()
-        ready.wait(timeout=120)
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        if not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.shutdown(), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout=timeout)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "BackgroundFleet":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 # ------------------------------------------------------------------ CLI
@@ -1242,25 +961,11 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         help="cap on the restart backoff (default 30)",
     )
     parser.add_argument(
-        "--max-body-bytes",
-        type=int,
-        default=2 * 1024 * 1024,
-        metavar="N",
-        help="largest accepted request body at the front door; bigger "
-        "answers 413 (default 2097152)",
-    )
-    parser.add_argument(
-        "--drain-timeout-s",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="on SIGTERM/SIGINT, how long to wait for in-flight requests "
-        "and worker shutdown (default 10)",
-    )
-    parser.add_argument(
         "--access-log",
         action="store_true",
-        help="pass --access-log through to every worker daemon",
+        help="emit one structured JSON log line per front-door request "
+        "(trace id, serving worker) to stderr, and pass --access-log "
+        "through to every worker daemon",
     )
     parser.add_argument(
         "--extended",
@@ -1268,21 +973,7 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         help="workers serve the extended rule catalog instead of the "
         "paper's 85 rules",
     )
-    parser.add_argument(
-        "--window-interval-s",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="fleet /statusz rolling-window slot width in seconds "
-        "(default 5)",
-    )
-    parser.add_argument(
-        "--window-slots",
-        type=int,
-        default=60,
-        metavar="N",
-        help="fleet /statusz rolling-window slot count (default 60)",
-    )
+    add_pipeline_flags(parser)
     return parser
 
 
@@ -1303,32 +994,9 @@ def config_from_args(args: argparse.Namespace) -> FleetConfig:
         health_interval_s=max(0.05, args.health_interval_s),
         restart_backoff_s=max(0.05, args.restart_backoff_s),
         restart_backoff_max_s=max(0.05, args.restart_backoff_max_s),
-        max_body_bytes=max(1, args.max_body_bytes),
-        drain_timeout_s=max(0.0, args.drain_timeout_s),
-        access_log=args.access_log,
         extended=args.extended,
-        window_interval_s=max(0.1, args.window_interval_s),
-        window_slots=max(1, args.window_slots),
+        **pipeline_settings(args),
     )
-
-
-async def _serve(router: FleetRouter) -> None:
-    await router.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(router.shutdown())
-            )
-        except (NotImplementedError, RuntimeError):
-            pass
-    print(
-        f"patchitpy fleet listening on http://{router.config.host}:{router.port} "
-        f"({len(router.workers)} workers x jobs={max(1, router.config.jobs)}, "
-        f"shared cache {router.shared_cache_dir})",
-        file=sys.stderr,
-    )
-    await router.wait_stopped()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1336,14 +1004,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_fleet_parser()
     args = parser.parse_args(argv)
     router = FleetRouter(config=config_from_args(args))
-    try:
-        asyncio.run(_serve(router))
-    except OSError as error:
-        print(f"error: cannot start fleet: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        pass
-    return 0
+
+    def banner() -> str:
+        return (
+            f"patchitpy fleet listening on http://{router.config.host}:{router.port} "
+            f"({len(router.workers)} workers x jobs={max(1, router.config.jobs)}, "
+            f"shared cache {router.shared_cache_dir})"
+        )
+
+    return run_foreground(router, "fleet", banner)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -76,6 +76,9 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: bytes
+    #: The id the response echoes as ``X-Patchitpy-Trace-Id``, set by
+    #: the request pipeline before dispatch.
+    trace_id: str = ""
 
     def json(self) -> Any:
         """The body decoded as JSON (400 on undecodable/invalid input)."""

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import re
 import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.server.pipeline import SAFE_TOKEN
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -48,16 +49,16 @@ DEFAULT_TENANT = "anonymous"
 #: Label that absorbs tenants beyond the cardinality cap.
 OVERFLOW_TENANT = "other"
 
-#: Shape a caller-supplied ``X-Tenant`` must match to become a metric
-#: label — same discipline as trace ids: no control characters, bounded
-#: length, so a hostile client cannot forge exposition lines.
-_TENANT_OK = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
-
 
 def tenant_label(header_value: Optional[str]) -> str:
     """The tenant id for a request, defaulting malformed/missing to
-    :data:`DEFAULT_TENANT`."""
-    if header_value and _TENANT_OK.match(header_value):
+    :data:`DEFAULT_TENANT`.
+
+    A tenant becomes a metric label, so it must match the trace-id shape
+    (:data:`~repro.server.pipeline.SAFE_TOKEN`): no control characters,
+    bounded length, so a hostile client cannot forge exposition lines.
+    """
+    if header_value and SAFE_TOKEN.match(header_value):
         return header_value
     return DEFAULT_TENANT
 
