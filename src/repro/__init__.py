@@ -72,7 +72,7 @@ from repro.types import (
     Span,
 )
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 __all__ = [
     "AnalysisReport",

@@ -183,6 +183,9 @@ class RuleIndex:
 
     def __init__(self, rules: Iterable["object"]) -> None:
         self._rules = tuple(rules)
+        #: The rule ids in catalog order: what a measured detect's offer
+        #: tally is keyed by (plain strings, so it survives pickling).
+        self.rule_ids: Tuple[str, ...] = tuple(rule.rule_id for rule in self._rules)
         exact_ids: Dict[str, int] = {}
         folded_ids: Dict[str, int] = {}
         entries: List[Tuple[object, int, int, Tuple[Tuple[int, int], ...]]] = []

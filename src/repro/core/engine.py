@@ -9,7 +9,7 @@ imports the patch requires — the end-to-end flow of Fig. 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.matching import run_rules
 from repro.core.patcher import apply_patches
@@ -40,6 +40,11 @@ class PatchResult:
     # keep their verdict here (with ``reverted=True``) even though they
     # no longer appear in ``applied``.
     verdicts: List[PatchVerdict] = field(default_factory=list)
+    # The first pass's render of ``original``: every patch of the
+    # findings the call started from, before verifier bans and overlap
+    # resolution, spans anchored to ``original`` — the edits a client
+    # applies to the text it submitted.
+    rendered: List[Patch] = field(default_factory=list)
 
     @property
     def changed(self) -> bool:
@@ -262,14 +267,16 @@ class PatchitPy:
     def _patch_passes(
         self,
         source: str,
-        initial: Sequence[Finding],
-        m: ScanMetrics,
+        rendered: Sequence[Patch],
+        scan: Callable[[str], List[Finding]],
         t: TraceRecorder,
         banned: frozenset = frozenset(),
     ):
         """One full fixpoint patching run, skipping ``banned`` findings.
 
-        ``banned`` holds finding-identity keys (see
+        ``rendered`` is the first pass's render of ``source``, and
+        ``scan`` the calling :meth:`patch`'s detect, which scans each
+        distinct text once.  ``banned`` holds finding-identity keys (see
         :func:`repro.core.verify.finding_key`) of patches the verifier
         rejected on an earlier attempt; their patches are dropped at
         render time so a re-run converges without them.  Returns
@@ -279,9 +286,10 @@ class PatchitPy:
         all_applied: List[Patch] = []
         last_skipped: List[Patch] = []
         passes = 0
-        pass_findings = list(initial)
-        for _ in range(self.max_passes):
-            patches = self.render_patches(current, pass_findings, t)
+        patches = rendered
+        for pass_index in range(self.max_passes):
+            if pass_index:
+                patches = self.render_patches(current, pass_findings, t)
             if banned:
                 patches = [p for p in patches if p.trigger_key not in banned]
             if not patches:
@@ -293,15 +301,14 @@ class PatchitPy:
             if not outcome.changed:
                 break
             current = outcome.source
-            pass_findings = self._detect_with(current, m, t)
+            pass_findings = scan(current)
             if not pass_findings:
                 break
         if all_applied and self.prune_imports:
             from repro.core.imports import prune_unused_imports
 
             current = prune_unused_imports(current)
-        final_findings = self._detect_with(current, m, t)
-        return current, all_applied, last_skipped, passes, final_findings
+        return current, all_applied, last_skipped, passes, scan(current)
 
     def patch(
         self,
@@ -345,6 +352,19 @@ class PatchitPy:
         initial = (
             list(findings) if findings is not None else self._detect_with(source, m, t)
         )
+        # Each text this call reaches is detected once: a pass, a prune
+        # or a verifier retry that lands on an already-scanned text reuses
+        # its findings.  Caller-supplied ``findings`` may be a subset, so
+        # ``source`` counts as scanned only when this call detected it.
+        scanned: Dict[str, List[Finding]] = {} if findings is not None else {source: initial}
+
+        def scan(text: str) -> List[Finding]:
+            found = scanned.get(text)
+            if found is None:
+                found = scanned[text] = self._detect_with(text, m, t)
+            return found
+
+        rendered = self.render_patches(source, initial, t)
         banned: set = set(exclude)
         reverted: List[PatchVerdict] = []
         verdicts: List[PatchVerdict] = []
@@ -356,7 +376,7 @@ class PatchitPy:
         )
         while True:
             current, all_applied, last_skipped, passes, final_findings = (
-                self._patch_passes(source, initial, m, t, frozenset(banned))
+                self._patch_passes(source, rendered, scan, t, frozenset(banned))
             )
             if verifier is None or not all_applied:
                 verdicts = list(reverted)
@@ -415,6 +435,7 @@ class PatchitPy:
             skipped=last_skipped,
             unpatchable=unpatchable,
             verdicts=verdicts,
+            rendered=rendered,
         )
 
     def _record_verdicts(

@@ -158,30 +158,24 @@ def _run_measured(
 
     Every rule counts one call; index-skipped rules also count a
     prefilter skip, grouped-cleared ones only the call (they can have no
-    matches by construction).  Only dispatched rules pay per-rule time.
+    matches by construction).  Those offer counts are one tally of the
+    candidate mask (:meth:`ScanMetrics.tally_rules`), so the pass costs
+    O(dispatched rules); only dispatched rules pay per-rule time.
     """
     dispatch, cleared, hit_rule, mask = index.grouped_plan(source)
-    rules = index.rules
     candidates = bin(mask).count("1")
     metrics.count("index_candidates", candidates)
-    metrics.count("index_skips", len(rules) - candidates)
+    metrics.count("index_skips", len(index) - candidates)
     metrics.count("grouped_cleared", cleared)
     metrics.count("grouped_dispatch", len(dispatch))
     if hit_rule is not None:
         metrics.count("grouped_hits", 1)
-    live = {id(rule) for rule in dispatch}
-    for position, rule in enumerate(rules):
-        if id(rule) not in live:
-            stats = metrics.rule_stats(rule.rule_id)
-            stats.calls += 1
-            if not mask >> position & 1:
-                stats.prefilter_skips += 1
+    metrics.tally_rules(index.rule_ids, mask)
     findings: List[Finding] = []
     memo: Dict[Tuple[str, int], bool] = {}
     for rule in dispatch:
         start = clock()
         stats = metrics.rule_stats(rule.rule_id)
-        stats.calls += 1
         result = _match_candidate(rule, source, memo, lines)
         if result is None:
             stats.prereq_skips += 1

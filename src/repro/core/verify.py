@@ -267,11 +267,22 @@ class PatchVerifier:
     ``detect`` is the detection callable used for re-scans — the engine
     passes its own uninstrumented detect so verification sees exactly the
     findings a fresh scan of the patched output would see (subclassed
-    engines included).
+    engines included).  The engine builds one verifier per ``patch()``
+    call, so the original's syntax context, memoized here, is compiled
+    at most once per call however many attempts the re-patch loop runs.
     """
 
     def __init__(self, detect: Callable[[str], Sequence[Finding]]) -> None:
         self._detect = detect
+        self._original: Optional[str] = None
+        self._original_context: Optional[str] = None
+
+    def _context_of_original(self, original: str) -> Optional[str]:
+        """:func:`syntax_context` of ``original``, memoized per text."""
+        if self._original != original:
+            self._original_context = syntax_context(original)
+            self._original = original
+        return self._original_context
 
     # ------------------------------------------------------------ checks
 
@@ -303,8 +314,11 @@ class PatchVerifier:
             for f in final_findings
             if finding_key(patched, f) in introduced
         }
+        # The patched text usually compiles, which settles it without
+        # compiling the original at all.
         syntax_broken = (
-            syntax_context(original) is not None and syntax_context(patched) is None
+            syntax_context(patched) is None
+            and self._context_of_original(original) is not None
         )
 
         verdicts: List[PatchVerdict] = []

@@ -18,6 +18,12 @@ Design constraints, in priority order:
    which is nondeterministic; :meth:`ScanMetrics.merge` is a pure
    key-wise sum, so any grouping of merges yields the same totals (the
    property ``tests/test_observability.py`` pins).
+4. **O(dispatched rules) per detect.**  A detect offers the whole
+   catalog but runs only the rules its selection dispatched.  The
+   offer is one tally (:meth:`ScanMetrics.tally_rules`) that
+   :attr:`ScanMetrics.rules` folds into every rule's ``calls`` and
+   ``prefilter_skips`` when it is read; tallies merge key-wise and
+   pickle as plain data, like every other table.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ __all__ = [
 
 #: Default per-file wall-time budget (ms) for the slow-rule watchdog.
 DEFAULT_SLOW_RULE_BUDGET_MS = 50.0
+
+#: Pending offer tallies a collector keeps unfolded; beyond it each new
+#: key folds one old one, so a long-lived collector that is rarely read
+#: stays bounded in memory without a fold-everything pause.
+_MAX_PENDING_TALLIES = 1024
 
 
 @dataclass
@@ -185,7 +196,8 @@ class ScanMetrics:
 
     Six tables, all plain data:
 
-    - ``rules``   — rule id → :class:`RuleStats`
+    - ``rules``   — rule id → :class:`RuleStats`; reading it folds the
+      pending offer tallies in (see :meth:`tally_rules`)
     - ``counters``— event name → int (``detect_calls``, ``cache_hits``,
       ``patches_applied``, ``files_scanned``, …)
     - ``timers``  — phase name → accumulated seconds (``detect_time_s``,
@@ -208,21 +220,60 @@ class ScanMetrics:
     enabled: bool = True
 
     def __init__(self) -> None:
-        self.rules: Dict[str, RuleStats] = {}
+        self._rules: Dict[str, RuleStats] = {}
+        # (catalog rule ids, candidate mask) -> detects that offered it
+        self._tallies: Dict[Tuple[Tuple[str, ...], int], int] = {}
         self.counters: Dict[str, int] = {}
         self.timers: Dict[str, float] = {}
         self.files: Dict[str, float] = {}
         self.rule_health: Dict[str, RuleHealth] = {}
         self.durations: Dict[str, "LatencyHistogram"] = {}
 
+    @property
+    def rules(self) -> Dict[str, RuleStats]:
+        """Rule id → :class:`RuleStats`, every pending tally folded in."""
+        if self._tallies:
+            self._fold_tallies()
+        return self._rules
+
     # -------------------------------------------------------- recording
 
     def rule_stats(self, rule_id: str) -> RuleStats:
-        """The (created-on-first-use) accumulator for a rule id."""
-        stats = self.rules.get(rule_id)
+        """The (created-on-first-use) accumulator for a rule id.
+
+        The recording handle: it does not fold pending tallies, so its
+        ``calls`` and ``prefilter_skips`` can lag until :attr:`rules`
+        is read.
+        """
+        stats = self._rules.get(rule_id)
         if stats is None:
-            stats = self.rules[rule_id] = RuleStats()
+            stats = self._rules[rule_id] = RuleStats()
         return stats
+
+    def tally_rules(self, rule_ids: Tuple[str, ...], candidates: int) -> None:
+        """Count one detect's offer of a whole catalog, in O(1).
+
+        Every rule in ``rule_ids`` (catalog order) counts one call, and
+        every position whose ``candidates`` bit is clear one prefilter
+        skip.  The tally is keyed by positions, never object identity,
+        so it means the same after a process-pool pickle.
+        """
+        tallies = self._tallies
+        key = (rule_ids, candidates)
+        tallies[key] = tallies.get(key, 0) + 1
+        if len(tallies) > _MAX_PENDING_TALLIES:
+            self._fold_tallies(keep=_MAX_PENDING_TALLIES)
+
+    def _fold_tallies(self, keep: int = 0) -> None:
+        """Fold pending tallies into the rule table until ``keep`` remain."""
+        tallies = self._tallies
+        while len(tallies) > keep:
+            (rule_ids, candidates), n = tallies.popitem()
+            for position, rule_id in enumerate(rule_ids):
+                stats = self.rule_stats(rule_id)
+                stats.calls += n
+                if not candidates >> position & 1:
+                    stats.prefilter_skips += n
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to a named event counter."""
@@ -290,7 +341,8 @@ class ScanMetrics:
         if budget_ms is None:
             return 0
         flagged = 0
-        for rule_id, stats in self.rules.items():
+        # time_s is never tallied, so the unfolded table is exact here
+        for rule_id, stats in self._rules.items():
             ms = stats.time_s * 1000.0
             if ms > budget_ms:
                 self.health_for(rule_id).note(path, ms)
@@ -304,15 +356,23 @@ class ScanMetrics:
     def merge(self, other: Optional["ScanMetrics"]) -> "ScanMetrics":
         """Fold ``other`` into this collector; returns ``self``.
 
-        A key-wise sum over all four tables: commutative and associative
-        up to float addition, so worker snapshots can be folded in any
-        completion order.  Merging ``None`` or a disabled collector is a
-        no-op, which lets callers merge optional snapshots unconditionally.
+        A key-wise sum over every table, pending tallies included (they
+        stay unfolded, so a merge costs what ``other`` recorded, not the
+        catalog size): commutative and associative up to float addition,
+        so worker snapshots can be folded in any completion order.
+        Merging ``None`` or a disabled collector is a no-op, which lets
+        callers merge optional snapshots unconditionally.
         """
         if other is None or not other.enabled:
             return self
-        for rule_id, stats in other.rules.items():
+        for rule_id, stats in other._rules.items():
             self.rule_stats(rule_id).merge(stats)
+        if other._tallies:
+            tallies = self._tallies
+            for key, n in other._tallies.items():
+                tallies[key] = tallies.get(key, 0) + n
+            if len(tallies) > _MAX_PENDING_TALLIES:
+                self._fold_tallies(keep=_MAX_PENDING_TALLIES)
         for name, value in other.counters.items():
             self.count(name, value)
         for name, seconds in other.timers.items():
@@ -347,7 +407,7 @@ class ScanMetrics:
 
     def total_rule_time(self) -> float:
         """Wall seconds accumulated across every rule."""
-        return sum(stats.time_s for stats in self.rules.values())
+        return sum(stats.time_s for stats in self._rules.values())
 
     # ---------------------------------------------------- serialization
 
@@ -370,7 +430,7 @@ class ScanMetrics:
     def from_dict(cls, data: dict) -> "ScanMetrics":
         metrics = cls()
         for rule_id, raw in data.get("rules", {}).items():
-            metrics.rules[rule_id] = RuleStats.from_dict(raw)
+            metrics._rules[rule_id] = RuleStats.from_dict(raw)
         metrics.counters.update(data.get("counters", {}))
         metrics.timers.update(data.get("timers", {}))
         metrics.files.update(data.get("files", {}))
@@ -418,6 +478,9 @@ class NullScanMetrics(ScanMetrics):
 
     def flag_slow_rules(self, path: str, budget_ms: Optional[float]) -> int:
         return 0
+
+    def tally_rules(self, rule_ids: Tuple[str, ...], candidates: int) -> None:
+        pass
 
     def count(self, name: str, n: int = 1) -> None:
         pass

@@ -37,8 +37,11 @@ Robustness contract (exercised by ``tests/test_server.py``):
 
 Observability is threaded through the existing layer, not re-invented:
 each request runs against a fresh per-request :class:`ScanMetrics`
-snapshot that is merged into the server-lifetime collector (the same
-associative fold the process-pool scanner uses), every response carries
+collector that the event loop merges into the server-lifetime collector
+(the same associative fold the process-pool scanner uses).  The worker
+hands that collector back itself: by reference from the thread pool,
+pickled like the rest of the result across a process pool, never
+through a ``to_dict``/``from_dict`` round trip.  Every response carries
 an ``X-Patchitpy-Trace-Id`` (honouring a caller-supplied ``X-Trace-Id``
 so IDE plugins can correlate their own logs), and ``/metrics`` is the
 PR 2/3 Prometheus exporter over the lifetime collector plus
@@ -136,7 +139,7 @@ def _pool_init(pickled_engine: bytes) -> None:
     _WORKER_ENGINE.warmup()
 
 
-def _pool_analyze(source: str, patch: bool) -> Tuple[dict, dict]:
+def _pool_analyze(source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
     assert _WORKER_ENGINE is not None, "pool initializer did not run"
     return analyze_payload(_WORKER_ENGINE, source, patch)
 
@@ -146,12 +149,12 @@ def analyze_payload(
     source: str,
     patch: bool,
     trace: Optional[TraceRecorder] = None,
-) -> Tuple[dict, dict]:
+) -> Tuple[dict, ScanMetrics]:
     """Run detect(+patch) and shape the JSON payload for one snippet.
 
-    Returns ``(payload, metrics_snapshot_dict)``; the snapshot travels
-    as plain data so the result crosses the process-pool pickle boundary
-    cheaply and the caller merges it into the lifetime collector.  The
+    Returns ``(payload, metrics)``: the request's own collector, which
+    the caller merges into the lifetime collector (a process pool
+    pickles it with the payload; its tables are plain data).  The
     ``patches`` list is rendered against the *submitted* source (spans
     anchored to it) so IDE clients can apply the edits verbatim; the
     fully patched text additionally lands in ``patched_source``.
@@ -172,7 +175,7 @@ def analyze_payload(
         _apply_patch_fields(engine, source, findings, payload, metrics, trace)
     if trace is not None and trace.enabled:
         payload["trace_events"] = list(trace.events)
-    return payload, metrics.to_dict()
+    return payload, metrics
 
 
 def _apply_patch_fields(
@@ -187,11 +190,11 @@ def _apply_patch_fields(
     if findings:
         result = engine.patch(source, findings, metrics=metrics, trace=trace)
         reverted_keys = {v.trigger_key for v in result.verdicts if v.reverted}
-        rendered = engine.render_patches(source, findings, trace=trace)
         # canonical Patch wire shape (repro.types.Patch.to_dict), shared
-        # with the plain-JSON exporter
+        # with the plain-JSON exporter; the patch call's own render of
+        # the submitted source, so the first pass renders once
         payload["patches"] = [
-            p.to_dict() for p in rendered if p.trigger_key not in reverted_keys
+            p.to_dict() for p in result.rendered if p.trigger_key not in reverted_keys
         ]
         payload["patched_source"] = result.patched
         payload["patches_applied"] = len(result.applied)
@@ -211,10 +214,10 @@ def _apply_patch_fields(
 
 def cached_payload(
     engine: PatchitPy, store: ResultStore, digest: str, source: str, patch: bool
-) -> Tuple[Optional[Tuple[dict, dict]], float]:
+) -> Tuple[Optional[Tuple[dict, ScanMetrics]], float]:
     """Shape the analyze payload from the shared tier — no detect.
 
-    Returns ``(payload, snapshot)`` or ``None`` on a miss, and the
+    Returns ``(payload, metrics)`` or ``None`` on a miss, and the
     lookup's wall time.  Patch rendering, when asked for, runs against
     the submitted source so the edits anchor to it exactly as a cold
     analysis would; ``from_cache`` marks the payload as a hit.
@@ -232,7 +235,7 @@ def cached_payload(
     }
     if patch:
         _apply_patch_fields(engine, source, entry.findings, payload, metrics)
-    return (payload, metrics.to_dict()), spent
+    return (payload, metrics), spent
 
 
 def _publish(store: ResultStore, digest: str, payload: dict) -> Tuple[bool, float]:
@@ -349,7 +352,7 @@ class PatchitPyServer(Pipeline):
             self._pool, analyze_payload, self.engine, source, patch
         )
 
-    async def _run_unit(self, source: str, patch: bool) -> Tuple[dict, dict]:
+    async def _run_unit(self, source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
         """One snippet through the shared tier and the pool (slot held).
 
         A miss is published to the tier *before* this returns, so once a
@@ -371,19 +374,19 @@ class PatchitPyServer(Pipeline):
             if hit is not None:
                 self.metrics.count("cache_hits")
                 self.metrics.count("snippet_cache_hits")
-                payload, snapshot = hit
+                payload, metrics = hit
             else:
                 self.metrics.count("cache_misses")
                 self.metrics.count("snippet_cache_misses")
-                payload, snapshot = await self._submit_analysis(source, patch)
+                payload, metrics = await self._submit_analysis(source, patch)
                 stored, publish_s = await loop.run_in_executor(
                     None, _publish, store, digest, payload
                 )
                 cache_s += publish_s
                 if not stored:
                     self.metrics.count("snippet_cache_write_errors")
-            snapshot["timers"]["snippet_cache_time_s"] = cache_s
-            return payload, snapshot
+            metrics.add_time("snippet_cache_time_s", cache_s)
+            return payload, metrics
         finally:
             self._release_slot()
 
@@ -475,8 +478,8 @@ class PatchitPyServer(Pipeline):
         else:
             self._acquire_slots(1)
             future = self._run_unit(source, patch)
-        payload, snapshot = await _await_deadline(future, deadline, "analysis")
-        self.metrics.merge(ScanMetrics.from_dict(snapshot))
+        payload, metrics = await _await_deadline(future, deadline, "analysis")
+        self.metrics.merge(metrics)
         elapsed = clock() - started
         payload["duration_ms"] = round(elapsed * 1000.0, 3)
         response = Response.json_response(payload)
@@ -484,7 +487,7 @@ class PatchitPyServer(Pipeline):
         # shared tier accounted for in their own timers.  An idle pool
         # makes this ~0; a saturated one makes it the time the snippet
         # sat behind other units.
-        timers = snapshot.get("timers", {})
+        timers = metrics.timers
         work_s = sum(
             timers.get(name, 0.0)
             for name in (
@@ -519,10 +522,10 @@ class PatchitPyServer(Pipeline):
     def _item_line(self, item_id: Any, future: "asyncio.Future") -> dict:
         """One finished batch unit as its result line, or its error line."""
         try:
-            payload, snapshot = future.result()
+            payload, metrics = future.result()
         except (Exception, asyncio.CancelledError) as error:
             return {"id": item_id, "error": str(error)}
-        self.metrics.merge(ScanMetrics.from_dict(snapshot))
+        self.metrics.merge(metrics)
         payload["id"] = item_id
         return payload
 

@@ -6,8 +6,9 @@ stdlib-only by contract).  What a JSON-over-HTTP analyzer service needs
 from HTTP is small and this module implements exactly that:
 
 - request parsing (request line, headers, ``Content-Length`` bodies)
-  with hard limits — header size, body size, and read deadlines — so a
-  slow or hostile client cannot pin a connection open or balloon memory;
+  with hard limits — header size, body size, and one read deadline per
+  request — so a slow or hostile client cannot pin a connection open or
+  balloon memory;
 - response serialization with correct ``Content-Length`` framing and
   explicit keep-alive control;
 - chunked *response* streaming (:class:`ChunkedResponse` /
@@ -26,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 #: Reason phrases for every status the daemon emits.
@@ -175,19 +176,40 @@ async def read_request(
     :class:`HttpError`, which the caller answers before closing:
     408 for a client that stalls mid-request, 413/431 for over-limit
     payloads/headers, 400 for unparseable framing.
+
+    Two deadlines cover a request: ``idle_timeout_s`` for its first
+    line, then one ``io_timeout_s`` for everything after it — headers
+    and body together — so a client trickling header lines cannot hold
+    the connection open past it.
     """
     try:
         line = await asyncio.wait_for(reader.readline(), timeout=idle_timeout_s)
     except asyncio.TimeoutError:
         return None  # idle keep-alive connection: close without a response
+    if not line:
+        return None  # EOF between requests
+    reading = ["request line"]
+    try:
+        return await asyncio.wait_for(
+            _read_rest(reader, line, max_body_bytes, reading), timeout=io_timeout_s
+        )
+    except asyncio.TimeoutError:
+        if reading[0] == "request line":
+            return None  # a bare CRLF between requests, then silence
+        raise HttpError(408, f"timed out reading {reading[0]}")
+
+
+async def _read_rest(
+    reader: asyncio.StreamReader,
+    line: bytes,
+    max_body_bytes: int,
+    reading: List[str],
+) -> Optional[Request]:
+    """The request after its first line, naming in ``reading[0]`` the
+    part being read, for the caller's 408."""
     if not line.strip():
-        # EOF or a bare CRLF between requests followed by EOF
-        if not line:
-            return None
-        try:
-            line = await asyncio.wait_for(reader.readline(), timeout=io_timeout_s)
-        except asyncio.TimeoutError:
-            return None
+        # a bare CRLF between requests: the request line follows
+        line = await reader.readline()
         if not line.strip():
             return None
     if len(line) > MAX_REQUEST_LINE_BYTES:
@@ -199,13 +221,11 @@ async def read_request(
     if not version.startswith("HTTP/1."):
         raise HttpError(400, f"unsupported protocol version {version!r}")
 
+    reading[0] = "request headers"
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        try:
-            raw = await asyncio.wait_for(reader.readline(), timeout=io_timeout_s)
-        except asyncio.TimeoutError:
-            raise HttpError(408, "timed out reading request headers")
+        raw = await reader.readline()
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
@@ -233,12 +253,9 @@ async def read_request(
 
     body = b""
     if length:
+        reading[0] = "request body"
         try:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=io_timeout_s
-            )
-        except asyncio.TimeoutError:
-            raise HttpError(408, "timed out reading request body")
+            body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
             raise HttpError(400, "connection closed mid-body")
 

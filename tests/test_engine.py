@@ -214,3 +214,80 @@ class TestCorpusLevelInvariants:
         engine = PatchitPy(rules=single)
         assert engine.is_vulnerable("pickle.loads(x)")
         assert not engine.is_vulnerable("eval(x)")
+
+
+class _ScanLog(PatchitPy):
+    """Records the text of every detect it runs."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scanned = []
+
+    def detect(self, source, metrics=None, trace=None):
+        self.scanned.append(source)
+        return super().detect(source, metrics, trace)
+
+
+def _repeats(texts):
+    seen, repeats = set(), []
+    for text in texts:
+        if text in seen:
+            repeats.append(text)
+        seen.add(text)
+    return repeats
+
+
+class TestEachTextDetectedOnce:
+    """A request detects each distinct text once; only the submitted
+    source may be re-scanned, when the caller handed its findings in."""
+
+    def test_patch_detects_each_text_once(self, flat_samples):
+        engine = _ScanLog()
+        for sample in flat_samples:
+            engine.scanned = []
+            engine.patch(sample.source)
+            assert _repeats(engine.scanned) == [], sample.sample_id
+
+    def test_daemon_request_rescans_at_most_the_source(self, flat_samples):
+        from repro.server.app import analyze_payload
+
+        engine = _ScanLog()
+        source_rescans = 0
+        for sample in flat_samples:
+            engine.scanned = []
+            analyze_payload(engine, sample.source, patch=True)
+            repeats = _repeats(engine.scanned)
+            assert all(text == sample.source for text in repeats), sample.sample_id
+            assert len(repeats) <= 1, sample.sample_id
+            source_rescans += len(repeats)
+        assert source_rescans < len(flat_samples) // 4
+
+    def test_subset_callers_see_the_full_final_finding_set(self, flat_samples):
+        engine = PatchitPy()
+
+        def unpatchable(text):
+            return [f.to_dict() for f in engine.detect(text) if not f.fixable]
+
+        checked = 0
+        for sample in flat_samples:
+            findings = engine.detect(sample.source)
+            if not findings:
+                continue
+            for subset in ([], [f for f in findings if f.fixable][:1]):
+                result = engine.patch(sample.source, subset)
+                if any(v.reverted for v in result.verdicts):
+                    continue  # a full revert reports the subset it started from
+                got = [f.to_dict() for f in result.unpatchable]
+                assert got == unpatchable(result.patched), sample.sample_id
+                checked += 1
+        assert checked > 100
+
+    def test_rendered_is_the_submitted_source_render(self, flat_samples):
+        engine = PatchitPy()
+        for sample in flat_samples[:200]:
+            findings = engine.detect(sample.source)
+            result = engine.patch(sample.source, findings)
+            expected = engine.render_patches(sample.source, findings)
+            assert [p.to_dict() for p in result.rendered] == [
+                p.to_dict() for p in expected
+            ]
