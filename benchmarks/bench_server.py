@@ -66,7 +66,7 @@ def _cold_cli_seconds(target: Path, runs: int) -> float:
     for _ in range(runs):
         t0 = time.perf_counter()
         result = subprocess.run(
-            [sys.executable, "-m", "repro.cli", str(target)],
+            [sys.executable, "-m", "repro.cli", "scan", str(target)],
             capture_output=True,
             text=True,
             env=env,

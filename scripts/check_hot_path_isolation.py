@@ -43,6 +43,17 @@ them:
    collector at module level, so a module-level histogram import there
    would put histogram.py on the untraced hot path.  The hot-loop token
    check also covers ``histogram``/``observe``.
+8. Nothing imports more than it runs: the four package facades
+   (``repro``, ``repro.core``, ``repro.observability``,
+   ``repro.server``) import no repro module at import time except the
+   lazy-export helper ``repro._lazy``, which itself imports nothing from
+   ``repro``; and ``repro/cli.py`` imports neither a facade nor
+   ``repro.server``, ``repro.ide``, ``repro.core.review`` or
+   ``repro.observability.exporters`` at import time.  That is what keeps
+   items 5 and 7 true for the CLI: a plain ``scan`` never loads review
+   mode, and an untraced one never loads histogram.py.  Unlike the grep
+   checks above, this one reads the syntax tree, so imports inside
+   top-level ``if``/``try`` blocks and relative imports count too.
 
 Exit code 0 when clean, 1 with a report when violated.  Run from the
 repository root (CI does); takes an optional path to the repo root.
@@ -50,9 +61,11 @@ repository root (CI does); takes an optional path to the repo root.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator, Tuple
 
 FORBIDDEN_MODULE_IMPORTS = (
     "repro.observability.trace",
@@ -62,6 +75,49 @@ FORBIDDEN_MODULE_IMPORTS = (
 HOT_LOOP_TOKENS = ("trace", "provenance", "span_id", "metrics", "histogram", "observe")
 
 HOT_LOOP_FUNCTIONS = ("_match_candidate", "_run_each")
+
+FACADES = ("repro", "repro.core", "repro.observability", "repro.server")
+
+LAZY_HELPER = "repro._lazy"
+
+CLI_DEFERRED = (
+    "repro.server",
+    "repro.ide",
+    "repro.core.review",
+    "repro.observability.exporters",
+)
+
+
+def _import_time_imports(path: Path, package: str) -> Iterator[Tuple[int, str]]:
+    """``(line, module)`` for every import that runs when ``path`` is
+    imported: module level, top-level ``if``/``try``/``with`` and class
+    bodies included; function bodies and ``if TYPE_CHECKING:`` excluded.
+    Relative imports are resolved against ``package``."""
+
+    def visit(statements: Iterable[ast.AST]) -> Iterator[Tuple[int, str]]:
+        for node in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+                yield from visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield node.lineno, alias.name
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    parts = package.split(".")[: len(package.split(".")) - node.level + 1]
+                    module = ".".join(parts + ([module] if module else []))
+                yield node.lineno, module
+            for name in ("body", "orelse", "finalbody", "handlers"):
+                yield from visit(getattr(node, name, ()))
+
+    yield from visit(ast.parse(path.read_text()).body)
+
+
+def _within(module: str, prefixes: Iterable[str]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
 def _function_body(source: str, name: str) -> str:
@@ -205,6 +261,34 @@ def main(argv: list[str]) -> int:
                 "collector, so this lands on the untraced hot path"
             )
 
+    # 8. The facades resolve lazily and the CLI imports defining modules
+    # only, so a cold scan loads neither review mode nor the exporters,
+    # the histogram, the server or the IDE layer.
+    src = root / "src"
+    for package in FACADES:
+        facade = src.joinpath(*package.split(".")) / "__init__.py"
+        for number, module in _import_time_imports(facade, package):
+            if _within(module, ("repro",)) and module != LAZY_HELPER:
+                problems.append(
+                    f"{facade}:{number}: import-time import of {module} — a "
+                    f"package facade resolves its names lazily ({LAZY_HELPER})"
+                )
+    lazy = src / "repro" / "_lazy.py"
+    for number, module in _import_time_imports(lazy, "repro"):
+        if _within(module, ("repro",)):
+            problems.append(
+                f"{lazy}:{number}: imports {module} — every facade imports "
+                "the lazy-export helper, so it must stay stdlib-only"
+            )
+    cli = src / "repro" / "cli.py"
+    for number, module in _import_time_imports(cli, "repro"):
+        if module in FACADES or _within(module, CLI_DEFERRED):
+            problems.append(
+                f"{cli}:{number}: import-time import of {module} — the CLI "
+                "imports defining modules only, and defers this one to the "
+                "subcommand or flag that runs it"
+            )
+
     if problems:
         print("hot-path isolation violated:")
         for problem in problems:
@@ -215,7 +299,8 @@ def main(argv: list[str]) -> int:
           "instrumentation-free; candidates.py imports no observability; "
           "verify.py and review.py stay off the hot detect path; "
           "groupcompile.py and histogram.py are stdlib-only and "
-          "collector.py defers its import")
+          "collector.py defers its import; the package facades are lazy "
+          "and cli.py defers review, exporters, server and IDE imports")
     return 0
 
 

@@ -44,9 +44,9 @@ detects-patches-verifies, `review` scans only what a change touched
 (see [docs/review.md](review.md)), `serve` starts the persistent scan
 server (see [docs/server.md](server.md) for operations), and `fleet`
 starts a sharded multi-worker deployment behind one front door (see
-[docs/fleet.md](fleet.md)).  Legacy flat-flag invocations
-(`patchitpy file.py [--patch]`) are mapped onto the subcommands with a
-deprecation notice.
+[docs/fleet.md](fleet.md)).  Every invocation names its subcommand:
+the pre-1.6 flat-flag spelling (`patchitpy file.py [--patch]`) was
+removed in 3.0.
 """
 
 

@@ -14,6 +14,12 @@ the data types that flow between them — is re-exported here under
 ``__all__``.  Import from ``repro``; the ``repro.core.*`` module layout
 is an implementation detail that may move between releases.
 
+The re-exports resolve lazily (PEP 562, see :mod:`repro._lazy`): a name's
+defining module is imported on first access, so ``import repro`` — and
+the CLI on top of it — loads only what the caller actually touches.
+``repro.core``, ``repro.observability`` and ``repro.server`` are lazy
+facades of the same kind.
+
 Quickstart::
 
     from repro import PatchitPy, ProjectScanner, ScanMetrics
@@ -29,50 +35,73 @@ Quickstart::
     print(metrics.top_rules(5))
 """
 
-from repro.core import PatchitPy, PatchResult, default_ruleset
-from repro.core.verify import PatchVerdict, PatchVerifier
-from repro.core.cache import ScanCache
-from repro.core.review import ReviewFinding, ReviewReport, ReviewedFile, review
-from repro.core.project import FileResult, ProjectReport, ProjectScanner, scan_paths
-from repro.ide import LanguageServer, ServerTransport
-from repro.core.rules import DetectionRule, PatchTemplate, RuleSet, extended_ruleset
-from repro.server import (
-    BackgroundFleet,
-    BackgroundServer,
-    FleetConfig,
-    FleetRouter,
-    PatchitPyServer,
-    ServerClient,
-    ServerConfig,
-    ServerError,
-)
-from repro.observability import (
-    DEFAULT_SLOW_RULE_BUDGET_MS,
-    LatencyHistogram,
-    NULL_METRICS,
-    NULL_TRACE,
-    Provenance,
-    RollingWindow,
-    RuleHealth,
-    RuleStats,
-    ScanMetrics,
-    TraceRecorder,
-    render_explain,
-)
-from repro.types import (
-    AnalysisReport,
-    CodeSample,
-    Confidence,
-    Finding,
-    GeneratorName,
-    Patch,
-    Prompt,
-    PromptSource,
-    Severity,
-    Span,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__version__ = "2.2.0"
+__version__ = "3.0.0"
+
+# Name -> defining module, resolved on first access (see repro._lazy).
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "AnalysisReport": "repro.types",
+        "BackgroundFleet": "repro.server.fleet",
+        "BackgroundServer": "repro.server.app",
+        "CodeSample": "repro.types",
+        "Confidence": "repro.types",
+        "DEFAULT_SLOW_RULE_BUDGET_MS": "repro.observability.collector",
+        "DetectionRule": "repro.core.rules.base",
+        "FileResult": "repro.core.project",
+        "Finding": "repro.types",
+        "FleetConfig": "repro.server.fleet",
+        "FleetRouter": "repro.server.fleet",
+        "GeneratorName": "repro.types",
+        "LanguageServer": "repro.ide.protocol",
+        "LatencyHistogram": "repro.observability.histogram",
+        "NULL_METRICS": "repro.observability.collector",
+        "NULL_TRACE": "repro.observability.trace",
+        "Patch": "repro.types",
+        "PatchResult": "repro.core.engine",
+        "PatchVerdict": "repro.core.verify",
+        "PatchVerifier": "repro.core.verify",
+        "ProjectReport": "repro.core.project",
+        "ProjectScanner": "repro.core.project",
+        "PatchTemplate": "repro.core.rules.base",
+        "PatchitPy": "repro.core.engine",
+        "PatchitPyServer": "repro.server.app",
+        "Prompt": "repro.types",
+        "PromptSource": "repro.types",
+        "Provenance": "repro.observability.provenance",
+        "ReviewFinding": "repro.core.review",
+        "ReviewReport": "repro.core.review",
+        "ReviewedFile": "repro.core.review",
+        "RollingWindow": "repro.observability.histogram",
+        "RuleHealth": "repro.observability.collector",
+        "RuleSet": "repro.core.rules.base",
+        "RuleStats": "repro.observability.collector",
+        "ScanCache": "repro.core.cache",
+        "ScanMetrics": "repro.observability.collector",
+        "ServerClient": "repro.server.client",
+        "ServerConfig": "repro.server.app",
+        "ServerError": "repro.server.client",
+        "ServerTransport": "repro.ide.protocol",
+        "Severity": "repro.types",
+        "Span": "repro.types",
+        "TraceRecorder": "repro.observability.trace",
+        "default_ruleset": "repro.core.rules.registry",
+        "extended_ruleset": "repro.core.rules.registry",
+        "render_explain": "repro.observability.provenance",
+        "review": "repro.core.review",
+        "scan_paths": "repro.core.project",
+        # the submodules a bare ``import repro`` has always made reachable
+        "core": "repro.core",
+        "cwe": "repro.cwe",
+        "exceptions": "repro.exceptions",
+        "ide": "repro.ide",
+        "observability": "repro.observability",
+        "server": "repro.server",
+        "types": "repro.types",
+    },
+)
 
 __all__ = [
     "AnalysisReport",

@@ -16,9 +16,10 @@ unified diff (stdin/file) or git revisions, scans only the touched
 files, and reports only what the change *introduced* (see
 :mod:`repro.core.review`).
 
-**Legacy spellings** (``patchitpy file.py [--patch]``, the pre-1.6 flat
-flag form) keep working: a shim maps them onto the new subcommands and
-prints a one-line deprecation notice to stderr.
+Each subcommand imports only what it runs: module-level imports name
+their defining modules (never a package facade), and review mode, the
+SARIF/HTML writers, the metric exporters, the daemon and the fleet are
+imported where they are dispatched.
 
 Exit-code contract (documented in ``--help`` and enforced by tests):
 
@@ -39,28 +40,17 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro import PatchitPy, ScanMetrics, extended_ruleset
+from repro.core.engine import PatchitPy
 from repro.core.report import format_finding
-from repro.observability import (
-    DEFAULT_SLOW_RULE_BUDGET_MS,
-    TraceRecorder,
-    dumps_json,
-    format_stats,
-    render_explain,
-    to_prometheus,
-)
+from repro.core.rules import extended_ruleset
+from repro.observability.collector import DEFAULT_SLOW_RULE_BUDGET_MS, ScanMetrics
+from repro.observability.provenance import render_explain
+from repro.observability.trace import TraceRecorder
 
 EXIT_CODE_CONTRACT = (
     "exit codes: 0 = no findings, 1 = findings reported, 2 = error "
     "(bad arguments or unreadable input), 3 = unverified patches reverted "
     "(patch mode with verification on)"
-)
-
-SUBCOMMANDS = ("scan", "patch", "review", "serve", "fleet")
-
-_DEPRECATION_NOTICE = (
-    "patchitpy: flat-flag invocations are deprecated; use "
-    "'patchitpy {command} ...' (mapped automatically for now)"
 )
 
 
@@ -311,38 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _upgrade_legacy_argv(argv: List[str]) -> List[str]:
-    """Map pre-1.6 flat-flag invocations onto the subcommand form.
-
-    ``patchitpy file.py --patch`` becomes ``patchitpy patch file.py`` and
-    every other legacy spelling becomes ``patchitpy scan ...``; a
-    one-line deprecation notice goes to stderr.  Invocations that already
-    name a subcommand (or only ask for help/version) pass through
-    untouched.
-    """
-    if not argv:
-        return argv
-    head = argv[0]
-    if head in SUBCOMMANDS or head in ("-h", "--help"):
-        return argv
-    if head == "--serve":  # ancient spelling of the daemon dispatch
-        print(_DEPRECATION_NOTICE.format(command="serve"), file=sys.stderr)
-        return ["serve", *argv[1:]]
-    upgraded = [arg for arg in argv if arg != "--patch"]
-    if "--patch" in argv:
-        command = "patch"
-    else:
-        if "--in-place" in argv:  # pre-1.6 contract error, same wording
-            print("patchitpy: error: --in-place requires --patch", file=sys.stderr)
-            raise SystemExit(2)
-        command = "scan"
-        # --verify/--no-verify had no effect without --patch; the scan
-        # subcommand does not take them, so the shim drops them.
-        upgraded = [a for a in upgraded if a not in ("--verify", "--no-verify")]
-    print(_DEPRECATION_NOTICE.format(command=command), file=sys.stderr)
-    return [command, *upgraded]
-
-
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject silently-ignored flag combinations (exit code 2)."""
     if args.in_place and args.lines:
@@ -371,6 +329,8 @@ def _emit_metrics(args: argparse.Namespace, metrics: Optional[ScanMetrics]) -> N
     """Print the --stats summary and/or write the --metrics export."""
     if metrics is None:
         return
+    from repro.observability.exporters import dumps_json, format_stats, to_prometheus
+
     if args.stats:
         print(format_stats(metrics, top=max(1, args.top_rules)))
     if args.metrics:
@@ -393,9 +353,7 @@ def _emit_trace(args: argparse.Namespace, tracer: Optional[TraceRecorder]) -> No
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _upgrade_legacy_argv(list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] == "serve":
         from repro.server.daemon import main as serve_main
 
@@ -522,7 +480,8 @@ def _scan_directory(args: argparse.Namespace) -> int:
     ``--jobs`` worker processes.  ``--stats``/``--metrics`` enable the
     observability collector for the scan.
     """
-    from repro import ProjectScanner, ScanCache
+    from repro.core.cache import ScanCache
+    from repro.core.project import ProjectScanner
 
     if args.clear_cache:
         ScanCache.clear(args.path)

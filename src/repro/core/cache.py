@@ -89,6 +89,14 @@ def hash_source(source: str) -> str:
     return hash_bytes(source.encode("utf-8"))
 
 
+def _hint_key(path: Path) -> str:
+    """The stat-hint key of a file path: its absolute form against the
+    current working directory, the same string ``str(path.absolute())``
+    gives, built without a pathlib object on the warm scan's per-file
+    path."""
+    return os.path.join(os.getcwd(), path)
+
+
 @dataclass(frozen=True)
 class CachedResult:
     """The stored outcome of analyzing one file content."""
@@ -187,7 +195,7 @@ class ScanCache:
         falls back to the read-and-hash path.
         """
         with self._lock:
-            hint = self._stat_hints.get(str(path.absolute()))
+            hint = self._stat_hints.get(_hint_key(path))
             if hint is None:
                 return None
             if (
@@ -199,22 +207,27 @@ class ScanCache:
             return hint.get("digest")
 
     def remember_stat(self, path: Path, stat: os.stat_result, digest: str) -> None:
-        """Record the mtime/size → digest hint for a path."""
+        """Record the mtime/size → digest hint for a path.
+
+        A hint equal to the stored one leaves the store clean, so a warm
+        scan of an unchanged tree saves nothing.
+        """
         hint = {
             "mtime_ns": stat.st_mtime_ns,
             "size": stat.st_size,
             "digest": digest,
         }
+        key = _hint_key(path)
         with self._lock:
-            if self._closed:
+            if self._closed or self._stat_hints.get(key) == hint:
                 return
-            self._stat_hints[str(path.absolute())] = hint
+            self._stat_hints[key] = hint
             self._dirty = True
 
     def forget_path(self, path: Path) -> None:
         """Drop the stat hint for a path (e.g. after patching it)."""
         with self._lock:
-            if self._stat_hints.pop(str(path.absolute()), None) is not None:
+            if self._stat_hints.pop(_hint_key(path), None) is not None:
                 self._dirty = True
 
     # ------------------------------------------------------- persistence

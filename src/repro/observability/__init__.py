@@ -45,37 +45,41 @@ The subsystem has five halves:
   percentiles* and *rule health* sections).
 """
 
-from repro.observability.collector import (
-    DEFAULT_SLOW_RULE_BUDGET_MS,
-    NULL_METRICS,
-    NullScanMetrics,
-    RuleHealth,
-    RuleStats,
-    ScanMetrics,
-)
-from repro.observability.exporters import (
-    dumps_json,
-    format_stats,
-    metrics_to_dict,
-    to_prometheus,
-)
-from repro.observability.histogram import (
-    BUCKET_BOUNDS,
-    LatencyHistogram,
-    RollingWindow,
-    WindowSnapshot,
-)
-from repro.observability.provenance import (
-    GuardDecision,
-    PatchProvenance,
-    Provenance,
-    render_explain,
-)
-from repro.observability.trace import (
-    NULL_TRACE,
-    NullTraceRecorder,
-    TRACE_SCHEMA_VERSION,
-    TraceRecorder,
+from repro._lazy import lazy_exports as _lazy_exports
+
+# Name -> defining module, resolved on first access (see repro._lazy).
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "BUCKET_BOUNDS": "repro.observability.histogram",
+        "DEFAULT_SLOW_RULE_BUDGET_MS": "repro.observability.collector",
+        "GuardDecision": "repro.observability.provenance",
+        "LatencyHistogram": "repro.observability.histogram",
+        "NULL_METRICS": "repro.observability.collector",
+        "NULL_TRACE": "repro.observability.trace",
+        "NullScanMetrics": "repro.observability.collector",
+        "NullTraceRecorder": "repro.observability.trace",
+        "PatchProvenance": "repro.observability.provenance",
+        "Provenance": "repro.observability.provenance",
+        "RollingWindow": "repro.observability.histogram",
+        "RuleHealth": "repro.observability.collector",
+        "RuleStats": "repro.observability.collector",
+        "ScanMetrics": "repro.observability.collector",
+        "TRACE_SCHEMA_VERSION": "repro.observability.trace",
+        "TraceRecorder": "repro.observability.trace",
+        "WindowSnapshot": "repro.observability.histogram",
+        "dumps_json": "repro.observability.exporters",
+        "format_stats": "repro.observability.exporters",
+        "metrics_to_dict": "repro.observability.exporters",
+        "render_explain": "repro.observability.provenance",
+        "to_prometheus": "repro.observability.exporters",
+        # submodules
+        "collector": "repro.observability.collector",
+        "exporters": "repro.observability.exporters",
+        "histogram": "repro.observability.histogram",
+        "provenance": "repro.observability.provenance",
+        "trace": "repro.observability.trace",
+    },
 )
 
 __all__ = [

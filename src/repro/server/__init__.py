@@ -27,10 +27,34 @@ See ``docs/server.md`` (single daemon) and ``docs/fleet.md`` (sharded
 fleet) for the operational guides.
 """
 
-from repro.server.app import BackgroundServer, PatchitPyServer, ServerConfig
-from repro.server.client import ServerClient, ServerError
-from repro.server.fleet import BackgroundFleet, FleetConfig, FleetRouter
-from repro.server.router import HashRing, TenantQuotas, TokenBucket
+from repro._lazy import lazy_exports as _lazy_exports
+
+# Name -> defining module, resolved on first access (see repro._lazy), so a
+# daemon or fleet worker loads only the layers it runs.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "BackgroundFleet": "repro.server.fleet",
+        "BackgroundServer": "repro.server.app",
+        "FleetConfig": "repro.server.fleet",
+        "FleetRouter": "repro.server.fleet",
+        "HashRing": "repro.server.router",
+        "PatchitPyServer": "repro.server.app",
+        "ServerClient": "repro.server.client",
+        "ServerConfig": "repro.server.app",
+        "ServerError": "repro.server.client",
+        "TenantQuotas": "repro.server.router",
+        "TokenBucket": "repro.server.router",
+        # submodules
+        "app": "repro.server.app",
+        "client": "repro.server.client",
+        "fleet": "repro.server.fleet",
+        "http11": "repro.server.http11",
+        "pipeline": "repro.server.pipeline",
+        "router": "repro.server.router",
+        "statusz": "repro.server.statusz",
+    },
+)
 
 __all__ = [
     "BackgroundFleet",

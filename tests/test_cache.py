@@ -121,6 +121,20 @@ class TestScanCacheStore:
         target.write_text(CLEAN + "# more\n")
         assert cache.stat_digest(target, target.stat()) is None
 
+    def test_hint_keys_are_absolute_paths(self, tmp_path, monkeypatch):
+        # the on-disk key is str(path.absolute()), so stores written by
+        # earlier releases keep hitting
+        monkeypatch.chdir(tmp_path)
+        target = Path("f.py")
+        target.write_text(CLEAN)
+        cache = ScanCache(tmp_path, "fp")
+        cache.remember_stat(target, target.stat(), "digest-1")
+        cache.save()
+        raw = json.loads((tmp_path / CACHE_DIR_NAME / CACHE_FILE_NAME).read_text())
+        assert list(raw["stat_hints"]) == [str(target.absolute())]
+        reopened = ScanCache(tmp_path, "fp")
+        assert reopened.stat_digest(tmp_path / "f.py", target.stat()) == "digest-1"
+
     def test_hash_source_matches_bytes(self):
         import hashlib
 
@@ -141,6 +155,17 @@ class TestIncrementalScan:
         assert warm.cache_hits == 2 and warm.cache_misses == 0
         assert warm.total_findings == cold.total_findings
         assert all(f.from_cache for f in warm.files)
+
+    def test_warm_scan_of_unchanged_tree_writes_no_store(self, tree):
+        scanner = ProjectScanner()
+        scanner.scan(tree, use_cache=True)
+        store = tree / CACHE_DIR_NAME / CACHE_FILE_NAME
+        before = store.stat()
+        warm = scanner.scan(tree, use_cache=True)
+        after = store.stat()
+        assert warm.cache_hits == 2 and warm.cache_misses == 0
+        assert all(f.from_cache for f in warm.files)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_warm_report_identical_to_cold(self, tree):
         scanner = ProjectScanner()
@@ -183,6 +208,10 @@ class TestIncrementalScan:
         warm = ProjectScanner(engine=engine).scan(tree, use_cache=True)
         assert engine.detect_calls == 0
         assert warm.cache_hits == 2
+        # the refreshed hint was saved: the next scan skips the read+hash
+        reopened = ScanCache(tree, engine.rules.fingerprint())
+        target = tree / "vuln.py"
+        assert reopened.stat_digest(target, target.stat()) == hash_source(VULN)
 
     def test_cache_dir_not_scanned(self, tree):
         scanner = ProjectScanner()

@@ -223,10 +223,18 @@ class TestFleetParser:
         assert cfg.tenant_burst == 1.0
 
     def test_cli_lists_fleet_subcommand(self):
-        from repro.cli import SUBCOMMANDS, build_parser
+        import argparse
 
-        assert "fleet" in SUBCOMMANDS
-        helptext = build_parser().format_help()
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        (subcommands,) = (
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert "fleet" in subcommands.choices
+        helptext = parser.format_help()
         assert "fleet" in helptext
 
 

@@ -329,7 +329,7 @@ class TestCliSurface:
         return tmp_path
 
     def test_stats_flag_directory(self, project, capsys):
-        code = main([str(project), "--stats"])
+        code = main(["scan", str(project), "--stats"])
         out = capsys.readouterr().out
         assert code == 1
         assert "scan statistics:" in out
@@ -337,37 +337,37 @@ class TestCliSurface:
         assert "hit rate" in out
 
     def test_stats_flag_single_file(self, project, capsys):
-        code = main([str(project / "a.py"), "--stats"])
+        code = main(["scan", str(project / "a.py"), "--stats"])
         out = capsys.readouterr().out
         assert code == 1
         assert "scan statistics:" in out
 
     def test_metrics_json_export(self, project, tmp_path, capsys):
         target = tmp_path / "metrics.json"
-        main([str(project), "--metrics", str(target)])
+        main(["scan", str(project), "--metrics", str(target)])
         payload = json.loads(target.read_text())
         assert payload["counters"]["detect_calls"] == 2
         assert payload["rules"]
 
     def test_metrics_prometheus_export(self, project, tmp_path, capsys):
         target = tmp_path / "metrics.prom"
-        main([str(project), "--metrics", str(target)])
+        main(["scan", str(project), "--metrics", str(target)])
         assert "# TYPE patchitpy_detect_calls counter" in target.read_text()
 
     def test_no_stats_no_metrics_output(self, project, capsys):
-        main([str(project)])
+        main(["scan", str(project)])
         out = capsys.readouterr().out
         assert "scan statistics:" not in out
 
     def test_in_place_requires_patch(self, project, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([str(project / "a.py"), "--in-place"])
+            main(["scan", str(project / "a.py"), "--in-place"])
         assert excinfo.value.code == 2
-        assert "--in-place requires --patch" in capsys.readouterr().err
+        assert "unrecognized arguments: --in-place" in capsys.readouterr().err
 
     def test_in_place_rejects_lines(self, project, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([str(project / "a.py"), "--patch", "--in-place", "--lines", "1:2"])
+            main(["patch", str(project / "a.py"), "--in-place", "--lines", "1:2"])
         assert excinfo.value.code == 2
         assert "--lines" in capsys.readouterr().err
 

@@ -553,26 +553,31 @@ class TestReviewCLI:
 
 
 class TestLegacyShim:
-    def test_legacy_scan_prints_deprecation(self, tmp_path, capsys):
+    """The pre-1.6 flat-flag spelling is gone: it is an argparse error."""
+
+    def test_legacy_scan_is_rejected(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "t.py"
         path.write_text(PREAMBLE + VULN_YAML)
-        code = main([str(path)])
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(path)])
         captured = capsys.readouterr()
-        assert code == 1
-        assert "deprecated" in captured.err
-        assert "patchitpy scan" in captured.err
+        assert excinfo.value.code == 2
+        assert "invalid choice" in captured.err
+        assert captured.out == ""
 
-    def test_legacy_patch_maps_to_patch_subcommand(self, tmp_path, capsys):
+    def test_legacy_patch_flag_is_rejected(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "t.py"
         path.write_text(PREAMBLE + VULN_YAML)
-        code = main([str(path), "--patch"])
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(path), "--patch"])
         captured = capsys.readouterr()
-        assert "patchitpy patch" in captured.err
-        assert "yaml.safe_load" in captured.out
+        assert excinfo.value.code == 2
+        assert "yaml.safe_load" not in captured.out
+        assert path.read_text() == PREAMBLE + VULN_YAML
 
     def test_subcommand_invocations_print_no_notice(self, tmp_path, capsys):
         from repro.cli import main

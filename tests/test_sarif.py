@@ -92,13 +92,13 @@ class TestCliFormats:
         return path
 
     def test_json_format(self, vulnerable_file, capsys):
-        code = main([str(vulnerable_file), "--format", "json"])
+        code = main(["scan", str(vulnerable_file), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["vulnerable"] is True
 
     def test_sarif_format(self, vulnerable_file, capsys):
-        main([str(vulnerable_file), "--format", "sarif"])
+        main(["scan", str(vulnerable_file), "--format", "sarif"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         assert payload["runs"][0]["results"]
@@ -106,5 +106,5 @@ class TestCliFormats:
     def test_json_clean_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "c.py"
         path.write_text("print('ok')\n")
-        assert main([str(path), "--format", "json"]) == 0
+        assert main(["scan", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["findings"] == []

@@ -9,6 +9,7 @@ slow-rule watchdog's rule-health table, and the surfacing layers (CLI
 
 import json
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -418,7 +419,7 @@ class TestCli:
     def test_explain_prints_provenance(self, tmp_path, capsys):
         target = tmp_path / "app.py"
         target.write_text(VULN_YAML)
-        code = main([str(target), "--explain"])
+        code = main(["scan", str(target), "--explain"])
         out = capsys.readouterr().out
         assert code == 1
         assert "fired" in out
@@ -429,7 +430,7 @@ class TestCli:
         target = tmp_path / "app.py"
         target.write_text(VULN_PICKLE)
         trace_file = tmp_path / "trace.jsonl"
-        code = main([str(target), "--trace", str(trace_file)])
+        code = main(["scan", str(target), "--trace", str(trace_file)])
         assert code == 1
         assert "trace written" in capsys.readouterr().out
         events = [json.loads(line) for line in trace_file.read_text().splitlines()]
@@ -439,6 +440,7 @@ class TestCli:
         trace_file = tree / "trace.jsonl"
         code = main(
             [
+                "scan",
                 str(tree),
                 "--no-cache",
                 "--explain",
@@ -459,7 +461,9 @@ class TestCli:
         assert any(e["kind"] == "file" for e in events)
 
     def test_zero_budget_disables_watchdog(self, tree, capsys):
-        code = main([str(tree), "--no-cache", "--stats", "--slow-rule-budget-ms", "0"])
+        code = main(
+            ["scan", str(tree), "--no-cache", "--stats", "--slow-rule-budget-ms", "0"]
+        )
         out = capsys.readouterr().out
         assert code == 1
         assert "rule health" not in out
@@ -467,7 +471,7 @@ class TestCli:
     def test_sarif_includes_provenance_and_metrics(self, tmp_path, capsys):
         target = tmp_path / "app.py"
         target.write_text(VULN_PICKLE)
-        code = main([str(target), "--format", "sarif", "--stats"])
+        code = main(["scan", str(target), "--format", "sarif", "--stats"])
         out = capsys.readouterr().out
         assert code == 1
         log = json.loads(out[: out.rindex("}") + 1])
@@ -545,3 +549,19 @@ class TestHotPathLint:
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_lint_rejects_an_eager_facade_import(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        shutil.copytree(
+            root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        facade = tmp_path / "src" / "repro" / "core" / "__init__.py"
+        facade.write_text(facade.read_text() + "\nfrom repro.core.engine import PatchitPy\n")
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "check_hot_path_isolation.py"), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        line = len(facade.read_text().splitlines())
+        assert f"{facade}:{line}: import-time import of repro.core.engine" in proc.stdout

@@ -390,12 +390,12 @@ class TestCliIntegration:
             return real(**kwargs)
 
         monkeypatch.setattr(cli, "PatchitPy", patched_engine)
-        code = cli.main([str(target), "--patch"])
+        code = cli.main(["patch", str(target)])
         captured = capsys.readouterr()
         assert code == 3
         assert "syntax-broken" in captured.err
         # verification off restores the 0/1/2 contract
-        assert cli.main([str(target), "--patch", "--no-verify"]) == 1
+        assert cli.main(["patch", str(target), "--no-verify"]) == 1
 
     def test_verify_flag_parses(self):
         from repro.cli import build_parser
@@ -422,7 +422,7 @@ class TestCliIntegration:
             return real(**kwargs)
 
         monkeypatch.setattr(cli, "PatchitPy", patched_engine)
-        code = cli.main([str(target), "--patch", "--format", "sarif"])
+        code = cli.main(["patch", str(target), "--format", "sarif"])
         captured = capsys.readouterr()
         assert code == 3
         log = json.loads(captured.out)
@@ -430,6 +430,6 @@ class TestCliIntegration:
         assert [v["status"] for v in verdicts] == [VERDICT_SYNTAX_BROKEN]
         assert verdicts[0]["reverted"] is True
         # detection-only SARIF keeps the pre-1.5 shape
-        code = cli.main([str(target), "--format", "sarif"])
+        code = cli.main(["scan", str(target), "--format", "sarif"])
         run = json.loads(capsys.readouterr().out)["runs"][0]
         assert code == 1 and "invocations" not in run
