@@ -3,7 +3,8 @@
 Layering:
 
 - :mod:`repro.server.http11` — minimal HTTP/1.1 framing over asyncio
-  streams (limits, timeouts, keep-alive);
+  streams (limits, timeouts, keep-alive), plus the client half the
+  fleet router forwards with;
 - :mod:`repro.server.pipeline` — the request pipeline both front ends
   build on: listener binding, the keep-alive connection loop, trace ids,
   dispatch, accounting and the access log, drain, the shared body

@@ -129,19 +129,25 @@ class ServerConfig:
 
 # One engine per pool worker, installed by the initializer so the 85
 # compiled rules are unpickled once per worker, not once per snippet —
-# the same discipline ProjectScanner uses for tree scans.
+# the same discipline ProjectScanner uses for tree scans.  With the
+# shared tier on, each worker also opens its own ResultStore on the same
+# directory: entries are one file per digest, published through temp
+# names unique to the process and thread, so writers never collide.
 _WORKER_ENGINE: Optional[PatchitPy] = None
+_WORKER_STORE: Optional[ResultStore] = None
 
 
-def _pool_init(pickled_engine: bytes) -> None:
-    global _WORKER_ENGINE
+def _pool_init(pickled_engine: bytes, store_at: Optional[Tuple[str, str]]) -> None:
+    global _WORKER_ENGINE, _WORKER_STORE
     _WORKER_ENGINE = pickle.loads(pickled_engine)
     _WORKER_ENGINE.warmup()
+    if store_at is not None:
+        _WORKER_STORE = ResultStore(Path(store_at[0]), store_at[1])
 
 
-def _pool_analyze(source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
+def _pool_unit(source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
     assert _WORKER_ENGINE is not None, "pool initializer did not run"
-    return analyze_payload(_WORKER_ENGINE, source, patch)
+    return analysis_unit(_WORKER_ENGINE, _WORKER_STORE, source, patch)
 
 
 def analyze_payload(
@@ -212,39 +218,50 @@ def _apply_patch_fields(
         payload["verified"] = True
 
 
-def cached_payload(
-    engine: PatchitPy, store: ResultStore, digest: str, source: str, patch: bool
-) -> Tuple[Optional[Tuple[dict, ScanMetrics]], float]:
-    """Shape the analyze payload from the shared tier — no detect.
+def analysis_unit(
+    engine: PatchitPy, store: Optional[ResultStore], source: str, patch: bool
+) -> Tuple[dict, ScanMetrics]:
+    """One snippet's whole unit of pool work: ``(payload, metrics)``.
 
-    Returns ``(payload, metrics)`` or ``None`` on a miss, and the
-    lookup's wall time.  Patch rendering, when asked for, runs against
-    the submitted source so the edits anchor to it exactly as a cold
-    analysis would; ``from_cache`` marks the payload as a hit.
+    Without a shared tier (``store`` is ``None``) that is
+    :func:`analyze_payload`.  With one, the unit is lookup, analysis on
+    a miss, and write-through, in that order and on one thread, so a
+    reply always means every sibling can hit the entry.  A hit shapes
+    the payload from the stored findings with no detect; patch
+    rendering, when asked for, runs against the submitted source so the
+    edits anchor to it exactly as a cold analysis would, and
+    ``from_cache`` marks it.  The hit, miss and failed-publish counts
+    and the tier's wall time (``snippet_cache_time_s``) travel in the
+    unit's own collector.
     """
+    if store is None:
+        return analyze_payload(engine, source, patch)
+    digest = hash_source(source)
     started = clock()
     entry = store.lookup(digest)
-    spent = clock() - started
-    if entry is None:
-        return None, spent
-    metrics = ScanMetrics()
-    payload: dict = {
-        "vulnerable": bool(entry.findings),
-        "findings": [f.to_dict() for f in entry.findings],
-        "from_cache": True,
-    }
-    if patch:
-        _apply_patch_fields(engine, source, entry.findings, payload, metrics)
-    return (payload, metrics), spent
-
-
-def _publish(store: ResultStore, digest: str, payload: dict) -> Tuple[bool, float]:
-    """Write one analyzed snippet through to the shared tier; returns
-    whether it was published, and the wall time that took."""
-    started = clock()
-    findings = [Finding.from_dict(raw) for raw in payload["findings"]]
-    stored = store.store(digest, findings)
-    return stored, clock() - started
+    cache_s = clock() - started
+    if entry is not None:
+        metrics = ScanMetrics()
+        metrics.count("cache_hits")
+        metrics.count("snippet_cache_hits")
+        payload: dict = {
+            "vulnerable": bool(entry.findings),
+            "findings": [f.to_dict() for f in entry.findings],
+            "from_cache": True,
+        }
+        if patch:
+            _apply_patch_fields(engine, source, entry.findings, payload, metrics)
+    else:
+        payload, metrics = analyze_payload(engine, source, patch)
+        metrics.count("cache_misses")
+        metrics.count("snippet_cache_misses")
+        started = clock()
+        findings = [Finding.from_dict(raw) for raw in payload["findings"]]
+        if not store.store(digest, findings):
+            metrics.count("snippet_cache_write_errors")
+        cache_s += clock() - started
+    metrics.add_time("snippet_cache_time_s", cache_s)
+    return payload, metrics
 
 
 class PatchitPyServer(Pipeline):
@@ -297,10 +314,15 @@ class PatchitPyServer(Pipeline):
     def _build_pool(self) -> Tuple[Executor, str]:
         jobs = max(1, self.config.jobs)
         if jobs > 1 and self._engine_picklable():
+            store_at = None
+            if self._snippet_store is not None:
+                store_at = (
+                    str(self._snippet_store.root), self.engine.rules.fingerprint()
+                )
             pool = ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_pool_init,
-                initargs=(pickle.dumps(self.engine),),
+                initargs=(pickle.dumps(self.engine), store_at),
             )
             self._uses_process_pool = True
             return pool, "process"
@@ -343,50 +365,21 @@ class PatchitPyServer(Pipeline):
             )
         self._pending += units
 
-    def _submit_analysis(self, source: str, patch: bool) -> "asyncio.Future":
-        """One snippet onto the analysis pool."""
-        loop = asyncio.get_running_loop()
-        if self._uses_process_pool:
-            return loop.run_in_executor(self._pool, _pool_analyze, source, patch)
-        return loop.run_in_executor(
-            self._pool, analyze_payload, self.engine, source, patch
-        )
-
     async def _run_unit(self, source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
-        """One snippet through the shared tier and the pool (slot held).
+        """One snippet as one :func:`analysis_unit` on the pool (slot held).
 
-        A miss is published to the tier *before* this returns, so once a
-        reply carries a verdict every sibling worker can hit it.  Tier
-        calls run on the default executor, timed as the unit's
-        ``snippet_cache_time_s``; a failed publish only counts as
-        ``snippet_cache_write_errors``.  The slot frees when the unit
-        ends or is cancelled.
+        One submission either way: with the shared tier, the lookup and
+        a miss's write-through run inside the unit, beside its analysis.
+        The slot frees when the unit ends or is cancelled.
         """
+        loop = asyncio.get_running_loop()
         try:
+            if self._uses_process_pool:
+                return await loop.run_in_executor(self._pool, _pool_unit, source, patch)
             store = self._snippet_store
-            if store is None:
-                return await self._submit_analysis(source, patch)
-            loop = asyncio.get_running_loop()
-            digest = hash_source(source)
-            hit, cache_s = await loop.run_in_executor(
-                None, cached_payload, self.engine, store, digest, source, patch
+            return await loop.run_in_executor(
+                self._pool, analysis_unit, self.engine, store, source, patch
             )
-            if hit is not None:
-                self.metrics.count("cache_hits")
-                self.metrics.count("snippet_cache_hits")
-                payload, metrics = hit
-            else:
-                self.metrics.count("cache_misses")
-                self.metrics.count("snippet_cache_misses")
-                payload, metrics = await self._submit_analysis(source, patch)
-                stored, publish_s = await loop.run_in_executor(
-                    None, _publish, store, digest, payload
-                )
-                cache_s += publish_s
-                if not stored:
-                    self.metrics.count("snippet_cache_write_errors")
-            metrics.add_time("snippet_cache_time_s", cache_s)
-            return payload, metrics
         finally:
             self._release_slot()
 

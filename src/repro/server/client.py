@@ -125,10 +125,9 @@ class ServerClient:
         """One raw round trip: ``(status, content type, body bytes)``.
 
         Unlike the typed endpoint helpers this never raises
-        :class:`ServerError` — error *statuses* come back as data, which
-        is what a proxy (the fleet router) needs to pass a worker's 4xx
-        or 5xx through to the client verbatim.  Transport failures still
-        raise after one reconnect retry.
+        :class:`ServerError` — error *statuses* come back as data, for a
+        caller that inspects or relays a 4xx or 5xx itself.  Transport
+        failures still raise after one reconnect retry.
         """
         merged = {"Connection": "keep-alive", **(headers or {})}
         if self._tenant is not None:

@@ -13,7 +13,10 @@ the CI smoke scripts, an IDE plugin — points at the fleet unchanged.  It
 spawns ``workers`` copies of ``python -m repro.server.daemon --port 0``,
 learns each one's port from a port file, health-checks them on an
 interval, and restarts the dead with capped exponential backoff.
-Requests are routed by **content digest** over a consistent-hash ring
+Forwards, probes and scrapes all run on the router's event loop over
+asyncio connections, with the client framing of
+:mod:`repro.server.http11`; no thread is involved.  Requests are
+routed by **content digest** over a consistent-hash ring
 (:class:`~repro.server.router.HashRing`): the same snippet bytes always
 land on the same worker, so each worker's in-memory caches stay hot and
 disjoint.  All workers additionally share one content-addressed result
@@ -45,7 +48,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import http.client
 import json
 import math
 import os
@@ -53,7 +55,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +63,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.cache import hash_source
 from repro.observability.collector import ScanMetrics, clock
 from repro.observability.exporters import to_prometheus
-from repro.server.client import ServerClient
-from repro.server.http11 import HttpError, Request, Response
+from repro.server.http11 import (
+    HttpError,
+    Request,
+    Response,
+    read_response,
+    write_request,
+)
 from repro.server.pipeline import (
     Background,
     Pipeline,
@@ -92,8 +98,12 @@ __all__ = [
 ]
 
 #: Transport-level failures that mean "this worker did not answer" — the
-#: router marks the worker down and retries the request clockwise.
-_PROXY_ERRORS = (http.client.HTTPException, ConnectionError, OSError)
+#: router marks the worker down and retries the request clockwise.  A
+#: refused or reset connection is an ``OSError``; EOF or bad framing in
+#: the reply an :class:`~repro.server.http11.UpstreamError` (a
+#: ``ConnectionError``); the exchange's deadline an
+#: ``asyncio.TimeoutError``, which is not an ``OSError`` before 3.11.
+_PROXY_ERRORS = (OSError, asyncio.TimeoutError)
 
 #: Keep-alive connections pooled per worker; beyond this, extras close.
 _POOL_LIMIT = 8
@@ -143,16 +153,17 @@ class FleetConfig:
 
 
 class FleetWorker:
-    """One supervised daemon process plus its connection pool.
+    """One supervised daemon process plus its upstream connections.
 
     The router owns the state machine (``starting`` → ``up`` → ``down``
     → ``starting`` …); this class owns the process mechanics: spawning
     ``python -m repro.server.daemon --port 0 --port-file …`` with stdout
     and stderr captured to a per-worker log, learning the bound port
-    from the port file, probing ``/healthz``, and pooling keep-alive
-    :class:`ServerClient` connections.  Pooled clients are tagged with
-    the spawn generation so a connection to a dead incarnation is never
-    reused after a respawn rebinds the port.
+    from the port file, probing ``/healthz``, and the router's round
+    trips to it over pooled asyncio keep-alive connections, all on the
+    router's event loop.  Pooled connections are tagged with the spawn
+    generation so a connection to a dead incarnation is never reused
+    after a respawn rebinds the port.
     """
 
     def __init__(self, worker_id: str, config: FleetConfig, run_dir: Path) -> None:
@@ -173,8 +184,7 @@ class FleetWorker:
         self.up_since = 0.0
         self.probe_failures = 0
         self.fail_reason = ""
-        self._pool: List[ServerClient] = []
-        self._pool_lock = threading.Lock()
+        self._pool: List[_Upstream] = []
         self._log_handle = None
 
     # ------------------------------------------------------------- process
@@ -236,15 +246,13 @@ class FleetWorker:
         except (FileNotFoundError, ValueError, OSError):
             return None
 
-    def probe(self) -> bool:
-        """One fresh-connection ``/healthz`` round trip (executor-side)."""
-        if self.port is None:
-            return False
+    async def probe(self) -> bool:
+        """One fresh-connection ``/healthz`` round trip."""
         try:
-            with ServerClient(
-                port=self.port, timeout=min(5.0, self.config.proxy_timeout_s)
-            ) as client:
-                return client.healthz().get("status") == "ok"
+            _, _, raw = await asyncio.wait_for(
+                self.fetch("/healthz"), min(5.0, self.config.proxy_timeout_s)
+            )
+            return json.loads(raw.decode("utf-8")).get("status") == "ok"
         except Exception:  # noqa: BLE001 - any failure is "not healthy"
             return False
 
@@ -260,9 +268,11 @@ class FleetWorker:
             with contextlib.suppress(OSError):
                 self.process.kill()
 
-    def close(self) -> None:
-        """Release the connection pool and the log handle."""
-        self.clear_pool()
+    async def close(self) -> None:
+        """Close the pooled connections and the log handle."""
+        pooled, self._pool = self._pool, []
+        for conn in pooled:
+            await conn.close()
         if self._log_handle is not None:
             with contextlib.suppress(OSError):
                 self._log_handle.close()
@@ -271,58 +281,105 @@ class FleetWorker:
     # --------------------------------------------------------- connections
 
     def clear_pool(self) -> None:
-        with self._pool_lock:
-            stale, self._pool = self._pool, []
-        for client in stale:
-            client.close()
+        pooled, self._pool = self._pool, []
+        for conn in pooled:
+            conn.writer.close()
 
-    def _acquire(self) -> ServerClient:
-        with self._pool_lock:
-            if self._pool:
-                return self._pool.pop()
-            port = self.port
+    async def _connect(self) -> "_Upstream":
+        port, generation = self.port, self.generation
         if port is None:
             raise ConnectionError(f"worker {self.worker_id} has no bound port")
-        client = ServerClient(port=port, timeout=self.config.proxy_timeout_s)
-        client.fleet_generation = self.generation  # type: ignore[attr-defined]
-        return client
+        # The numeric address: no resolver thread.
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        return _Upstream(reader, writer, generation, f"127.0.0.1:{port}")
 
-    def _release(self, client: ServerClient) -> None:
-        with self._pool_lock:
-            same_generation = (
-                getattr(client, "fleet_generation", -1) == self.generation
+    async def fetch(self, path: str) -> Tuple[int, Dict[str, str], bytes]:
+        """``GET path`` on a fresh connection, closed after the reply —
+        the probes and scrapes, bounded by their caller."""
+        conn = await self._connect()
+        try:
+            await write_request(
+                conn.writer, "GET", conn.host, path, {"Connection": "close"}
             )
-            if (
-                self.state == "up"
-                and same_generation
-                and len(self._pool) < _POOL_LIMIT
-            ):
-                self._pool.append(client)
-                return
-        client.close()
+            return await read_response(conn.reader)
+        finally:
+            await conn.close()
 
-    def forward(
+    async def exchange(
         self,
         method: str,
         path: str,
-        body: Optional[bytes],
+        body: bytes,
         headers: Dict[str, str],
-    ) -> Tuple[int, str, bytes]:
-        """Proxy one request on a pooled connection (blocking; executor).
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One round trip on a pooled keep-alive connection.
 
-        Transport failures close the connection and propagate so the
-        router can mark this worker down and re-route; HTTP error
+        A pooled connection that fails (the worker may have closed it
+        while it sat idle) is retried once on a fresh one; a fresh one
+        that fails raises for the router's failover.  HTTP error
         *statuses* are data, returned to the client verbatim.
         """
-        client = self._acquire()
+        while self._pool:
+            conn = self._pool.pop()
+            if conn.generation != self.generation or conn.reader.at_eof():
+                conn.writer.close()
+                continue
+            try:
+                return await self._round_trip(conn, method, path, body, headers)
+            except OSError:
+                break
+        return await self._round_trip(
+            await self._connect(), method, path, body, headers
+        )
+
+    async def _round_trip(
+        self,
+        conn: "_Upstream",
+        method: str,
+        path: str,
+        body: bytes,
+        headers: Dict[str, str],
+    ) -> Tuple[int, Dict[str, str], bytes]:
         try:
-            result = client.forward(method, path, body=body, headers=headers)
-        except Exception:
-            client.close()
+            await write_request(conn.writer, method, conn.host, path, headers, body)
+            status, reply_headers, raw = await read_response(conn.reader)
+        except BaseException:  # failed or cancelled: the framing is lost
+            conn.writer.close()
             raise
-        self._release(client)
-        self.proxied += 1
-        return result
+        if (
+            reply_headers.get("connection", "").lower() != "close"
+            and self.state == "up"
+            and conn.generation == self.generation
+            and len(self._pool) < _POOL_LIMIT
+        ):
+            self._pool.append(conn)
+        else:
+            conn.writer.close()
+        return status, reply_headers, raw
+
+
+class _Upstream:
+    """One connection from the router to a worker, tagged with the spawn
+    generation it was opened against."""
+
+    __slots__ = ("reader", "writer", "generation", "host")
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        generation: int,
+        host: str,
+    ) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.generation = generation
+        self.host = host
+
+    async def close(self) -> None:
+        self.writer.close()
+        with contextlib.suppress(OSError):
+            await self.writer.wait_closed()
 
 
 class FleetRouter(Pipeline):
@@ -357,15 +414,13 @@ class FleetRouter(Pipeline):
         self.run_dir: Optional[Path] = None
         self.shared_cache_dir: Optional[Path] = None
         self._owns_run_dir = False
-        self._executor = None
+        self._forwarding: Optional[asyncio.Semaphore] = None
         self._supervisor: Optional[asyncio.Task] = None
 
     # ----------------------------------------------------------- lifecycle
 
     async def start(self) -> "FleetRouter":
         """Spawn the workers, wait for them healthy, bind the listener."""
-        from concurrent.futures import ThreadPoolExecutor
-
         cfg = self.config
         if cfg.run_dir:
             self.run_dir = Path(cfg.run_dir)
@@ -380,12 +435,11 @@ class FleetRouter(Pipeline):
         self.shared_cache_dir.mkdir(parents=True, exist_ok=True)
         cfg.shared_cache_dir = str(self.shared_cache_dir)
 
-        # Proxy calls block in http.client, so the thread pool — not the
-        # event loop — bounds forwarding concurrency.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(8, 4 * max(1, cfg.workers)),
-            thread_name_prefix="fleet-proxy",
-        )
+        # Forwards run on this loop; the semaphore bounds how many are in
+        # flight, so a wide batch queues here instead of overrunning the
+        # workers' queues.  Made here, not in __init__: before 3.10 an
+        # asyncio primitive binds to the loop of the thread that makes it.
+        self._forwarding = asyncio.Semaphore(max(8, 4 * max(1, cfg.workers)))
         for index in range(max(1, cfg.workers)):
             worker = FleetWorker(f"w{index}", cfg, self.run_dir)
             self.workers[worker.worker_id] = worker
@@ -419,9 +473,7 @@ class FleetRouter(Pipeline):
         """Port file, then a passing health probe: the worker joins the ring."""
         if worker.port is None:
             worker.port = worker.poll_port()
-        if worker.port is None or not await asyncio.get_running_loop().run_in_executor(
-            self._executor, worker.probe
-        ):
+        if worker.port is None or not await worker.probe():
             return False
         worker.state = "up"
         worker.up_since = now
@@ -442,9 +494,7 @@ class FleetRouter(Pipeline):
             while worker.alive() and time.monotonic() < deadline:
                 await asyncio.sleep(0.05)
             worker.kill()
-            worker.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
+            await worker.close()
         if self._owns_run_dir and self.run_dir is not None:
             shutil.rmtree(self.run_dir, ignore_errors=True)
 
@@ -499,10 +549,7 @@ class FleetRouter(Pipeline):
                     if not worker.alive():
                         self._mark_down(worker, "process exited")
                         continue
-                    healthy = await loop.run_in_executor(
-                        self._executor, worker.probe
-                    )
-                    if healthy:
+                    if await worker.probe():
                         worker.probe_failures = 0
                         if (
                             worker.backoff_s > cfg.restart_backoff_s
@@ -554,18 +601,20 @@ class FleetRouter(Pipeline):
         key: str,
         method: str,
         path: str,
-        body: Optional[bytes],
+        body: bytes,
         headers: Dict[str, str],
     ) -> Tuple[int, str, bytes, str]:
         """Route ``key`` on the ring and proxy, failing over clockwise.
 
-        A transport failure marks the owner down and retries on the next
-        worker the ring would assign after removal — so the failover
-        target and the permanent re-hash agree, and the client sees one
-        ordinary response.  Only when every worker is down does the
-        fleet answer 503.
+        The exchange runs on this loop, one of at most
+        ``max(8, 4 x workers)`` in flight, and ``proxy_timeout_s`` bounds
+        all of it.  A transport failure marks the owner down and retries
+        on the next worker the ring would assign after removal — so the
+        failover target and the permanent re-hash agree, and the client
+        sees one ordinary response.  Only when every worker is down does
+        the fleet answer 503.
         """
-        loop = asyncio.get_running_loop()
+        assert self._forwarding is not None, "not started"
         exclude: set = set()
         for _ in range(max(1, len(self.workers))):
             worker_id = self.ring.route(key, exclude=exclude)
@@ -573,15 +622,18 @@ class FleetRouter(Pipeline):
                 break
             worker = self.workers[worker_id]
             try:
-                status, content_type, raw = await loop.run_in_executor(
-                    self._executor, worker.forward, method, path, body, headers
-                )
+                async with self._forwarding:
+                    status, reply_headers, raw = await asyncio.wait_for(
+                        worker.exchange(method, path, body, headers),
+                        self.config.proxy_timeout_s,
+                    )
             except _PROXY_ERRORS:
                 self.metrics.count("fleet_proxy_failures")
                 self._mark_down(worker, "request forwarding failed")
                 exclude.add(worker_id)
                 continue
-            return status, content_type, raw, worker_id
+            worker.proxied += 1
+            return status, reply_headers.get("content-type", ""), raw, worker_id
         raise HttpError(
             503, "no healthy workers available", headers={"Retry-After": "1"}
         )
@@ -730,25 +782,20 @@ class FleetRouter(Pipeline):
 
     async def _collect_worker_docs(self) -> List[Dict[str, Any]]:
         """Every up worker's ``/v1/metrics.json`` document, in parallel."""
-        loop = asyncio.get_running_loop()
+        timeout = min(10.0, self.config.proxy_timeout_s)
 
-        def fetch(worker: FleetWorker) -> Optional[Dict[str, Any]]:
+        async def scrape(worker: FleetWorker) -> Any:
             if worker.state != "up" or worker.port is None:
                 return None
             try:
-                with ServerClient(
-                    port=worker.port, timeout=min(10.0, self.config.proxy_timeout_s)
-                ) as client:
-                    return client.metrics_json()
+                status, _, raw = await asyncio.wait_for(
+                    worker.fetch("/v1/metrics.json"), timeout
+                )
+                return json.loads(raw.decode("utf-8")) if status < 400 else None
             except Exception:  # noqa: BLE001 - a scrape never kills a worker
                 return None
 
-        docs = await asyncio.gather(
-            *(
-                loop.run_in_executor(self._executor, fetch, worker)
-                for worker in self.workers.values()
-            )
-        )
+        docs = await asyncio.gather(*(scrape(w) for w in self.workers.values()))
         return [doc for doc in docs if isinstance(doc, dict)]
 
     def merged_metrics(self, docs: List[Dict[str, Any]]) -> ScanMetrics:

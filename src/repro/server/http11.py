@@ -15,7 +15,10 @@ from HTTP is small and this module implements exactly that:
   :func:`write_chunked_response`) so ``/v1/batch`` can emit per-item
   results as they complete instead of buffering the whole batch;
 - a typed :class:`HttpError` that handlers raise and the connection loop
-  turns into the matching status response.
+  turns into the matching status response;
+- the client side, for the fleet router's forwards to its workers:
+  :func:`write_request` and :func:`read_response`, which frames a
+  ``Content-Length`` reply or raises :class:`UpstreamError`.
 
 No chunked *request* bodies, no TLS, no HTTP/2: the daemon sits on
 loopback or a unix socket behind whatever real ingress the deployment
@@ -66,6 +69,15 @@ class HttpError(Exception):
         self.status = status
         self.detail = detail
         self.headers = dict(headers or {})
+
+
+class UpstreamError(ConnectionError):
+    """A reply the client side cannot use: cut short or framed wrong.
+
+    A :class:`ConnectionError`, because that is what it means to a
+    proxy: the connection's framing is lost, so it is closed, never
+    reused, and the request fails over like any other transport failure.
+    """
 
 
 @dataclass
@@ -287,8 +299,10 @@ async def write_response(
     }
     head = [f"HTTP/1.1 {response.status} {reason}"]
     head.extend(f"{name}: {value}" for name, value in headers.items())
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-    writer.write(response.body)
+    # One write, so the reply leaves in one segment and a client reads
+    # head and body with one wakeup.
+    head_bytes = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+    writer.write(head_bytes + response.body)
     await writer.drain()
 
 
@@ -328,3 +342,76 @@ async def write_chunked_response(
     writer.write(b"0\r\n\r\n")
     await writer.drain()
     return sent
+
+
+# ------------------------------------------------------------------ client
+
+
+async def write_request(
+    writer: asyncio.StreamWriter,
+    method: str,
+    host: str,
+    target: str,
+    headers: Dict[str, str],
+    body: bytes = b"",
+) -> None:
+    """Send one request, head and body in a single write, and flush it.
+
+    ``Host`` and ``Content-Length`` are added here; ``headers`` carries
+    the rest.
+    """
+    head = f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+    for name, value in headers.items():
+        head += f"{name}: {value}\r\n"
+    head += f"Content-Length: {len(body)}\r\n\r\n"
+    writer.write(head.encode("latin-1") + body)
+    await writer.drain()
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """Read one ``Content-Length``-framed reply: ``(status, headers, body)``.
+
+    The client side of :func:`write_response`, for the fleet router's
+    forwards.  Header names come back lower-cased, and the body only
+    once all of it has arrived.  EOF before or inside the reply, a
+    malformed status or header line, a head over
+    :data:`MAX_HEADER_BYTES`, and a missing, negative or non-numeric
+    ``Content-Length`` raise :class:`UpstreamError`.  No deadline here:
+    the caller bounds the whole exchange.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as error:
+        where = "mid-head" if error.partial else "before a reply"
+        raise UpstreamError(f"connection closed {where}") from None
+    except asyncio.LimitOverrunError:
+        raise UpstreamError("reply head too large") from None
+    if len(head) > MAX_HEADER_BYTES:
+        raise UpstreamError("reply head too large")
+    status_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    version, _, rest = status_line.partition(" ")
+    code = rest[:3]
+    if not (
+        version.startswith("HTTP/1.")
+        and code.isascii()
+        and code.isdigit()
+        and len(code) == 3
+        and rest[3:4] in ("", " ")
+    ):
+        raise UpstreamError(f"malformed status line {status_line!r}")
+    headers: Dict[str, str] = {}
+    for line in lines:
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise UpstreamError(f"malformed header line {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "")
+    if not (length.isascii() and length.isdigit()):
+        raise UpstreamError(f"malformed Content-Length {length!r}")
+    try:
+        body = await reader.readexactly(int(length))
+    except asyncio.IncompleteReadError:
+        raise UpstreamError("connection closed mid-body") from None
+    return int(code), headers, body

@@ -76,6 +76,11 @@ Handler = Callable[[Request], Awaitable[Response]]
 #: could forge log or exposition lines) falls back to a server default.
 SAFE_TOKEN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
+#: After answering a request it could not read (400, 408, 413, 431), how
+#: long a connection keeps reading and dropping what the client still
+#: sends before it closes.
+_LINGER_S = 2.0
+
 
 class Pipeline:
     """The request pipeline a front end is built on.
@@ -169,7 +174,6 @@ class Pipeline:
         self.draining = True
         if self._listener is not None:
             self._listener.close()
-            await self._listener.wait_closed()
         assert self._idle is not None and self._stopped is not None
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(
@@ -179,6 +183,11 @@ class Pipeline:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        if self._listener is not None:
+            # Only now: from 3.12.1 this waits for every connection to
+            # drop, so awaited first it would wait on idle keep-alive
+            # clients instead of cancelling them.
+            await self._listener.wait_closed()
         await self._release()
         self._stopped.set()
 
@@ -202,6 +211,7 @@ class Pipeline:
                     )
                 except HttpError as error:
                     await write_response(writer, Response.from_error(error), False)
+                    await _linger(reader, writer)
                     break
                 if request is None:
                     break
@@ -318,6 +328,27 @@ class Pipeline:
                 record[phase + "_ms"] = round(spent * 1000.0, 3)
             record.update(getattr(response, "access", None) or {})
             print(json.dumps(record, sort_keys=True), file=sys.stderr)
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then drop the client's input until it closes or
+    :data:`_LINGER_S` passes.
+
+    Closing a socket that still holds unread input resets the
+    connection, and the reset can reach the client before it has read
+    the answer, or while it is still sending the body that answer
+    refused.
+    """
+    try:
+        writer.write_eof()
+        await asyncio.wait_for(_drop_input(reader), _LINGER_S)
+    except (asyncio.TimeoutError, OSError):
+        pass
+
+
+async def _drop_input(reader: asyncio.StreamReader) -> None:
+    while await reader.read(65536):
+        pass
 
 
 # ------------------------------------------------------------ request bodies

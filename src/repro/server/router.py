@@ -210,7 +210,8 @@ class TenantQuotas:
     later arrivals share the :data:`OVERFLOW_TENANT` bucket *and* its
     metric label, so a client minting random tenant ids can neither
     escape throttling nor balloon the ``/metrics`` exposition.
-    Thread-safe: the router's proxy threads and event loop both call in.
+    Thread-safe, so an embedder may share it across threads; the fleet
+    router calls in from its event loop only.
     """
 
     def __init__(

@@ -4,6 +4,9 @@ Two layers, matching the module split:
 
 - pure-logic tests (plus hypothesis properties) on :class:`HashRing`
   and the token-bucket quota machinery — no processes involved;
+- the router's forward on its event loop against in-process fake
+  workers: every transport failure takes the mark-down and failover
+  path, and an HTTP error status is passed through;
 - end-to-end tests that run a real :class:`FleetRouter` supervising
   real daemon subprocesses via :class:`BackgroundFleet`, and drive it
   through the stdlib :class:`ServerClient` — including the two fleet
@@ -18,7 +21,10 @@ separate test covers the kill/restart drill on its own fleet.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -27,7 +33,8 @@ from hypothesis import strategies as st
 
 from repro import BackgroundFleet, FleetConfig, FleetRouter, ServerClient, ServerError
 from repro.core.cache import hash_source
-from repro.server.fleet import build_fleet_parser, config_from_args
+from repro.server.fleet import FleetWorker, build_fleet_parser, config_from_args
+from repro.server.http11 import HttpError, read_request
 from repro.server.router import (
     DEFAULT_TENANT,
     HashRing,
@@ -236,6 +243,124 @@ class TestFleetParser:
         assert "fleet" in subcommands.choices
         helptext = parser.format_help()
         assert "fleet" in helptext
+
+
+# --------------------------------------------- forwarding on the event loop
+
+GOOD_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 3\r\n\r\n{}\n"
+)
+
+#: How a fake worker answers a forwarded request: ``None`` stalls until
+#: the router gives up, bytes are written as they are and the connection
+#: closed.
+WORKER_FAILURES = {
+    "stalls": None,
+    "closes without a reply": b"",
+    "malformed status line": b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
+    "no content-length": b"HTTP/1.1 200 OK\r\n\r\n{}",
+    "body cut short": b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}",
+}
+
+
+async def _serve(reply):
+    """A one-reply-per-request loopback peer (see ``WORKER_FAILURES``)."""
+
+    async def handle(reader, writer):
+        try:
+            while await read_request(reader, 1 << 20, 5.0, 5.0) is not None:
+                if reply is None:
+                    await reader.read()  # until the router hangs up
+                    break
+                writer.write(reply)
+                await writer.drain()
+                if reply is not GOOD_REPLY:
+                    break
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+async def _forward_via(tmp_path, first_port: int, second_port: int):
+    """Forward one request whose key the ring gives to w0 (at
+    ``first_port``); w1 (at ``second_port``) is the failover."""
+    router = FleetRouter(FleetConfig(port=0, workers=2, proxy_timeout_s=0.5))
+    router._forwarding = asyncio.Semaphore(8)  # what start() makes
+    for worker_id, port in (("w0", first_port), ("w1", second_port)):
+        worker = FleetWorker(worker_id, router.config, tmp_path)
+        worker.port, worker.state = port, "up"
+        router.workers[worker_id] = worker
+        router.ring.add(worker_id)
+    key = next(f"k{i}" for i in range(1000) if router.ring.route(f"k{i}") == "w0")
+    started = time.monotonic()
+    try:
+        result = await router._forward(key, "POST", "/v1/analyze", b"{}", {})
+    finally:
+        for worker in router.workers.values():
+            await worker.close()
+    return router, result, time.monotonic() - started
+
+
+class TestForwardOnTheLoop:
+    @pytest.mark.parametrize("failure", sorted(WORKER_FAILURES) + ["refuses"])
+    def test_transport_failure_marks_down_and_fails_over(self, tmp_path, failure):
+        async def go():
+            good, good_port = await _serve(GOOD_REPLY)
+            bad = None
+            if failure == "refuses":
+                bad_port = _closed_port()
+            else:
+                bad, bad_port = await _serve(WORKER_FAILURES[failure])
+            try:
+                return await _forward_via(tmp_path, bad_port, good_port)
+            finally:
+                for server in (good, bad):
+                    if server is not None:
+                        server.close()
+
+        router, (status, content_type, raw, worker_id), elapsed = asyncio.run(go())
+        assert (status, content_type, raw, worker_id) == (
+            200, "application/json", b"{}\n", "w1"
+        )
+        assert router.workers["w0"].state == "down"
+        assert router.workers["w0"].fail_reason == "request forwarding failed"
+        assert router.metrics.counters["fleet_proxy_failures"] == 1
+        assert router.workers["w1"].proxied == 1
+        assert elapsed < 0.5 + 1.0  # the stall is cut at proxy_timeout_s
+
+    def test_http_error_status_is_data_not_a_failover(self, tmp_path):
+        error = b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 3\r\n\r\n{}\n"
+
+        async def go():
+            failing, failing_port = await _serve(error)
+            good, good_port = await _serve(GOOD_REPLY)
+            try:
+                return await _forward_via(tmp_path, failing_port, good_port)
+            finally:
+                failing.close()
+                good.close()
+
+        router, (status, _, raw, worker_id), _ = asyncio.run(go())
+        assert (status, raw, worker_id) == (500, b"{}\n", "w0")
+        assert router.workers["w0"].state == "up"
+        assert "fleet_proxy_failures" not in router.metrics.counters
+
+    def test_every_worker_failing_answers_503(self, tmp_path):
+        async def go():
+            return await _forward_via(tmp_path, _closed_port(), _closed_port())
+
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(go())
+        assert excinfo.value.status == 503
 
 
 # ----------------------------------------------------------- live fleet
@@ -471,3 +596,38 @@ class TestFleetFailover:
                 with pytest.raises(ServerError) as excinfo:
                     client.analyze("x = 1\n")
                 assert excinfo.value.status == 503
+
+
+class TestForwardingBound:
+    def test_wide_batch_never_overruns_a_worker_queue(self):
+        """Forwards in flight stay bounded at max(8, 4 x workers): a
+        40-item batch against queue_depth=8 workers answers every item,
+        streamed or not, instead of shedding the overflow with 429."""
+        config = FleetConfig(
+            port=0,
+            workers=2,
+            queue_depth=8,
+            tenant_rate=10_000.0,
+            tenant_burst=10_000.0,
+            health_interval_s=0.2,
+        )
+        plain = [f"wide_{i} = pickle.loads(blob_{i})\n" for i in range(40)]
+        streamed = [f"streamed_{i} = pickle.loads(blob_{i})\n" for i in range(40)]
+        with BackgroundFleet(FleetRouter(config)) as fleet:
+            with ServerClient(port=fleet.port) as client:
+                reply = client.batch(plain)
+                lines = list(client.batch_stream(streamed))
+        errors = [line for line in reply["results"] if "error" in line]
+        assert reply["count"] == 40 and reply["failed"] == 0, errors[:3]
+        summary = lines[-1]
+        errors = [line for line in lines[:-1] if "error" in line]
+        assert summary["count"] == 40 and summary["failed"] == 0, errors[:3]
+
+    def test_routing_starts_no_proxy_thread(self, running_fleet, tmp_path):
+        router, client = running_fleet
+        (tmp_path / "app.py").write_text(VULN)
+        client.analyze("threadless = pickle.loads(raw)\n")
+        client.batch([f"t{i} = eval(x{i})" for i in range(4)])
+        client.scan(str(tmp_path))
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith("fleet-proxy")], names

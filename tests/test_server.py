@@ -8,6 +8,7 @@ the actual HTTP framing, not calling handlers directly.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -359,6 +360,22 @@ class TestGracefulDrain:
         assert outcome["payload"]["vulnerable"] is True
         assert server.draining is True
 
+    def test_drain_does_not_wait_for_idle_keep_alive_clients(self):
+        """An idle keep-alive connection is cancelled by the drain, not
+        waited on: from Python 3.12.1 the listener's ``wait_closed``
+        waits for every connection to drop."""
+        server = PatchitPyServer(
+            config=ServerConfig(port=0, idle_timeout_s=60.0, drain_timeout_s=1.0)
+        )
+        handle = BackgroundServer(server).start()
+        with ServerClient(port=handle.port) as client:
+            client.healthz()  # the connection stays open, idle
+            started = time.monotonic()
+            handle.stop(timeout=10.0)
+            elapsed = time.monotonic() - started
+        assert server.draining is True
+        assert elapsed < 5.0
+
     def test_draining_server_refuses_new_analysis(self):
         server = PatchitPyServer(config=ServerConfig(port=0))
         with BackgroundServer(server) as handle:
@@ -448,12 +465,14 @@ class TestProcessPool:
 class TestSharedTier:
     """The shared snippet tier (``--shared-cache``) behind analyze/batch."""
 
-    def test_reply_means_every_sibling_can_hit_the_entry(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reply_means_every_sibling_can_hit_the_entry(self, tmp_path, jobs):
         """The write-through completes before the reply goes out: an
         independent store hits every digest right after, with no sleep
-        and no poll."""
+        and no poll — from a thread pool or from a process pool whose
+        workers open their own store."""
         server = PatchitPyServer(
-            config=ServerConfig(port=0, shared_cache_dir=str(tmp_path))
+            config=ServerConfig(port=0, jobs=jobs, shared_cache_dir=str(tmp_path))
         )
         single = "cold_one = pickle.loads(raw)\n"
         items = [f"v{i} = eval(data{i})\n" for i in range(6)] + ["b = 2\n"]
@@ -473,6 +492,35 @@ class TestSharedTier:
         assert [len(entry.findings) for entry in after_batch] == [
             len(item["findings"]) for item in batch["results"]
         ]
+        assert server._pool_kind == ("process" if jobs > 1 else "thread")
+
+    def test_a_unit_is_one_pool_submission(self, tmp_path, monkeypatch):
+        """Lookup, analysis on a miss and write-through run as one
+        submission to the analysis pool; none goes to the default
+        executor, for a miss or for a hit."""
+        submissions = []
+        real = asyncio.base_events.BaseEventLoop.run_in_executor
+
+        def counting(loop, executor, func, *args):
+            submissions.append(executor)
+            return real(loop, executor, func, *args)
+
+        monkeypatch.setattr(
+            asyncio.base_events.BaseEventLoop, "run_in_executor", counting
+        )
+        server = PatchitPyServer(
+            config=ServerConfig(port=0, shared_cache_dir=str(tmp_path))
+        )
+        with BackgroundServer(server) as handle:
+            with ServerClient(port=handle.port) as client:
+                del submissions[:]
+                miss = client.analyze(VULN, patch=True)
+                after_miss = list(submissions)
+                hit = client.analyze(VULN, patch=True)
+        assert miss.get("from_cache", False) is False and hit["from_cache"] is True
+        assert hit["patched_source"] == miss["patched_source"]
+        assert after_miss == [server._pool]
+        assert submissions == [server._pool, server._pool]
 
     def test_cache_phase_is_timed_and_logged(self, tmp_path, capfd):
         server = PatchitPyServer(
@@ -503,13 +551,15 @@ class TestSharedTier:
         assert 'patchitpy_phase_seconds_count{phase="cache"} 2' in text
         assert "patchitpy_snippet_cache_time_s" in text
 
-    def test_failed_publish_is_counted_and_still_answers(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_publish_is_counted_and_still_answers(self, tmp_path, jobs):
         engine = PatchitPy()
         # a file where the object directory belongs: every publish fails,
         # whatever the process's privileges
         ResultStore(tmp_path, engine.rules.fingerprint()).objects_dir.write_text("")
         server = PatchitPyServer(
-            engine=engine, config=ServerConfig(port=0, shared_cache_dir=str(tmp_path))
+            engine=engine,
+            config=ServerConfig(port=0, jobs=jobs, shared_cache_dir=str(tmp_path)),
         )
         with BackgroundServer(server) as handle:
             with ServerClient(port=handle.port) as client:
