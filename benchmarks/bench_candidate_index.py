@@ -1,7 +1,7 @@
 """E12 — candidate-index performance: rule selection vs running every rule.
 
-Measures the production engine (``PatchitPy()``: candidate index and
-grouped probe) against the naive tier, ``reference_run`` over every
+Measures the production engine (``PatchitPy()``: candidate-index
+selection) against the naive tier, ``reference_run`` over every
 rule with no selection at all (served through a bench-local engine
 subclass so the project scanner can drive it), in the two regimes that
 matter:

@@ -1,21 +1,18 @@
 """E10 — engine performance: throughput scaling with rule count and
 corpus size (the 'lightweight' claim of §II-B), plus the warm
-single-file latency benchmark for the three dispatch tiers.
+single-file latency benchmark for production dispatch.
 
 ``run_engine_perf_benchmark`` times the production dispatch
-(``PatchitPy().detect``: candidate index, grouped probe, plan memo)
-against two tiers rebuilt from the public API — the indexed tier
-(``reference_run`` over the index's candidates, no grouped probe) and
-the naive tier (``reference_run`` over every rule, no selection at all)
-— on the clean-heavy corpus from :mod:`bench_candidate_index`, records
-warm per-``detect`` latency quantiles through
-:class:`~repro.observability.LatencyHistogram`, asserts the three tiers
+(``PatchitPy().detect``: candidate-index selection, then the per-rule
+body) against the naive tier rebuilt from the public API
+(``reference_run`` over every rule, no selection at all) on the
+clean-heavy corpus from :mod:`bench_candidate_index`, records warm
+per-``detect`` latency quantiles through
+:class:`~repro.observability.LatencyHistogram`, asserts both tiers
 produce byte-identical findings, and writes
-``benchmarks/output/engine_perf.{txt,json}``; CI uploads the JSON and
-``scripts/check_bench_regression.py --engine-artifact`` gates on
-``grouped_vs_indexed_speedup``.  Like the candidate-index benchmark it
-is importable without pytest so the tier-1 suite runs it in smoke mode
-(tests/test_groupcompile.py).
+``benchmarks/output/engine_perf.{txt,json}`` for CI to upload.  Like
+the candidate-index benchmark it is importable without pytest so the
+tier-1 suite runs it in smoke mode (tests/test_bench_candidate_index.py).
 """
 
 from __future__ import annotations
@@ -53,12 +50,11 @@ def _candidate_bench():
 def run_engine_perf_benchmark(
     files: int = 120, sections: int = 10, repeats: int = 3
 ) -> Dict[str, float]:
-    """Warm single-file latency across the three dispatch tiers.
+    """Warm single-file latency of production dispatch against naive.
 
     Returns a BENCH dict with best-of totals, per-``detect`` latency
-    quantiles (p50/p95/p99 seconds) for the grouped and indexed tiers,
-    the ``grouped_vs_indexed_speedup`` headline the CI gate reads, and
-    the grouped tier's cache counters.  Asserts the three tiers'
+    quantiles (p50/p95/p99 seconds) for both tiers and the
+    ``production_vs_naive_speedup`` headline.  Asserts the two tiers'
     findings are byte-identical over the whole corpus first — the
     speedup is only meaningful if the tiers agree.
     """
@@ -67,30 +63,19 @@ def run_engine_perf_benchmark(
     engine = PatchitPy()
     engine.warmup()
     rules = engine.rules
-    index = rules.candidate_index()
-    grouped = engine.detect
-
-    def indexed(source):
-        # the index-only tier: every candidate through the per-rule body
-        return reference_run(index.lookup(source).candidates, source)
+    production = engine.detect
 
     def naive(source):
         return reference_run(rules, source)
 
     findings = 0
     for source in sources:
-        from_grouped = [f.to_dict() for f in grouped(source)]
-        assert from_grouped == [f.to_dict() for f in indexed(source)]
-        assert from_grouped == [f.to_dict() for f in naive(source)]
-        findings += len(from_grouped)
+        from_production = [f.to_dict() for f in production(source)]
+        assert from_production == [f.to_dict() for f in naive(source)]
+        findings += len(from_production)
 
-    def _timed_pass(detect, histogram=None):
+    def _timed_pass(detect, histogram):
         clock = time.perf_counter
-        if histogram is None:
-            t0 = clock()
-            for source in sources:
-                detect(source)
-            return clock() - t0
         t0 = clock()
         for source in sources:
             started = clock()
@@ -98,38 +83,30 @@ def run_engine_perf_benchmark(
             histogram.observe(clock() - started)
         return clock() - t0
 
-    def _best_of(detect, histogram=None):
+    def _best_of(detect, histogram):
         return min(_timed_pass(detect, histogram) for _ in range(repeats))
 
-    # The equivalence sweep above already warmed every tier (plan memo,
-    # candidate index, regex caches); these passes are all-warm.
-    grouped_hist = LatencyHistogram()
-    indexed_hist = LatencyHistogram()
-    grouped_total = _best_of(grouped, grouped_hist)
-    indexed_total = _best_of(indexed, indexed_hist)
-    naive_total = _best_of(naive)
+    # The equivalence sweep above already warmed both tiers (candidate
+    # index, regex caches); these passes are all-warm.
+    production_hist = LatencyHistogram()
+    naive_hist = LatencyHistogram()
+    production_total = _best_of(production, production_hist)
+    naive_total = _best_of(naive, naive_hist)
 
-    cache = index.grouped_stats()
-    grouped_p50, grouped_p95, grouped_p99 = grouped_hist.quantiles((0.5, 0.95, 0.99))
-    indexed_p50, indexed_p95, indexed_p99 = indexed_hist.quantiles((0.5, 0.95, 0.99))
+    production_p = production_hist.quantiles((0.5, 0.95, 0.99))
+    naive_p = naive_hist.quantiles((0.5, 0.95, 0.99))
     return {
         "files": files,
         "findings": findings,
-        "grouped_total_s": grouped_total,
-        "indexed_total_s": indexed_total,
+        "production_total_s": production_total,
         "naive_total_s": naive_total,
-        "grouped_vs_indexed_speedup": indexed_total / grouped_total,
-        "grouped_vs_naive_speedup": naive_total / grouped_total,
-        "grouped_p50_s": grouped_p50,
-        "grouped_p95_s": grouped_p95,
-        "grouped_p99_s": grouped_p99,
-        "indexed_p50_s": indexed_p50,
-        "indexed_p95_s": indexed_p95,
-        "indexed_p99_s": indexed_p99,
-        "grouped_cache_hits": cache["hits"],
-        "grouped_cache_misses": cache["misses"],
-        "plan_hits": cache["plan_hits"],
-        "plan_misses": cache["plan_misses"],
+        "production_vs_naive_speedup": naive_total / production_total,
+        "production_p50_s": production_p[0],
+        "production_p95_s": production_p[1],
+        "production_p99_s": production_p[2],
+        "naive_p50_s": naive_p[0],
+        "naive_p95_s": naive_p[1],
+        "naive_p99_s": naive_p[2],
     }
 
 
@@ -137,27 +114,22 @@ def format_engine_perf_report(results: Dict[str, float]) -> str:
     return (
         f"Engine warm single-file latency ({results['files']:.0f} files, "
         f"{results['findings']:.0f} findings, best-of totals):\n"
-        f"  grouped tier : {results['grouped_total_s'] * 1000:7.1f}ms  "
-        f"p50 {results['grouped_p50_s'] * 1e6:6.0f}us  "
-        f"p95 {results['grouped_p95_s'] * 1e6:6.0f}us\n"
-        f"  indexed tier : {results['indexed_total_s'] * 1000:7.1f}ms  "
-        f"p50 {results['indexed_p50_s'] * 1e6:6.0f}us  "
-        f"p95 {results['indexed_p95_s'] * 1e6:6.0f}us\n"
-        f"  naive tier   : {results['naive_total_s'] * 1000:7.1f}ms\n"
-        f"  grouped vs indexed: x{results['grouped_vs_indexed_speedup']:.2f}"
-        f"   grouped vs naive: x{results['grouped_vs_naive_speedup']:.2f}\n"
-        f"  grouped caches: {results['grouped_cache_misses']:.0f} compiled / "
-        f"{results['grouped_cache_hits']:.0f} reused, plan memo "
-        f"{results['plan_hits']:.0f} hits / {results['plan_misses']:.0f} misses"
+        f"  production : {results['production_total_s'] * 1000:7.1f}ms  "
+        f"p50 {results['production_p50_s'] * 1e6:6.0f}us  "
+        f"p95 {results['production_p95_s'] * 1e6:6.0f}us\n"
+        f"  naive      : {results['naive_total_s'] * 1000:7.1f}ms  "
+        f"p50 {results['naive_p50_s'] * 1e6:6.0f}us  "
+        f"p95 {results['naive_p95_s'] * 1e6:6.0f}us\n"
+        f"  production vs naive: x{results['production_vs_naive_speedup']:.2f}"
     )
 
 
 def test_engine_perf_benchmark():
-    """Full benchmark: records the three-tier numbers as an artifact.
+    """Full benchmark: records the two-tier numbers as an artifact.
 
-    The acceptance claim of grouped dispatch: the warm production path
-    beats the index-only tier by at least x1.5 on the clean-heavy
-    corpus, and the naive no-selection loop by as much.
+    The acceptance claim of rule selection: the warm production path
+    beats the naive no-selection loop by at least x1.5 on the
+    clean-heavy corpus.
     """
     results = run_engine_perf_benchmark(files=120, sections=10)
     text = format_engine_perf_report(results)
@@ -168,8 +140,7 @@ def test_engine_perf_benchmark():
     json_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"\n[artifacts written: {path}, {json_path}]")
     print(text)
-    assert results["grouped_vs_indexed_speedup"] >= 1.5
-    assert results["grouped_vs_naive_speedup"] >= 1.5
+    assert results["production_vs_naive_speedup"] >= 1.5
 
 
 def test_detection_throughput_85_rules(flat_samples, benchmark):
@@ -261,11 +232,8 @@ def test_prefilter_ablation(flat_samples, artifact_dir, benchmark):
     """Rule selection on/off: production ``run_rules`` vs ``reference_run``.
 
     Production selects through the candidate index (the multi-literal
-    prefilter) and the grouped probe; the reference runs every rule.
-    Each side gets its own fresh engine, so neither reads a plan the
-    other memoized, and one untimed sweep warms it before the timed
-    one: a cold sweep of this finding-dense corpus is dominated by
-    compiling one grouped alternation per distinct candidate mask.
+    prefilter); the reference runs every rule.  Each side gets its own
+    fresh engine, and one untimed sweep warms it before the timed one.
     """
     from conftest import write_artifact
 
@@ -286,9 +254,9 @@ def test_prefilter_ablation(flat_samples, artifact_dir, benchmark):
     production, reference = benchmark.pedantic(measure, rounds=1, iterations=1)
     text = (
         "Rule-selection ablation (609-sample detection sweep):\n"
-        f"  run_rules (index + grouped probe): {production:.3f}s\n"
-        f"  reference_run (every rule)       : {reference:.3f}s\n"
-        f"  speedup                          : x{reference / production:.2f}"
+        f"  run_rules (candidate index) : {production:.3f}s\n"
+        f"  reference_run (every rule)  : {reference:.3f}s\n"
+        f"  speedup                     : x{reference / production:.2f}"
     )
     write_artifact(artifact_dir, "prefilter_ablation.txt", text)
     assert production < reference

@@ -23,13 +23,6 @@ JSON (``benchmarks/bench_server.py``) and fails when the warm-analyze
 histograms, rolling windows, request accounting) must not erode the
 daemon's tail-latency win, not just its median.
 
-With ``--engine-artifact`` the gate also reads the engine-perf BENCH
-JSON (``benchmarks/bench_engine_perf.py``) and fails when
-``grouped_vs_indexed_speedup`` falls below ``--min-grouped-speedup``
-(default 1.0 — "no slower than index-only selection"; the benchmark's
-own assertion demands the strict x1.5 win, so this gate is again the
-belt on noisy runners).
-
 With ``--fleet-artifact`` the gate also reads the fleet BENCH JSON
 (``benchmarks/bench_fleet.py``) and fails when ``cross_worker_hit`` is
 not 1 (the shared cache tier must turn one worker's scan into its
@@ -78,21 +71,6 @@ def main(argv: list[str]) -> int:
         metavar="JSON",
         help="also gate the server BENCH JSON: warm-analyze p95 must beat "
         "the cold CLI median",
-    )
-    parser.add_argument(
-        "--engine-artifact",
-        type=Path,
-        default=None,
-        metavar="JSON",
-        help="also gate the engine-perf BENCH JSON: "
-        "grouped_vs_indexed_speedup must clear --min-grouped-speedup",
-    )
-    parser.add_argument(
-        "--min-grouped-speedup",
-        type=float,
-        default=1.0,
-        help="fail when the grouped tier's speedup over the indexed tier "
-        "is below this ratio (default 1.0)",
     )
     parser.add_argument(
         "--fleet-artifact",
@@ -165,34 +143,6 @@ def main(argv: list[str]) -> int:
                         f", warm p95 {p95 * 1000:.2f}ms < cold {cold * 1000:.1f}ms"
                     )
 
-    engine_note = ""
-    if args.engine_artifact is not None:
-        if not args.engine_artifact.exists():
-            problems.append(f"engine artifact not found: {args.engine_artifact}")
-        else:
-            try:
-                engine = json.loads(args.engine_artifact.read_text())
-            except (OSError, json.JSONDecodeError) as error:
-                engine = None
-                problems.append(
-                    f"unreadable engine artifact {args.engine_artifact}: {error}"
-                )
-            if engine is not None:
-                speedup = engine.get("grouped_vs_indexed_speedup")
-                if not isinstance(speedup, (int, float)):
-                    problems.append(
-                        "grouped_vs_indexed_speedup: missing from engine "
-                        "artifact (re-run benchmarks/bench_engine_perf.py)"
-                    )
-                elif speedup < args.min_grouped_speedup:
-                    problems.append(
-                        f"grouped_vs_indexed_speedup: x{speedup:.3f} is below "
-                        f"the x{args.min_grouped_speedup:.2f} floor — grouped "
-                        "dispatch lost to the PR 5 indexed path it must beat"
-                    )
-                else:
-                    engine_note = f", grouped vs indexed x{speedup:.2f}"
-
     fleet_note = ""
     if args.fleet_artifact is not None:
         if not args.fleet_artifact.exists():
@@ -242,7 +192,7 @@ def main(argv: list[str]) -> int:
     gated = ", ".join(f"{key}=x{results[key]:.2f}" for key in GATED_SPEEDUPS)
     print(
         f"bench regression gate ok: {gated} "
-        f"(floor x{args.min_speedup:.2f}){server_note}{engine_note}{fleet_note}"
+        f"(floor x{args.min_speedup:.2f}){server_note}{fleet_note}"
     )
     return 0
 

@@ -2,8 +2,8 @@
 """Lint: the disabled scan path must not touch the tracing machinery.
 
 The observability contract (PR 2, extended by the tracing PR) says a scan
-with tracing disabled executes exactly the pre-tracing code.  Three
-grep-level properties keep that honest, and this script asserts all of
+with tracing disabled executes exactly the pre-tracing code.  Seven
+properties keep that honest, and this script asserts all of
 them:
 
 1. ``repro/core/matching.py`` has no *module-level* import of
@@ -30,12 +30,7 @@ them:
    ``repro.core.review`` — review mode (diff parsing, git subprocesses,
    baseline classification) is an orchestration layer *above* the
    engine; a plain scan must never pay for it, not even an import.
-6. ``repro/core/groupcompile.py`` (grouped-alternation dispatch, the
-   tier the untraced scan runs first) imports nothing from ``repro``
-   at all — stdlib only, like histogram.py: it sits inside the match
-   loop and must never drag observability or any other repro machinery
-   onto the hot path.
-7. The latency-histogram layer (PR 8) stays decoupled in both
+6. The latency-histogram layer stays decoupled in both
    directions: ``repro/observability/histogram.py`` imports nothing
    from ``repro`` at all (stdlib only, so it can never drag engine code
    into a metrics consumer), and ``repro/observability/collector.py``
@@ -43,14 +38,14 @@ them:
    collector at module level, so a module-level histogram import there
    would put histogram.py on the untraced hot path.  The hot-loop token
    check also covers ``histogram``/``observe``.
-8. Nothing imports more than it runs: the four package facades
+7. Nothing imports more than it runs: the four package facades
    (``repro``, ``repro.core``, ``repro.observability``,
    ``repro.server``) import no repro module at import time except the
    lazy-export helper ``repro._lazy``, which itself imports nothing from
    ``repro``; and ``repro/cli.py`` imports neither a facade nor
    ``repro.server``, ``repro.ide``, ``repro.core.review`` or
    ``repro.observability.exporters`` at import time.  That is what keeps
-   items 5 and 7 true for the CLI: a plain ``scan`` never loads review
+   items 5 and 6 true for the CLI: a plain ``scan`` never loads review
    mode, and an untraced one never loads histogram.py.  Unlike the grep
    checks above, this one reads the syntax tree, so imports inside
    top-level ``if``/``try`` blocks and relative imports count too.
@@ -220,22 +215,7 @@ def main(argv: list[str]) -> int:
                 "the Verifier must not carry instrumentation of its own"
             )
 
-    # 6. Grouped dispatch runs inside the match loop; stdlib-only, so
-    # it can never pull instrumentation (or anything else) onto the
-    # untraced hot path.
-    groupcompile = root / "src" / "repro" / "core" / "groupcompile.py"
-    groupcompile_source = re.sub(
-        r'^(?:"""|\'\'\')(?s:.*?)(?:"""|\'\'\')', "", groupcompile.read_text(), count=1
-    )
-    for number, line in enumerate(groupcompile_source.splitlines(), start=1):
-        code = line.split("#", 1)[0]
-        if ("import" in code or "from" in code) and re.search(r"\brepro\b", code):
-            problems.append(
-                f"{groupcompile}:{number}: imports from repro — grouped "
-                "dispatch must stay stdlib-only"
-            )
-
-    # 7. The histogram layer is stdlib-only, and the collector defers
+    # 6. The histogram layer is stdlib-only, and the collector defers
     # its import to the functions that need it — matching.py imports
     # the collector at module level, so a module-level histogram import
     # in collector.py would land on every untraced scan's import path.
@@ -261,7 +241,7 @@ def main(argv: list[str]) -> int:
                 "collector, so this lands on the untraced hot path"
             )
 
-    # 8. The facades resolve lazily and the CLI imports defining modules
+    # 7. The facades resolve lazily and the CLI imports defining modules
     # only, so a cold scan loads neither review mode nor the exporters,
     # the histogram, the server or the IDE layer.
     src = root / "src"
@@ -298,8 +278,8 @@ def main(argv: list[str]) -> int:
           "module level; _match_candidate/_run_each are "
           "instrumentation-free; candidates.py imports no observability; "
           "verify.py and review.py stay off the hot detect path; "
-          "groupcompile.py and histogram.py are stdlib-only and "
-          "collector.py defers its import; the package facades are lazy "
+          "histogram.py is stdlib-only and collector.py defers its "
+          "import; the package facades are lazy "
           "and cli.py defers review, exporters, server and IDE imports")
     return 0
 

@@ -46,7 +46,6 @@ __getattr__, __dir__ = _lazy_exports(
         "cache": "repro.core.cache",
         "candidates": "repro.core.candidates",
         "engine": "repro.core.engine",
-        "groupcompile": "repro.core.groupcompile",
         "imports": "repro.core.imports",
         "matching": "repro.core.matching",
         "patcher": "repro.core.patcher",

@@ -22,24 +22,22 @@ ASCII sources, where ``str.lower()`` agrees exactly with the regex
 engine's case-insensitivity; a non-ASCII source simply promotes every
 folded-requirement rule to candidate (correct, never fast-and-wrong).
 
-A lookup also carries a bitmask of the candidate positions; the mask
-keys the grouped-alternation cache (:meth:`RuleIndex.grouped_for`), so
-distinct sources that select the same candidate subset share one
-compiled :class:`~repro.core.groupcompile.GroupedAlternation`.
+A lookup also carries a bitmask of the candidate positions, which a
+measured scan tallies as the catalog's offer counts
+(:meth:`~repro.observability.collector.ScanMetrics.tally_rules`) in one
+step instead of one update per rule.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.groupcompile import GroupedAlternation, GroupedCache
 from repro.core.prefilter import required_literal_groups, required_literals
 
 __all__ = ["IndexLookup", "RuleIndex"]
-
-Plan = Tuple[Tuple[object, ...], int, Optional[str], int]
 
 
 # Literals shaped like bare identifiers ("return", "password") occur in
@@ -155,7 +153,8 @@ class IndexLookup:
     ``candidates`` must run (every required literal present, or no
     requirement derivable); ``skipped`` provably cannot match (at least
     one required literal absent).  ``mask`` sets bit *i* iff catalog
-    position *i* is a candidate — the grouped-alternation cache key.
+    position *i* is a candidate: what a measured scan tallies as the
+    catalog's offer counts.
     """
 
     candidates: List["object"]
@@ -226,16 +225,6 @@ class RuleIndex:
         self._exact_scanner = _TrieScanner(self.exact_literals)
         self._folded_scanner = _TrieScanner(self.folded_literals)
         self._folded_all = (1 << len(self.folded_literals)) - 1
-        self._grouped = GroupedCache()
-        # Bounded per-source memo of grouped dispatch plans (FIFO, plain
-        # dict: every operation is a single atomic dict op under the
-        # GIL, so no lock — and no lock means the index still pickles
-        # into worker processes unchanged).  Only rule *selection* is
-        # memoized, never findings; matching always runs live.
-        self._plan_memo: Dict[str, Plan] = {}
-        self._plan_maxsize = 256
-        self.plan_hits = 0
-        self.plan_misses = 0
 
     @property
     def rules(self) -> Tuple["object", ...]:
@@ -278,55 +267,23 @@ class RuleIndex:
             bit <<= 1
         return IndexLookup(candidates=candidates, skipped=skipped, mask=mask)
 
-    def grouped_for(self, lookup: IndexLookup) -> GroupedAlternation:
-        """The grouped-alternation plan for one lookup's candidate set.
+    def grouped_for(self, lookup: IndexLookup) -> SimpleNamespace:
+        """Benchmark seam: the lookup's candidates as a three-field plan.
 
-        Memoized per candidate mask (the cache is this index's own):
-        distinct sources selecting the same candidate subset share one
-        compiled plan, so a warm engine compiles once per mask.
+        ``perfbench/layers.py`` times ``grouped_for(lookup).plan(source)``
+        as its ``groupcompile.*`` rows, a tier the engine no longer has;
+        the plan answers ``(lookup.candidates, 0, None)`` so those rows
+        read zero clears.  No production code calls it.  The next
+        benchmark change drops the ``groupcompile.*`` and
+        ``candidates.plan_memo_hit_ratio`` rows, and this method and
+        :meth:`grouped_stats` with them.
         """
-        return self._grouped.get_or_build(lookup.mask, lookup.candidates)
+        return SimpleNamespace(plan=lambda source: (lookup.candidates, 0, None))
 
-    def grouped_plan(self, source: str) -> Plan:
-        """``(dispatch, cleared, first_hit_rule_id, mask)`` for one source, memoized.
-
-        The production selection: the candidate lookup, the
-        grouped compilation *and* the bucket probes are all pure
-        functions of ``(catalog, source)``, so the resulting dispatch
-        selection is memoized per source in a bounded FIFO.  A warm
-        repeat — multi-pass patching re-detecting the same text at
-        fixpoint, the verifier re-scanning, the scan daemon serving a
-        seen snippet — collapses the whole selection to one dict probe;
-        the candidate ``mask`` lets a measured scan account index skips
-        without a second lookup.  Only the *selection* is cached: the
-        dispatched rules still run live every call, so findings stay
-        byte-identical by construction.  Keys hold source strings, hence
-        the small bound.
-        """
-        memo = self._plan_memo
-        entry = memo.get(source)
-        if entry is not None:
-            self.plan_hits += 1
-            return entry
-        lookup = self.lookup(source)
-        plan = self.grouped_for(lookup).plan(source)
-        entry = (tuple(plan[0]), plan[1], plan[2], lookup.mask)
-        if len(memo) >= self._plan_maxsize:
-            try:  # FIFO eviction; best-effort under concurrent clears
-                memo.pop(next(iter(memo)), None)
-            except (StopIteration, RuntimeError):  # pragma: no cover
-                pass
-        memo[source] = entry
-        self.plan_misses += 1
-        return entry
-
-    def grouped_stats(self) -> Dict[str, int]:
-        """Cache counters of the grouped tier (compilation and plan memo)."""
-        stats = self._grouped.stats()
-        stats["plan_hits"] = self.plan_hits
-        stats["plan_misses"] = self.plan_misses
-        stats["plan_size"] = len(self._plan_memo)
-        return stats
+    @staticmethod
+    def grouped_stats() -> Dict[str, int]:
+        """Benchmark seam: zero cache counters (see :meth:`grouped_for`)."""
+        return dict.fromkeys(("hits", "misses", "plan_hits", "plan_misses"), 0)
 
     def describe(self) -> Dict[str, int]:
         """Size counters for benchmarks and reports."""

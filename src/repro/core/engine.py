@@ -179,26 +179,16 @@ class PatchitPy:
     def warmup(self) -> int:
         """Prime the engine so the first real request pays no lazy costs.
 
-        Builds the candidate index and runs probe detects,
-        so a long-lived process (the scan daemon) pays the index
-        compilation and module-level matcher setup once at startup — the
-        built index then serves every request.  The probes also prime
-        the grouped-alternation cache for the masks clean code most
-        often selects (comment-only and plain-import sources), so the
-        compiled plans pickle into worker processes along with the
-        index.  Returns the number of rules primed.
+        Builds the candidate index and runs one probe detect, so a
+        long-lived process (the scan daemon) pays the index compilation
+        and module-level matcher setup once at startup — the built index
+        then serves every request, and pickles with the rules into
+        worker processes.  Returns the number of rules primed.
         """
         builder = getattr(self.rules, "candidate_index", None)
         if builder is not None:
             builder()
         self.detect("# patchitpy warmup probe\n")
-        self.detect(
-            "import os\n"
-            "\n"
-            "\n"
-            "def handler(event):\n"
-            "    return os.path.join(event['root'], event['name'])\n"
-        )
         return len(self.rules)
 
     # -------------------------------------------------------------- patch

@@ -4,6 +4,11 @@ This stage is deliberately AST-free (§II): matching runs directly on the
 raw text so that incomplete, unparseable AI-generated snippets are still
 analyzable — the property that lets PatchitPy out-recall AST-based tools on
 generated code.
+
+Every regime (fast, measured, traced) runs one dispatch: select the
+candidates through the rule set's :class:`RuleIndex`, then match each
+through one per-rule body.  :func:`reference_run`, which selects
+nothing, is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -101,10 +106,9 @@ def run_rules(
     vulnerable line does not inflate the report.
 
     This is the one dispatch: the set's candidate index (a plain iterable
-    gets a fresh :class:`RuleIndex`) and grouped probe select the rules,
-    memoized per source (:meth:`RuleIndex.grouped_plan`), and each runs
-    live through :func:`_match_candidate`.  Findings equal
-    :func:`reference_run`'s.
+    gets a fresh :class:`RuleIndex`) selects the rules
+    (:meth:`RuleIndex.lookup`), and each candidate runs through
+    :func:`_match_candidate`.  Findings equal :func:`reference_run`'s.
 
     With an enabled ``metrics`` collector the same selection is counted
     and the same per-rule body timed.  With an enabled ``trace``
@@ -120,7 +124,7 @@ def run_rules(
     if trace is not None and getattr(trace, "enabled", False):
         findings = _run_traced(index, source, metrics, trace)
     elif metrics is None or not metrics.enabled:
-        findings = _run_each(index.grouped_plan(source)[0], source, lines)
+        findings = _run_each(index.lookup(source).candidates, source, lines)
     else:
         findings = _run_measured(index, source, metrics, lines)
     findings.sort(key=lambda f: (f.span.start, f.span.end, f.rule_id))
@@ -130,8 +134,8 @@ def run_rules(
 def reference_run(rules: Iterable[DetectionRule], source: str) -> List[Finding]:
     """The oracle: every rule through the per-rule body, nothing selected.
 
-    No index, no grouped probe, no literal prefilter, then the ordering
-    and same-CWE dedupe of :func:`run_rules`; tests compare against it.
+    No index and no literal prefilter, then the ordering and same-CWE
+    dedupe of :func:`run_rules`; tests compare against it.
     """
     findings = _run_each(rules, source, LineIndex(source))
     findings.sort(key=lambda f: (f.span.start, f.span.end, f.rule_id))
@@ -156,24 +160,18 @@ def _run_measured(
 ) -> List[Finding]:
     """The metrics pass: the production selection, counted, and its body, timed.
 
-    Every rule counts one call; index-skipped rules also count a
-    prefilter skip, grouped-cleared ones only the call (they can have no
-    matches by construction).  Those offer counts are one tally of the
-    candidate mask (:meth:`ScanMetrics.tally_rules`), so the pass costs
-    O(dispatched rules); only dispatched rules pay per-rule time.
+    Every rule counts one call, and index-skipped rules also count a
+    prefilter skip.  Those offer counts are one tally of the candidate
+    mask (:meth:`ScanMetrics.tally_rules`), so the pass costs
+    O(candidates); only candidates pay per-rule time.
     """
-    dispatch, cleared, hit_rule, mask = index.grouped_plan(source)
-    candidates = bin(mask).count("1")
-    metrics.count("index_candidates", candidates)
-    metrics.count("index_skips", len(index) - candidates)
-    metrics.count("grouped_cleared", cleared)
-    metrics.count("grouped_dispatch", len(dispatch))
-    if hit_rule is not None:
-        metrics.count("grouped_hits", 1)
-    metrics.tally_rules(index.rule_ids, mask)
+    lookup = index.lookup(source)
+    metrics.count("index_candidates", len(lookup.candidates))
+    metrics.count("index_skips", len(lookup.skipped))
+    metrics.tally_rules(index.rule_ids, lookup.mask)
     findings: List[Finding] = []
     memo: Dict[Tuple[str, int], bool] = {}
-    for rule in dispatch:
+    for rule in lookup.candidates:
         start = clock()
         stats = metrics.rule_stats(rule.rule_id)
         result = _match_candidate(rule, source, memo, lines)
@@ -192,14 +190,13 @@ def _run_traced(
 ) -> List[Finding]:
     """The traced matching path: events + provenance, same findings.
 
-    Selects through the candidate lookup alone (no grouped probe: the
-    audit covers every candidate) and records every decision: an
-    ``index-lookup`` event with the candidate partition, a ``rule`` span
-    per rule with its outcome — index-skipped rules keep their span,
-    with outcome ``prefilter-skip`` — a ``guard-decision`` event per
-    guard per candidate match (all guards are evaluated rather than
-    short-circuiting, because the audit trail names each verdict), and a
-    :class:`Provenance` record attached to every surviving finding.
+    Selects through the same candidate lookup and records every
+    decision: an ``index-lookup`` event with the candidate partition, a
+    ``rule`` span per rule with its outcome — index-skipped rules keep
+    their span, with outcome ``prefilter-skip`` — a ``guard-decision``
+    event per guard per candidate match (all guards are evaluated rather
+    than short-circuiting, because the audit trail names each verdict),
+    and a :class:`Provenance` record attached to every surviving finding.
     Feeds ``metrics`` too when enabled, so a traced scan still produces
     the aggregate counters.
     """

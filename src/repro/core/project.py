@@ -530,10 +530,9 @@ class ProjectScanner:
         """Warm the engine's caches before workers are forked.
 
         The scanner is pickled once per worker; a full ``warmup()`` here
-        ships the *built* candidate index — and the grouped-alternation
-        plans its probes compiled — inside that pickle, so no worker
-        pays the compilation again.  Engines without ``warmup`` (custom
-        duck-typed engines) are shipped as they are.  Always returns
+        ships the *built* candidate index inside that pickle, so no
+        worker pays the compilation again.  Engines without ``warmup``
+        (custom duck-typed engines) are shipped as they are.  Always returns
         True (it participates in the ``_analyze_batch`` condition chain
         purely for ordering).
         """

@@ -68,7 +68,7 @@ def build_rules() -> list:
             "PIT-A02-05",
             "CWE-759",
             "crypt.crypt() used without a strong KDF",
-            r"crypt\.crypt\(\s*(?P<pwd>[^(),]+)\s*(?:,\s*[^()]+)?\)",
+            r"crypt\.crypt\(\s*(?P<pwd>[^(),\s][^(),]*|\s)(?:,[^()]+)?\)",
             severity=Severity.HIGH,
             patch=PatchTemplate(
                 replacement=r"hashlib.pbkdf2_hmac('sha256', str(\g<pwd>).encode(), os.urandom(16), 310000).hex()",

@@ -122,7 +122,7 @@ def build_rules() -> list:
             "PIT-A03-09",
             "CWE-078",
             "os.popen() pipes a command through the shell",
-            r"os\.popen\(\s*(?P<cmd>[^()]+)\s*\)",
+            r"os\.popen\(\s*(?P<cmd>[^()\s][^()]*|\s)\)",
             severity=Severity.HIGH,
             patch=PatchTemplate(
                 replacement=(

@@ -20,7 +20,7 @@ def build_rules() -> list:
             "PIT-A08-01",
             "CWE-502",
             "pickle.loads() deserializes untrusted bytes",
-            r"pickle\.loads\(\s*(?P<arg>[^()]*(?:\([^()]*\))?[^()]*)\)",
+            r"pickle\.loads\(\s*(?P<arg>(?:[^()\s][^()]*)?(?:\([^()]*\)[^()]*)?)\)",
             severity=Severity.CRITICAL,
             not_on_line=(r"#\s*trusted",),
             patch=PatchTemplate(
@@ -33,7 +33,7 @@ def build_rules() -> list:
             "PIT-A08-02",
             "CWE-502",
             "pickle.load() deserializes an untrusted stream",
-            r"pickle\.load\(\s*(?P<arg>[^()]*(?:\([^()]*\))?[^()]*)\)",
+            r"pickle\.load\(\s*(?P<arg>(?:[^()\s][^()]*)?(?:\([^()]*\)[^()]*)?)\)",
             severity=Severity.CRITICAL,
             not_on_line=(r"#\s*trusted",),
             patch=PatchTemplate(

@@ -56,9 +56,13 @@ history; ``--access-log`` emits one structured JSON line per request.
 from __future__ import annotations
 
 import asyncio
+import os
 import pickle
+import signal
+import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple
@@ -139,10 +143,35 @@ _WORKER_STORE: Optional[ResultStore] = None
 
 def _pool_init(pickled_engine: bytes, store_at: Optional[Tuple[str, str]]) -> None:
     global _WORKER_ENGINE, _WORKER_STORE
+    # A forked pool process inherits the daemon's signal set-up.  Through
+    # the event loop's wakeup fd a signal sent to the child would drain
+    # the parent, and the loop's SIGTERM handler would keep the child
+    # alive when a broken pool terminates it.  Ctrl-C belongs to the
+    # parent, which shuts the pool down itself.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _exit_with_parent(os.getppid())
     _WORKER_ENGINE = pickle.loads(pickled_engine)
     _WORKER_ENGINE.warmup()
     if store_at is not None:
         _WORKER_STORE = ResultStore(Path(store_at[0]), store_at[1])
+
+
+def _exit_with_parent(parent: int, interval_s: float = 0.25) -> None:
+    """End this pool process once ``parent`` is gone (killed, crashed).
+
+    An idle pool process blocks on the call queue, so a check between
+    units would never run; a daemon thread polls instead.  A dead parent
+    re-parents the child, which changes ``os.getppid()``.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(interval_s)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="patchitpy-parent-watch", daemon=True).start()
 
 
 def _pool_unit(source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
@@ -295,6 +324,8 @@ class PatchitPyServer(Pipeline):
         self._pool: Optional[Executor] = None
         self._pool_kind = "none"
         self._uses_process_pool = False
+        #: ``_pool_init``'s arguments, kept to replace a broken pool.
+        self._pool_initargs: Tuple[Any, ...] = ()
         self._pending = 0  # queued-or-running analysis units (backpressure)
 
     # ----------------------------------------------------------- lifecycle
@@ -313,27 +344,43 @@ class PatchitPyServer(Pipeline):
 
     def _build_pool(self) -> Tuple[Executor, str]:
         jobs = max(1, self.config.jobs)
-        if jobs > 1 and self._engine_picklable():
-            store_at = None
-            if self._snippet_store is not None:
-                store_at = (
-                    str(self._snippet_store.root), self.engine.rules.fingerprint()
-                )
-            pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_pool_init,
-                initargs=(pickle.dumps(self.engine), store_at),
-            )
-            self._uses_process_pool = True
-            return pool, "process"
-        return ThreadPoolExecutor(max_workers=jobs), "thread"
+        pickled = self._pickled_engine() if jobs > 1 else None
+        if pickled is None:
+            return ThreadPoolExecutor(max_workers=jobs), "thread"
+        store = self._snippet_store
+        store_at = None
+        if store is not None:
+            store_at = (str(store.root), self.engine.rules.fingerprint())
+        self._pool_initargs = (pickled, store_at)
+        self._uses_process_pool = True
+        return self._process_pool(), "process"
 
-    def _engine_picklable(self) -> bool:
+    def _pickled_engine(self) -> Optional[bytes]:
+        """The engine as the pool processes load it; None if it cannot pickle."""
         try:
-            pickle.dumps(self.engine)
-            return True
+            return pickle.dumps(self.engine)
         except Exception:
-            return False
+            return None
+
+    def _process_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=max(1, self.config.jobs),
+            initializer=_pool_init,
+            initargs=self._pool_initargs,
+        )
+
+    def _replace_pool(self, broken: Executor) -> Executor:
+        """The pool to retry on after ``broken`` lost a process.
+
+        The first unit to see the break replaces the pool; units that
+        failed with it find the replacement already in place.
+        """
+        if self._pool is broken:
+            broken.shutdown(wait=False)
+            self._pool = self._process_pool()
+            self.metrics.count("server_pool_restarts")
+        assert self._pool is not None
+        return self._pool
 
     async def _release(self) -> None:
         """After the drain: stop the pool and persist every open cache."""
@@ -370,16 +417,24 @@ class PatchitPyServer(Pipeline):
 
         One submission either way: with the shared tier, the lookup and
         a miss's write-through run inside the unit, beside its analysis.
-        The slot frees when the unit ends or is cancelled.
+        A process pool that lost a process (killed, out of memory) fails
+        every unit it held; each is retried once on a fresh pool.  The
+        slot frees when the unit ends or is cancelled.
         """
         loop = asyncio.get_running_loop()
+        pool = self._pool
         try:
-            if self._uses_process_pool:
-                return await loop.run_in_executor(self._pool, _pool_unit, source, patch)
-            store = self._snippet_store
-            return await loop.run_in_executor(
-                self._pool, analysis_unit, self.engine, store, source, patch
-            )
+            if not self._uses_process_pool:
+                store = self._snippet_store
+                return await loop.run_in_executor(
+                    pool, analysis_unit, self.engine, store, source, patch
+                )
+            try:
+                return await loop.run_in_executor(pool, _pool_unit, source, patch)
+            except BrokenProcessPool:
+                assert pool is not None
+                pool = self._replace_pool(pool)
+                return await loop.run_in_executor(pool, _pool_unit, source, patch)
         finally:
             self._release_slot()
 

@@ -32,25 +32,18 @@ INDEX = RULES.candidate_index()
 def eager_measured(source: str, metrics: ScanMetrics) -> List[Finding]:
     """The oracle: the per-detect loop over every rule of the catalog."""
     lines = LineIndex(source)
-    dispatch, cleared, hit_rule, mask = INDEX.grouped_plan(source)
-    rules = INDEX.rules
-    candidates = bin(mask).count("1")
-    metrics.count("index_candidates", candidates)
-    metrics.count("index_skips", len(rules) - candidates)
-    metrics.count("grouped_cleared", cleared)
-    metrics.count("grouped_dispatch", len(dispatch))
-    if hit_rule is not None:
-        metrics.count("grouped_hits", 1)
-    live = {id(rule) for rule in dispatch}
-    for position, rule in enumerate(rules):
+    lookup = INDEX.lookup(source)
+    metrics.count("index_candidates", len(lookup.candidates))
+    metrics.count("index_skips", len(lookup.skipped))
+    live = {id(rule) for rule in lookup.candidates}
+    for rule in INDEX.rules:
         if id(rule) not in live:
             stats = metrics.rule_stats(rule.rule_id)
             stats.calls += 1
-            if not mask >> position & 1:
-                stats.prefilter_skips += 1
+            stats.prefilter_skips += 1
     findings: List[Finding] = []
     memo: Dict[Tuple[str, int], bool] = {}
-    for rule in dispatch:
+    for rule in lookup.candidates:
         start = clock()
         stats = metrics.rule_stats(rule.rule_id)
         stats.calls += 1

@@ -1,12 +1,13 @@
 """Tests for the single-pass candidate index (repro.core.candidates).
 
 The load-bearing property is at the bottom: over the full bundled corpus
-and the complete default ruleset, production dispatch (candidate index,
-grouped probe, plan memo) is byte-identical to ``reference_run``, which
-runs every rule with no selection at all.  Everything above pins the
-pieces that property rests on — the scanner against brute-force
-substring checks, case folding, the always-run bucket, pickling, and
-every rule being reachable through the index.
+and the complete default ruleset, production dispatch (select through
+the candidate index, then match) is byte-identical to ``reference_run``,
+which runs every rule with no selection at all — on the samples as they
+are, on fixed mutations of them, and on mutations Hypothesis draws.
+Everything above pins the pieces that property rests on — the scanner
+against brute-force substring checks, case folding, the always-run
+bucket, pickling, and every rule being reachable through the index.
 """
 
 import pickle
@@ -14,6 +15,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import reference_run
 from repro.core.candidates import RuleIndex, _TrieScanner
@@ -305,11 +308,9 @@ class TestEquivalenceProperty:
     """The acceptance property: production == ``reference_run``, byte for byte.
 
     ``reference_run`` runs every rule through the per-rule body with no
-    candidate index, no grouped probe and no literal prefilter; the
-    engine selects through all of them and memoizes the selection per
-    source.  Where all three regimes run back to back on one engine, the
-    measured regime reads the plan the fast regime memoized.  Traced
-    findings are compared without their provenance records.
+    candidate index and no literal prefilter; the engine selects through
+    the index in every regime.  Traced findings are compared without
+    their provenance records.
     """
 
     REGIMES = ("fast", "measured", "traced")
@@ -361,3 +362,44 @@ class TestEquivalenceProperty:
                 ("crlf", "truncated", "non-ascii"), _mutations(sample.source)
             ):
                 self._assert_equivalent(engine, mutated, (sample.sample_id, kind))
+
+
+#: Characters that match ASCII letters under IGNORECASE only through
+#: Unicode case mapping (long s, Kelvin sign, dotted capital I); any of
+#: them sends the index down its promote-every-folded-rule fallback.
+FOLD_CHARS = ("\u017f", "\u212a", "\u0130")
+
+
+@st.composite
+def mutated_samples(draw, sources):
+    """A corpus sample truncated, spliced, CRLF-ended or fold-salted."""
+    source = draw(st.sampled_from(sources))
+    cut = draw(st.integers(0, len(source)))
+    kind = draw(st.sampled_from(("truncate", "splice", "crlf", "fold")))
+    if kind == "truncate":
+        return source[:cut]
+    if kind == "splice":
+        other = draw(st.sampled_from(sources))
+        return source[:cut] + other[draw(st.integers(0, len(other))) :]
+    if kind == "crlf":
+        return source.replace("\n", "\r\n")
+    return source[:cut] + draw(st.sampled_from(FOLD_CHARS)) + source[cut:]
+
+
+class TestDifferentialFuzzing:
+    """Production == ``reference_run`` on mutations Hypothesis draws,
+    in every regime and on both catalogs."""
+
+    @pytest.mark.parametrize("catalog", [default_ruleset, extended_ruleset])
+    def test_mutated_samples_equivalent(self, flat_samples, catalog):
+        engine = PatchitPy(rules=catalog())
+
+        @settings(max_examples=150, deadline=None)
+        @given(source=mutated_samples([sample.source for sample in flat_samples]))
+        def check(source):
+            expected = [f.to_dict() for f in reference_run(engine.rules, source)]
+            for regime in TestEquivalenceProperty.REGIMES:
+                found = TestEquivalenceProperty._detect(engine, source, regime)
+                assert [f.to_dict() for f in found] == expected, regime
+
+        check()

@@ -17,12 +17,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 FACADES = ("repro", "repro.core", "repro.observability", "repro.server")
 
-#: Submodules that a bare ``import repro`` exposed as attributes in 2.x.
+#: Submodules that a bare ``import repro`` exposed as attributes in 2.x,
+#: less the grouped-dispatch module that 4.0 removed.
 SUBMODULES = {
     "repro": ("core", "cwe", "exceptions", "ide", "observability", "server", "types"),
     "repro.core": (
-        "cache", "candidates", "engine", "groupcompile", "imports", "matching",
-        "patcher", "prefilter", "project", "report", "rules", "sarif", "verify",
+        "cache", "candidates", "engine", "imports", "matching", "patcher",
+        "prefilter", "project", "report", "rules", "sarif", "verify",
     ),
     "repro.observability": ("collector", "exporters", "histogram", "provenance", "trace"),
     "repro.server": ("app", "client", "fleet", "http11", "pipeline", "router", "statusz"),
