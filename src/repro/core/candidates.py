@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.prefilter import required_literal_groups, required_literals
-
 __all__ = ["IndexLookup", "RuleIndex"]
 
 
@@ -166,11 +164,11 @@ class RuleIndex:
     """Maps one pass over a source to the exact candidate rule subset.
 
     Built once from a rule collection: every rule's required literals
-    (conjunction, :func:`repro.core.prefilter.required_literals`) and
-    disjunction groups (one-of,
-    :func:`repro.core.prefilter.required_literal_groups`) are pooled
-    into two literal tables — case-sensitive and case-folded — each
-    compiled into a :class:`_TrieScanner`.  Per rule, the requirement
+    (``rule.literals.conjunction``) and disjunction groups (one-of,
+    ``rule.literals.groups``), which the rule derives from one parse of
+    its pattern (:func:`repro.core.prefilter.literal_requirements`), are
+    pooled into two literal tables — case-sensitive and case-folded —
+    each compiled into a :class:`_TrieScanner`.  Per rule, the requirement
     is a bitmask conjunction over table ids plus an any-bit check per
     group; rules contributing no literal at all form the always-run
     bucket.
@@ -198,14 +196,15 @@ class RuleIndex:
             return (0, bit) if requirement.folded else (bit, 0)
 
         for rule in self._rules:
+            literals = rule.literals
             exact_mask = 0
             folded_mask = 0
-            for requirement in required_literals(rule.pattern):
+            for requirement in literals.conjunction:
                 exact_bit, folded_bit = _intern(requirement)
                 exact_mask |= exact_bit
                 folded_mask |= folded_bit
             groups: List[Tuple[int, int]] = []
-            for group in required_literal_groups(rule.pattern):
+            for group in literals.groups:
                 group_exact = 0
                 group_folded = 0
                 for requirement in group:

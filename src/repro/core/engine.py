@@ -26,6 +26,27 @@ from repro.observability.trace import NULL_TRACE, TraceRecorder
 from repro.types import AnalysisReport, Finding, Patch, Span
 
 
+def detect_with(
+    engine,
+    source: str,
+    metrics: Optional[ScanMetrics] = None,
+    trace: Optional[TraceRecorder] = None,
+) -> List[Finding]:
+    """``engine.detect(source)``, handed only the observers that are enabled.
+
+    Either observer may be ``None`` or disabled.  A subclass whose
+    ``detect`` predates observability takes ``source`` alone; never
+    handing it the extra arguments while observability is off keeps it
+    working.
+    """
+    metrics = metrics if metrics is not None and metrics.enabled else None
+    if trace is not None and trace.enabled:
+        return engine.detect(source, metrics=metrics, trace=trace)
+    if metrics is not None:
+        return engine.detect(source, metrics=metrics)
+    return engine.detect(source)
+
+
 @dataclass
 class PatchResult:
     """Outcome of a patching pass."""
@@ -132,22 +153,6 @@ class PatchitPy:
 
     def _trace(self, override: Optional[TraceRecorder]) -> TraceRecorder:
         return override if override is not None else self.trace
-
-    def _detect_with(
-        self, source: str, m: ScanMetrics, t: TraceRecorder = NULL_TRACE
-    ) -> List[Finding]:
-        """Internal detect that omits disabled observability arguments.
-
-        Subclasses that predate observability override ``detect(source)``
-        with no metrics/trace parameters; never handing them the extra
-        arguments on the disabled path keeps those engines working
-        unchanged.
-        """
-        if t.enabled:
-            return self.detect(source, metrics=m if m.enabled else None, trace=t)
-        if m.enabled:
-            return self.detect(source, m)
-        return self.detect(source)
 
     # ------------------------------------------------------------- detect
 
@@ -340,7 +345,7 @@ class PatchitPy:
         do_verify = self.verify if verify is None else verify
         start = clock() if m.enabled else 0.0
         initial = (
-            list(findings) if findings is not None else self._detect_with(source, m, t)
+            list(findings) if findings is not None else detect_with(self, source, m, t)
         )
         # Each text this call reaches is detected once: a pass, a prune
         # or a verifier retry that lands on an already-scanned text reuses
@@ -351,7 +356,7 @@ class PatchitPy:
         def scan(text: str) -> List[Finding]:
             found = scanned.get(text)
             if found is None:
-                found = scanned[text] = self._detect_with(text, m, t)
+                found = scanned[text] = detect_with(self, text, m, t)
             return found
 
         rendered = self.render_patches(source, initial, t)
@@ -360,7 +365,7 @@ class PatchitPy:
         verdicts: List[PatchVerdict] = []
         attempts = 0
         verifier = (
-            PatchVerifier(lambda s: self._detect_with(s, NULL_METRICS))
+            PatchVerifier(lambda s: detect_with(self, s))
             if do_verify
             else None
         )
@@ -532,7 +537,7 @@ class PatchitPy:
         """
         m = self._metrics(metrics)
         t = self._trace(trace)
-        findings = self._ensure_provenance(source, self._detect_with(source, m, t))
+        findings = self._ensure_provenance(source, detect_with(self, source, m, t))
         report = AnalysisReport(tool="patchitpy", source=source, findings=findings)
         if patch and findings:
             result = self.patch(source, findings, m, t)

@@ -7,8 +7,8 @@ literals from a compiled pattern by walking its parse tree
 (:mod:`re._parser`):
 
 - in a concatenation, every member's requirement holds — *all* literal
-  runs are required (the candidate index uses the full conjunction; the
-  single-literal prefilter keeps the longest);
+  runs are required (the conjunction keeps them all; the provenance
+  literal is the longest);
 - in a branch (alternation), a literal is required only if *every*
   alternative requires one — take the longest common substring of the
   alternatives' literals as a conservative bound (and only if all exist);
@@ -18,22 +18,25 @@ The derivation is conservative: when in doubt it returns nothing and the
 engine simply runs the regex.  A property test pins the safety condition:
 prefiltered matching returns exactly the same findings.
 
-Three consumers with different appetites share the walk:
+:func:`literal_requirements` parses a pattern once, walks the tree once
+and returns one :class:`LiteralRequirements` record.  Each
+:class:`~repro.core.rules.base.DetectionRule` derives it on first read
+and keeps it, so every consumer shares that one parse:
 
-- :func:`required_literal` — the single longest case-sensitive literal,
-  stored on each rule as its per-rule prefilter (``None`` for
+- ``conjunction`` — every useful literal as :class:`LiteralRequirement`
+  records, including *case-folded* literals for ``IGNORECASE`` patterns
+  (restricted to ASCII text, where ``str.lower()`` models the regex
+  engine's case-insensitivity exactly).  The candidate index
+  (:mod:`repro.core.candidates`) matches these in a single pass over
+  each file.
+- ``groups`` — disjunctions: for a branch whose every alternative
+  guarantees a literal, one of those literals must appear.  This is what
+  makes alternation-shaped rules (``(?:password|passwd|pwd)``) indexable
+  at all.
+- ``provenance`` — the single longest case-sensitive literal, which
+  ``--explain``, SARIF and the HTML report print (``None`` for
   ``IGNORECASE`` patterns, which a case-sensitive substring check cannot
   model).
-- :func:`required_literals` — every useful literal as
-  :class:`LiteralRequirement` records, including *case-folded* literals
-  for ``IGNORECASE`` patterns (restricted to ASCII text, where
-  ``str.lower()`` models the regex engine's case-insensitivity exactly).
-  The candidate index (:mod:`repro.core.candidates`) matches these in a
-  single pass over each file.
-- :func:`required_literal_groups` — disjunctions: for a branch whose
-  every alternative guarantees a literal, one of those literals must
-  appear.  This is what makes alternation-shaped rules
-  (``(?:password|passwd|pwd)``) indexable at all.
 """
 
 from __future__ import annotations
@@ -146,11 +149,6 @@ def _walk(parsed, groups: List[Tuple[str, ...]]) -> List[str]:
     return [r for r in runs if r]
 
 
-def _literals_of(parsed) -> List[str]:
-    """Guaranteed literal runs only (disjunction groups discarded)."""
-    return _walk(parsed, [])
-
-
 def _leading_run(parsed) -> str:
     """The literal run a subpattern starts with ('' when it doesn't)."""
     chars: List[str] = []
@@ -203,76 +201,61 @@ def _parse(pattern: "re.Pattern[str]"):
         return None
 
 
-def required_literal(pattern: "re.Pattern[str]") -> Optional[str]:
-    """The longest literal every match of ``pattern`` must contain.
+@dataclass(frozen=True)
+class LiteralRequirements:
+    """Everything the literal walk guarantees about one pattern's matches.
 
-    Returns ``None`` when no sufficiently long guaranteed literal exists
-    or when the pattern uses flags/constructs the walker does not model
-    (conservatively: IGNORECASE disables the *case-sensitive* prefilter;
-    see :func:`required_literals` for the case-folded variant the
-    candidate index uses).
-    """
-    if pattern.flags & re.IGNORECASE:
-        return None
-    parsed = _parse(pattern)
-    if parsed is None:
-        return None
-    literal = _longest(_literals_of(parsed))
-    if literal is None or len(literal) < _MIN_USEFUL:
-        return None
-    return literal
+    ``conjunction`` — a match must contain *all* of these literals.
+    Runs shorter than the usefulness floor are dropped, as are runs that
+    are substrings of a longer sibling (their presence is implied).
 
-
-def required_literals(pattern: "re.Pattern[str]") -> Tuple[LiteralRequirement, ...]:
-    """Every useful literal each match of ``pattern`` must contain.
-
-    Unlike :func:`required_literal` this returns the full conjunction —
-    a match must contain *all* of the returned literals — and it covers
-    ``IGNORECASE`` patterns by emitting lowercased ``folded``
-    requirements for ASCII literal runs.  Literals that are substrings
-    of a longer sibling are dropped (their presence is implied), as are
-    runs shorter than the usefulness floor.
-    """
-    parsed = _parse(pattern)
-    if parsed is None:
-        return ()
-    folded = bool(pattern.flags & re.IGNORECASE)
-    runs = [r for r in _literals_of(parsed) if len(r) >= _MIN_USEFUL]
-    if folded:
-        runs = [r.lower() for r in runs if r.isascii()]
-    # Deduplicate and drop substring-redundant runs, longest first so a
-    # kept literal can only be shadowed by an already-kept longer one.
-    kept: List[str] = []
-    for run in sorted(set(runs), key=lambda r: (-len(r), r)):
-        if not any(run in longer for longer in kept):
-            kept.append(run)
-    return tuple(LiteralRequirement(text=run, folded=folded) for run in kept)
-
-
-def required_literal_groups(
-    pattern: "re.Pattern[str]",
-) -> Tuple[Tuple[LiteralRequirement, ...], ...]:
-    """Disjunction groups: each group lists literals of which *one* must appear.
-
-    Derived from branches on the pattern's guaranteed path whose every
-    alternative carries a literal: a match necessarily takes one
-    alternative and therefore contains that alternative's literal.  This
-    covers alternation-shaped rules (``(?:password|passwd|pwd)``,
-    ``os\\.(?:execl|execv|spawnl)``) that the single-substring
-    conjunction cannot: their alternatives share no useful common
-    substring, so without groups they would run on every file.
-
+    ``groups`` — each group lists literals of which *one* must appear:
+    derived from branches on the pattern's guaranteed path whose every
+    alternative carries a literal, because a match necessarily takes
+    one alternative and therefore contains that alternative's literal.
+    This covers alternation-shaped rules (``(?:password|passwd|pwd)``,
+    ``os\\.(?:execl|execv|spawnl)``) whose alternatives share no useful
+    common substring, so without groups they would run on every file.
     A group is dropped whole when any member falls below the usefulness
     floor or, for ``IGNORECASE`` patterns, is non-ASCII (the fold would
     be unsound for that member, making the OR-check unable to vouch for
     its matches).
+
+    ``provenance`` — the longest case-sensitive run of at least
+    ``_MIN_USEFUL`` characters, the first in walk order on a tie.
+    ``None`` for ``IGNORECASE`` patterns and when no such run exists.
+    Provenance data only: matching selects rules through the candidate
+    index.
+    """
+
+    conjunction: Tuple[LiteralRequirement, ...] = ()
+    groups: Tuple[Tuple[LiteralRequirement, ...], ...] = ()
+    provenance: Optional[str] = None
+
+
+def literal_requirements(pattern: "re.Pattern[str]") -> LiteralRequirements:
+    """The literals every match of ``pattern`` must contain, from one parse.
+
+    ``IGNORECASE`` patterns get lowercased ``folded`` requirements for
+    their ASCII literal runs.  A pattern the walker does not model
+    (``LOCALE``, or one the parser rejects) requires nothing.
     """
     parsed = _parse(pattern)
     if parsed is None:
-        return ()
+        return LiteralRequirements()
     folded = bool(pattern.flags & re.IGNORECASE)
     raw_groups: List[Tuple[str, ...]] = []
-    _walk(parsed, raw_groups)
+    useful = [r for r in _walk(parsed, raw_groups) if len(r) >= _MIN_USEFUL]
+    provenance = None if folded else _longest(useful)
+    if folded:
+        useful = [r.lower() for r in useful if r.isascii()]
+    # Deduplicate and drop substring-redundant runs, longest first so a
+    # kept literal can only be shadowed by an already-kept longer one.
+    kept: List[str] = []
+    for run in sorted(set(useful), key=lambda r: (-len(r), r)):
+        if not any(run in longer for longer in kept):
+            kept.append(run)
+
     groups: List[Tuple[LiteralRequirement, ...]] = []
     for group in raw_groups:
         members = list(group)
@@ -286,4 +269,8 @@ def required_literal_groups(
         groups.append(
             tuple(LiteralRequirement(text=member, folded=folded) for member in ordered)
         )
-    return tuple(groups)
+    return LiteralRequirements(
+        conjunction=tuple(LiteralRequirement(text=run, folded=folded) for run in kept),
+        groups=tuple(groups),
+        provenance=provenance,
+    )

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.cache import CACHE_DIR_NAME, ScanCache
-from repro.core.engine import PatchitPy
+from repro.core.engine import PatchitPy, detect_with
 from repro.observability.collector import (
     DEFAULT_SLOW_RULE_BUDGET_MS,
     NULL_METRICS,
@@ -406,14 +406,7 @@ class ProjectScanner:
             else:
                 if t.enabled and cache is not None:
                     t.event("cache-lookup", str(path), outcome="miss")
-                if t.enabled:
-                    result.findings = self.engine.detect(
-                        source, metrics=m if m.enabled else None, trace=t
-                    )
-                elif m.enabled:
-                    result.findings = self.engine.detect(source, metrics=m)
-                else:
-                    result.findings = self.engine.detect(source)
+                result.findings = detect_with(self.engine, source, m, t)
                 if cache is not None:
                     cache.store(digest, result.findings)
             if not result.findings:
@@ -602,26 +595,16 @@ class ProjectScanner:
             if digest is not None and stat is not None:
                 return result, digest, (stat.st_mtime_ns, stat.st_size), snapshot, buffer
             return result, None, None, snapshot, buffer
+        file_sid = buffer.begin("file", str(path)) if buffer is not None else ""
+        result.findings = detect_with(self.engine, source, snapshot, buffer)
         if buffer is not None:
-            file_sid = buffer.begin("file", str(path))
-            result.findings = self.engine.detect(
-                source, metrics=snapshot, trace=buffer
-            )
             buffer.end(file_sid, findings=len(result.findings))
-        elif snapshot is not None:
-            result.findings = self.engine.detect(source, metrics=snapshot)
-        else:
-            result.findings = self.engine.detect(source)
         if snapshot is not None:
             snapshot.time_file(str(path), clock() - start)
             if self.slow_rule_budget_ms is not None:
                 snapshot.flag_slow_rules(str(path), self.slow_rule_budget_ms)
         assert stat is not None and digest is not None
         return result, digest, (stat.st_mtime_ns, stat.st_size), snapshot, buffer
-
-    def _analyze_file(self, path: Path) -> FileResult:
-        result, _digest, _stat, _metrics, _trace = self._analyze_one(path)
-        return result
 
 
 def _cache_counts(cache: Optional[ScanCache]) -> Tuple[int, int, int]:

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import ScanCache, hash_source
-from repro.core.engine import PatchitPy, PatchResult
+from repro.core.engine import PatchitPy, PatchResult, detect_with
 from repro.core.verify import finding_key
 from repro.exceptions import ReproError
 from repro.observability.collector import NULL_METRICS, ScanMetrics, clock
@@ -562,16 +562,7 @@ class _Reviewer:
             entry = self.cache.lookup(digest)
             if entry is not None and entry.error is None:
                 return list(entry.findings), True
-        m = self.metrics
-        t = self.trace
-        if t.enabled:
-            findings = self.engine.detect(
-                source, metrics=m if m.enabled else None, trace=t
-            )
-        elif m.enabled:
-            findings = self.engine.detect(source, metrics=m)
-        else:
-            findings = self.engine.detect(source)
+        findings = detect_with(self.engine, source, self.metrics, self.trace)
         if self.cache is not None:
             self.cache.store(digest, findings)
         return findings, False

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.prefilter import required_literal
+from repro.core.prefilter import LiteralRequirements, literal_requirements
 from repro.cwe import OwaspCategory, normalize_cwe_id, owasp_category_for
 from repro.exceptions import DuplicateRuleError, RuleError
-from repro.types import Confidence, Severity
+from repro.types import Confidence, LineIndex, Severity
 
 # A patch builder receives the regex match and returns the replacement text
 # plus any import statements the replacement requires.
@@ -66,29 +67,19 @@ class Guard:
         """True when the guard suppresses this match.
 
         ``lines`` optionally passes the caller's shared
-        :class:`~repro.types.LineIndex` for ``source`` so line-scope
-        guards reuse one line table across every rule and match of a
-        scan instead of re-deriving the line per veto check.
+        :class:`~repro.types.LineIndex` for ``source`` so every rule and
+        match of a scan reuses one index.
         """
         if self.scope == "match":
             return bool(self.pattern.search(match.group(0)))
         if self.scope == "line":
-            if lines is not None:
-                line = lines.line_text(match.start())
-            else:
-                line = _line_containing(source, match.start())
-            return bool(self.pattern.search(line))
+            # not truthiness: LineIndex.__len__ builds the whole line table
+            if lines is None:
+                lines = LineIndex(source)
+            return bool(self.pattern.search(lines.line_text(match.start())))
         if self.scope == "file":
             return bool(self.pattern.search(source))
         raise RuleError(f"unknown guard scope: {self.scope}")
-
-
-def _line_containing(source: str, offset: int) -> str:
-    start = source.rfind("\n", 0, offset) + 1
-    end = source.find("\n", offset)
-    if end == -1:
-        end = len(source)
-    return source[start:end]
 
 
 _NOSEC_GUARD = Guard(pattern=re.compile(r"#\s*nosec"), scope="line", description="# nosec waiver")
@@ -113,11 +104,17 @@ class DetectionRule:
     guards: Tuple[Guard, ...] = ()
     prerequisites: Tuple["re.Pattern[str]", ...] = ()
     message: str = ""
-    # Literal prefilter (the longest substring every match must contain),
-    # derived once at construction.  Provenance data only: --explain,
-    # SARIF and the HTML report print it, while matching selects rules
-    # through the candidate index (repro.core.candidates).
-    prefilter: Optional[str] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def literals(self) -> LiteralRequirements:
+        """The literals every match must contain, from one parse of the pattern.
+
+        Derived on first read and kept on the instance, so it pickles with
+        the rule into pool processes and every :class:`RuleSet` holding
+        the rule shares it: the candidate index reads the conjunction and
+        groups, provenance reads the longest literal.
+        """
+        return literal_requirements(self.pattern)
 
     def applies_to(self, source: str) -> bool:
         """True when every file-scope prerequisite is satisfied."""
@@ -127,7 +124,6 @@ class DetectionRule:
         object.__setattr__(self, "cwe_id", normalize_cwe_id(self.cwe_id))
         if not self.rule_id:
             raise RuleError("rule_id must be non-empty")
-        object.__setattr__(self, "prefilter", required_literal(self.pattern))
 
     @property
     def owasp(self) -> Optional[OwaspCategory]:

@@ -146,7 +146,7 @@ def build_rules() -> list:
             "PIT-A03-11",
             "CWE-095",
             "eval() on a dynamic expression",
-            r"(?<![\w.])eval\(\s*(?P<expr>[^()]*(?:\([^()]*\)[^()]*)*)\)",
+            r"(?<![\w.])eval\(\s*(?P<expr>(?:[^()\s][^()]*)?(?:\([^()]*\)[^()]*)*)\)",
             severity=Severity.CRITICAL,
             not_on_line=(r"literal_eval",),
             patch=PatchTemplate(

@@ -73,7 +73,7 @@ def build_rules() -> list:
             "PIT-A08-06",
             "CWE-502",
             "yaml.load() without a safe loader",
-            r"yaml\.load\(\s*(?P<args>[^()]*(?:\([^()]*\)[^()]*)*)\)",
+            r"yaml\.load\(\s*(?P<args>(?:[^()\s][^()]*)?(?:\([^()]*\)[^()]*)*)\)",
             severity=Severity.HIGH,
             not_if=(r"SafeLoader",),
             patch=PatchTemplate(

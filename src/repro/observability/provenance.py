@@ -206,7 +206,7 @@ def provenance_from_match(
     detection-only workflows — a failing patch builder degrades to a
     record without a patch section rather than a failed scan.
     """
-    literal = rule.prefilter
+    literal = rule.literals.provenance
     record = Provenance(
         rule_id=rule.rule_id,
         cwe_id=rule.cwe_id,

@@ -1,51 +1,105 @@
 """Tests for literal prefiltering: correctness is pinned by equivalence."""
 
+import pickle
 import random
 import re
 
 import pytest
 
+from repro.core import prefilter
 from repro.core.prefilter import (
     LiteralRequirement,
     _longest_common_substring,
-    required_literal,
-    required_literal_groups,
-    required_literals,
+    literal_requirements,
 )
-from repro.core.rules import extended_ruleset
+from repro.core.rules import default_ruleset, extended_ruleset, full_catalog
 from repro.core.rules.javascript import javascript_ruleset
 
 
+def provenance(pattern):
+    return literal_requirements(pattern).provenance
+
+
+def conjunction(pattern):
+    return literal_requirements(pattern).conjunction
+
+
+def groups_of(pattern):
+    return literal_requirements(pattern).groups
+
+
 class TestDerivation:
+    """The provenance literal: the longest case-sensitive run."""
+
     def test_plain_literal(self):
-        assert required_literal(re.compile(r"pickle\.loads\(")) == "pickle.loads("
+        assert provenance(re.compile(r"pickle\.loads\(")) == "pickle.loads("
 
     def test_longest_run_chosen(self):
-        literal = required_literal(re.compile(r"os\.system\(\s*f['\"]"))
+        literal = provenance(re.compile(r"os\.system\(\s*f['\"]"))
         assert literal == "os.system("
 
     def test_branch_requires_all(self):
         # each alternative has a literal → the weakest guarantee is usable
-        literal = required_literal(re.compile(r"(?:telnetlib\.Telnet|ftplib\.FTP)\("))
+        literal = provenance(re.compile(r"(?:telnetlib\.Telnet|ftplib\.FTP)\("))
         assert literal is not None
 
     def test_branch_with_free_alternative(self):
         # one alternative is pure wildcard → nothing is required
-        assert required_literal(re.compile(r"(?:pickle\.loads|\w+)x")) is None
+        assert provenance(re.compile(r"(?:pickle\.loads|\w+)x")) is None
 
     def test_optional_group_skipped(self):
-        literal = required_literal(re.compile(r"(?:import\s+)?yaml\.load\("))
+        literal = provenance(re.compile(r"(?:import\s+)?yaml\.load\("))
         assert literal == "yaml.load("
 
     def test_short_literals_rejected(self):
-        assert required_literal(re.compile(r"\bok\b")) is None
+        assert provenance(re.compile(r"\bok\b")) is None
 
     def test_ignorecase_disables(self):
-        assert required_literal(re.compile(r"SELECT", re.IGNORECASE)) is None
+        assert provenance(re.compile(r"SELECT", re.IGNORECASE)) is None
 
     def test_repeat_min_one_contributes(self):
-        literal = required_literal(re.compile(r"(?:abcdef)+\d"))
+        literal = provenance(re.compile(r"(?:abcdef)+\d"))
         assert literal == "abcdef"
+
+    def test_longest_tie_keeps_the_first_in_walk_order(self):
+        # The conjunction sorts longest first and then alphabetically; the
+        # provenance literal keeps walk order.  --explain, SARIF and the
+        # HTML report print it, so a change here would move their output.
+        catalog = full_catalog()
+        for rule_id, shown, first_sorted in (
+            ("PIT-A01-13", "open(", "/tmp/"),
+            ("PIT-A01-15", "request.", ".items()"),
+        ):
+            literals = catalog.get(rule_id).literals
+            assert literals.provenance == shown
+            assert literals.conjunction[0].text == first_sorted
+
+
+class TestOneDerivation:
+    """Each rule parses its pattern once, on the first read of its literals."""
+
+    def test_catalog_parses_nothing_and_index_parses_each_rule_once(self, monkeypatch):
+        parses = []
+        parse = prefilter._parse
+
+        def counted(pattern):
+            parses.append(pattern.pattern)
+            return parse(pattern)
+
+        monkeypatch.setattr(prefilter, "_parse", counted)
+        rules = default_ruleset()
+        assert parses == []
+        rules.candidate_index()
+        assert sorted(parses) == sorted(rule.pattern.pattern for rule in rules)
+        del parses[:]
+        rules.without("PIT-A03-11").candidate_index()
+        for rule in rules:
+            rule.literals.provenance
+        clone = pickle.loads(pickle.dumps(rules))
+        clone.candidate_index()
+        for rule in clone:
+            rule.literals.provenance
+        assert parses == []
 
 
 class TestSafety:
@@ -57,9 +111,9 @@ class TestSafety:
     )
     def test_literal_present_in_rule_matches(self, ruleset_name, rules, flat_samples):
         derived = {
-            r.rule_id: required_literal(r.pattern)
+            r.rule_id: r.literals.provenance
             for r in rules
-            if required_literal(r.pattern) is not None
+            if r.literals.provenance is not None
         }
         assert derived, "at least some rules must gain a prefilter"
         for sample in flat_samples[:150]:
@@ -83,7 +137,7 @@ class TestSafety:
 
     def test_prefilter_coverage_is_high(self):
         rules = list(extended_ruleset())
-        covered = sum(required_literal(r.pattern) is not None for r in rules)
+        covered = sum(r.literals.provenance is not None for r in rules)
         assert covered / len(rules) > 0.5
 
 
@@ -123,29 +177,32 @@ class TestLongestCommonSubstring:
 
 
 class TestMultiLiteralExtraction:
+    """The conjunction: every useful literal a match must contain."""
+
     def test_concatenation_yields_full_conjunction(self):
-        reqs = required_literals(re.compile(r"subprocess\.call\(.*shell\s*=\s*True"))
+        reqs = conjunction(re.compile(r"subprocess\.call\(.*shell\s*=\s*True"))
         texts = {r.text for r in reqs}
         assert "subprocess.call(" in texts
         assert "True" in texts
         assert all(not r.folded for r in reqs)
 
-    def test_single_literal_agrees_with_required_literal(self):
+    def test_single_literal_agrees_with_provenance_literal(self):
         pattern = re.compile(r"pickle\.loads\(")
-        assert {r.text for r in required_literals(pattern)} == {"pickle.loads("}
+        assert {r.text for r in conjunction(pattern)} == {"pickle.loads("}
+        assert provenance(pattern) == "pickle.loads("
 
     def test_substring_redundant_literals_dropped(self):
         # "load(" is a substring of "yaml.load(" — only the longer literal
         # survives (the shorter one's presence is implied).
-        reqs = required_literals(re.compile(r"yaml\.load\(.*load\("))
+        reqs = conjunction(re.compile(r"yaml\.load\(.*load\("))
         assert {r.text for r in reqs} == {"yaml.load("}
 
     def test_short_runs_dropped(self):
-        reqs = required_literals(re.compile(r"ab\d+cdef"))
+        reqs = conjunction(re.compile(r"ab\d+cdef"))
         assert {r.text for r in reqs} == {"cdef"}
 
     def test_ignorecase_emits_folded_lowercase(self):
-        reqs = required_literals(re.compile(r"SELECT\s+.*\s+FROM", re.IGNORECASE))
+        reqs = conjunction(re.compile(r"SELECT\s+.*\s+FROM", re.IGNORECASE))
         assert reqs
         assert all(r.folded for r in reqs)
         assert all(r.text == r.text.lower() for r in reqs)
@@ -154,17 +211,17 @@ class TestMultiLiteralExtraction:
     def test_ignorecase_non_ascii_literal_dropped(self):
         # 'İ'.lower() has len 2: a case-insensitive substring check over
         # lowered text would be unsound, so non-ASCII literals vanish.
-        reqs = required_literals(re.compile(r"İİİİ\d", re.IGNORECASE))
+        reqs = conjunction(re.compile(r"İİİİ\d", re.IGNORECASE))
         assert reqs == ()
 
     def test_case_sensitive_literals_never_folded(self):
-        reqs = required_literals(re.compile(r"eval\("))
+        reqs = conjunction(re.compile(r"eval\("))
         assert reqs == (LiteralRequirement(text="eval(", folded=False),)
 
     def test_every_literal_is_required(self):
         # safety: any string the pattern matches contains every literal
         pattern = re.compile(r"hashlib\.md5\(.*\)|hashlib\.sha1\(.*\)")
-        reqs = required_literals(pattern)
+        reqs = conjunction(pattern)
         assert reqs
         probe = "x = hashlib.md5(data)"
         assert pattern.search(probe)
@@ -173,32 +230,34 @@ class TestMultiLiteralExtraction:
 
 
 class TestDisjunctionGroups:
+    """The groups: one literal of each must appear."""
+
     def test_branch_yields_one_of_group(self):
-        groups = required_literal_groups(re.compile(r"(?:Markup|mark_safe)\("))
+        groups = groups_of(re.compile(r"(?:Markup|mark_safe)\("))
         assert len(groups) == 1
         assert {r.text for r in groups[0]} == {"Markup", "mark_safe"}
 
     def test_factored_prefix_glued_back_on(self):
         # sre_parse turns "password|passwd|pwd" into "p" + "assword|asswd|wd";
         # the walker must reconstruct the full discriminating literals.
-        groups = required_literal_groups(re.compile(r"(?:password|passwd|pwd)\s*="))
+        groups = groups_of(re.compile(r"(?:password|passwd|pwd)\s*="))
         assert len(groups) == 1
         assert {r.text for r in groups[0]} == {"password", "passwd", "pwd"}
 
     def test_group_dropped_when_member_below_floor(self):
-        groups = required_literal_groups(re.compile(r"(?:ElementTree|ET)\."))
+        groups = groups_of(re.compile(r"(?:ElementTree|ET)\."))
         assert groups == ()
 
     def test_free_alternative_kills_group(self):
-        assert required_literal_groups(re.compile(r"(?:evil_call|\w+)x")) == ()
+        assert groups_of(re.compile(r"(?:evil_call|\w+)x")) == ()
 
     def test_optional_branch_not_guaranteed(self):
         # a branch behind a min-0 quantifier may never be traversed
-        groups = required_literal_groups(re.compile(r"(?:alpha|beta)?\d"))
+        groups = groups_of(re.compile(r"(?:alpha|beta)?\d"))
         assert groups == ()
 
     def test_ignorecase_groups_fold(self):
-        groups = required_literal_groups(
+        groups = groups_of(
             re.compile(r"(?:SELECT|INSERT)\s", re.IGNORECASE)
         )
         assert len(groups) == 1
@@ -208,7 +267,7 @@ class TestDisjunctionGroups:
     def test_group_members_are_individually_required(self):
         # safety: every match contains at least one member of every group
         pattern = re.compile(r"os\.(?:execl|execve|spawnl)\([^)]*\)")
-        groups = required_literal_groups(pattern)
+        groups = groups_of(pattern)
         assert groups
         for probe in ("os.execl(a)", "os.execve(b, c)", "os.spawnl(d)"):
             assert pattern.search(probe)

@@ -1,14 +1,17 @@
-"""Four default rules that used to backtrack cubically on an unclosed call.
+"""Six default rules that used to backtrack on an unclosed call.
 
 ``PIT-A02-05``, ``PIT-A08-01``, ``PIT-A08-02`` and ``PIT-A03-09`` each
 had three adjacent repeats that could match the same spaces (``\\s*``, a
 negated class that also takes whitespace, and ``\\s*`` or a second copy
 of the class), so ``"pickle.loads(" + " " * n`` — a half-written call,
-the engine's everyday input — took O(n³) before failing.  Their
-rewrites keep every match: the property below holds each catalog
-pattern to the old one, spans and named groups, on text built from the
-characters that decide those patterns.  The growth test times n and 4n
-and asserts near-linear growth rather than a wall-clock cap.
+the engine's everyday input — took O(n³) before failing.
+``PIT-A03-11`` and ``PIT-A08-06`` had two (``\\s*`` and the negated
+class that opens the group), so they took O(n²).  Each rewrite opens
+the group with a class that excludes whitespace and keeps every match:
+the property below holds each catalog pattern to the old one, spans and
+named groups, on text built from the characters that decide those
+patterns.  The growth test times n and 4n and asserts near-linear growth
+rather than a wall-clock cap.
 """
 
 from __future__ import annotations
@@ -39,6 +42,14 @@ OLD = {
     "PIT-A03-09": (
         "os.popen(",
         r"os\.popen\(\s*(?P<cmd>[^()]+)\s*\)",
+    ),
+    "PIT-A03-11": (
+        "eval(",
+        r"(?<![\w.])eval\(\s*(?P<expr>[^()]*(?:\([^()]*\)[^()]*)*)\)",
+    ),
+    "PIT-A08-06": (
+        "yaml.load(",
+        r"yaml\.load\(\s*(?P<args>[^()]*(?:\([^()]*\)[^()]*)*)\)",
     ),
 }
 
