@@ -17,7 +17,8 @@ spliced into the middle of a docstring and docstring lines are never
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 _IMPORT_LINE_RE = re.compile(r"^(?:import\s+[\w.]+|from\s+[\w.]+\s+import\s+.+)", re.MULTILINE)
 _FROM_IMPORT_RE = re.compile(r"^from\s+(?P<module>[\w.]+)\s+import\s+(?P<names>[^#\n]+)")
@@ -72,7 +73,11 @@ def string_spans(source: str) -> List[Tuple[int, int]]:
 
 
 def _offset_in_spans(offset: int, spans: Sequence[Tuple[int, int]]) -> bool:
-    return any(start <= offset < end for start, end in spans)
+    """Whether ``offset`` lies in one of ``spans``, which
+    :func:`string_spans` returns sorted and disjoint: only the last span
+    starting at or before ``offset`` can hold it."""
+    index = bisect_right(spans, (offset, float("inf"))) - 1
+    return index >= 0 and offset < spans[index][1]
 
 
 class ImportManager:
@@ -255,12 +260,29 @@ def insert_imports(source: str, statements: Sequence[str]) -> str:
 _NAME_RE_CACHE: dict = {}
 
 
-def _name_used(source: str, name: str) -> bool:
+def _used_outside(
+    source: str, name: str, start: int, end: int, first_use: Dict[str, int]
+) -> bool:
+    """Whether ``source`` uses ``name`` outside ``[start, end)``, a whole
+    line — whether the text without that line uses it.
+
+    A use never crosses a line break, so the first use (memoized in
+    ``first_use``, -1 for none) decides, unless it lies on this line;
+    then only a use after the line can.
+    """
     pattern = _NAME_RE_CACHE.get(name)
     if pattern is None:
         pattern = re.compile(rf"(?<![\w.]){re.escape(name)}(?![\w])")
         _NAME_RE_CACHE[name] = pattern
-    return bool(pattern.search(source))
+    if name not in first_use:
+        match = pattern.search(source)
+        first_use[name] = -1 if match is None else match.start()
+    first = first_use[name]
+    if first < 0:
+        return False
+    if not start <= first < end:
+        return True
+    return pattern.search(source, end) is not None
 
 
 def prune_unused_imports(source: str) -> str:
@@ -277,10 +299,10 @@ def prune_unused_imports(source: str) -> str:
     name is unreferenced) and import-shaped text inside string literals.
     """
     spans = string_spans(source)
-    lines = source.splitlines(keepends=True)
+    first_use: Dict[str, int] = {}
     kept = []
     offset = 0
-    for index, line in enumerate(lines):
+    for line in source.splitlines(keepends=True):
         line_start = offset
         offset += len(line)
         stripped = line.strip()
@@ -303,7 +325,9 @@ def prune_unused_imports(source: str) -> str:
         except ValueError:
             kept.append(line)
             continue
-        rest = "".join(lines[:index]) + "".join(lines[index + 1 :])
-        if any(_name_used(rest, binding) for binding in bindings):
+        if any(
+            _used_outside(source, binding, line_start, offset, first_use)
+            for binding in bindings
+        ):
             kept.append(line)
     return "".join(kept)

@@ -8,6 +8,7 @@ corrupting the file.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -48,9 +49,16 @@ def apply_patches(source: str, patches: Sequence[Patch]) -> AppliedPatches:
 def _resolve_overlaps(patches: Sequence[Patch]) -> Tuple[List[Patch], List[Patch]]:
     accepted: List[Patch] = []
     skipped: List[Patch] = []
+    # The accepted spans as sorted (start, end) pairs.  They never
+    # overlap, so their ends rise with their starts, and of those that
+    # start before a span ends, the last reaches furthest.
+    taken: List[Tuple[int, int]] = []
     for patch in patches:
-        if any(patch.span.overlaps(existing.span) for existing in accepted):
+        start, end = patch.span.start, patch.span.end
+        before = bisect_left(taken, (end,))
+        if before and taken[before - 1][1] > start:
             skipped.append(patch)
         else:
             accepted.append(patch)
+            insort(taken, (start, end))
     return accepted, skipped

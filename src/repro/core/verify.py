@@ -170,6 +170,35 @@ def _existing_binding(source: str, name: str) -> Optional[str]:
     return None
 
 
+class _Bindings:
+    """What ``source`` imports and how it binds each name asked about,
+    each derived once however many import batches are checked."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.imports = ImportManager(source)
+        self._how: Dict[str, Optional[str]] = {}
+
+    def collisions(self, statements: Sequence[str]) -> Dict[str, str]:
+        """:func:`binding_collisions` of ``source`` and ``statements``."""
+        collisions: Dict[str, str] = {}
+        for statement in statements:
+            cleaned = statement.strip()
+            if not cleaned or self.imports.has_import(cleaned):
+                continue
+            try:
+                names = import_bindings(cleaned)
+            except ValueError:
+                continue
+            for name in names:
+                if name not in self._how:
+                    self._how[name] = _existing_binding(self.source, name)
+                how = self._how[name]
+                if how is not None:
+                    collisions.setdefault(name, how)
+        return collisions
+
+
 def binding_collisions(source: str, statements: Sequence[str]) -> Dict[str, str]:
     """Names an import batch would bind that ``source`` binds otherwise.
 
@@ -177,21 +206,7 @@ def binding_collisions(source: str, statements: Sequence[str]) -> Dict[str, str]
     already imports are skipped — the import manager deduplicates them,
     so nothing new would be inserted and nothing can collide.
     """
-    manager = ImportManager(source)
-    collisions: Dict[str, str] = {}
-    for statement in statements:
-        cleaned = statement.strip()
-        if not cleaned or manager.has_import(cleaned):
-            continue
-        try:
-            names = import_bindings(cleaned)
-        except ValueError:
-            continue
-        for name in names:
-            how = _existing_binding(source, name)
-            if how is not None:
-                collisions.setdefault(name, how)
-    return collisions
+    return _Bindings(source).collisions(statements)
 
 
 # ---------------------------------------------------------------- verdicts
@@ -268,14 +283,17 @@ class PatchVerifier:
     passes its own uninstrumented detect so verification sees exactly the
     findings a fresh scan of the patched output would see (subclassed
     engines included).  The engine builds one verifier per ``patch()``
-    call, so the original's syntax context, memoized here, is compiled
-    at most once per call however many attempts the re-patch loop runs.
+    call, so the original's syntax context and its imports and
+    bindings, memoized here, are each derived at most once per call
+    however many patches carry imports and however many attempts the
+    re-patch loop runs.
     """
 
     def __init__(self, detect: Callable[[str], Sequence[Finding]]) -> None:
         self._detect = detect
         self._original: Optional[str] = None
         self._original_context: Optional[str] = None
+        self._bindings: Optional[_Bindings] = None
 
     def _context_of_original(self, original: str) -> Optional[str]:
         """:func:`syntax_context` of ``original``, memoized per text."""
@@ -283,6 +301,12 @@ class PatchVerifier:
             self._original_context = syntax_context(original)
             self._original = original
         return self._original_context
+
+    def _bindings_of_original(self, original: str) -> _Bindings:
+        """``original``'s imports and bindings, memoized per text."""
+        if self._bindings is None or self._bindings.source != original:
+            self._bindings = _Bindings(original)
+        return self._bindings
 
     # ------------------------------------------------------------ checks
 
@@ -365,7 +389,9 @@ class PatchVerifier:
         )
         collisions: Dict[str, str] = {}
         if patch.new_imports:
-            collisions = binding_collisions(original, patch.new_imports)
+            collisions = self._bindings_of_original(original).collisions(
+                patch.new_imports
+            )
         if collisions:
             names = ", ".join(
                 f"{name} ({how})" for name, how in sorted(collisions.items())

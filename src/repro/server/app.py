@@ -75,7 +75,7 @@ from repro.core.sarif import review_to_sarif
 from repro.observability.collector import ScanMetrics, clock
 from repro.observability.exporters import to_prometheus
 from repro.observability.trace import TraceRecorder
-from repro.server.http11 import HttpError, Request, Response
+from repro.server.http11 import HttpError, Request, Response, within
 from repro.server.pipeline import (
     Background,
     Pipeline,
@@ -769,7 +769,7 @@ async def _await_deadline(awaitable, deadline: Optional[float], what: str) -> An
     if deadline is None:
         return await awaitable
     try:
-        return await asyncio.wait_for(awaitable, timeout=deadline)
+        return await within(awaitable, deadline)
     except asyncio.TimeoutError:
         raise HttpError(504, f"{what} missed its deadline of {deadline * 1000.0:g}ms")
 

@@ -68,6 +68,7 @@ from repro.server.http11 import (
     Request,
     Response,
     read_response,
+    within,
     write_request,
 )
 from repro.server.pipeline import (
@@ -249,7 +250,7 @@ class FleetWorker:
     async def probe(self) -> bool:
         """One fresh-connection ``/healthz`` round trip."""
         try:
-            _, _, raw = await asyncio.wait_for(
+            _, _, raw = await within(
                 self.fetch("/healthz"), min(5.0, self.config.proxy_timeout_s)
             )
             return json.loads(raw.decode("utf-8")).get("status") == "ok"
@@ -623,7 +624,7 @@ class FleetRouter(Pipeline):
             worker = self.workers[worker_id]
             try:
                 async with self._forwarding:
-                    status, reply_headers, raw = await asyncio.wait_for(
+                    status, reply_headers, raw = await within(
                         worker.exchange(method, path, body, headers),
                         self.config.proxy_timeout_s,
                     )
@@ -788,7 +789,7 @@ class FleetRouter(Pipeline):
             if worker.state != "up" or worker.port is None:
                 return None
             try:
-                status, _, raw = await asyncio.wait_for(
+                status, _, raw = await within(
                     worker.fetch("/v1/metrics.json"), timeout
                 )
                 return json.loads(raw.decode("utf-8")) if status < 400 else None

@@ -9,6 +9,9 @@ from HTTP is small and this module implements exactly that:
   with hard limits — header size, body size, and one read deadline per
   request — so a slow or hostile client cannot pin a connection open or
   balloon memory;
+- :func:`within`, the one deadline idiom of the request path (framing,
+  pipeline, handlers and the fleet's forwards): a timer on the task
+  already waiting, so a deadline spawns no asyncio Task;
 - response serialization with correct ``Content-Length`` framing and
   explicit keep-alive control;
 - chunked *response* streaming (:class:`ChunkedResponse` /
@@ -29,8 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Awaitable, Dict, List, Optional, Tuple, TypeVar
 from urllib.parse import parse_qsl, urlsplit
 
 #: Reason phrases for every status the daemon emits.
@@ -50,6 +54,25 @@ REASONS = {
 
 MAX_REQUEST_LINE_BYTES = 8 * 1024
 MAX_HEADER_BYTES = 16 * 1024
+
+_T = TypeVar("_T")
+
+
+async def within(awaitable: Awaitable[_T], seconds: float) -> _T:
+    """``awaitable``'s result, or :class:`asyncio.TimeoutError` once
+    ``seconds`` pass, with the awaited work cancelled.
+
+    From Python 3.11 this is ``asyncio.timeout``: a timer that cancels
+    the task already waiting, so the work runs in that task and no Task
+    is spawned for it (``wait_for`` spawns one before 3.12).  Before
+    3.11, and for a non-positive bound, it is ``wait_for`` itself, so a
+    non-positive bound times out at once without starting a coroutine,
+    as it always has.
+    """
+    if sys.version_info >= (3, 11) and seconds > 0:
+        async with asyncio.timeout(seconds):
+            return await awaitable
+    return await asyncio.wait_for(awaitable, seconds)
 
 
 class HttpError(Exception):
@@ -192,18 +215,19 @@ async def read_request(
     Two deadlines cover a request: ``idle_timeout_s`` for its first
     line, then one ``io_timeout_s`` for everything after it — headers
     and body together — so a client trickling header lines cannot hold
-    the connection open past it.
+    the connection open past it.  Both are :func:`within` timers on the
+    connection's own task: reading a request spawns no Task.
     """
     try:
-        line = await asyncio.wait_for(reader.readline(), timeout=idle_timeout_s)
+        line = await within(reader.readline(), idle_timeout_s)
     except asyncio.TimeoutError:
         return None  # idle keep-alive connection: close without a response
     if not line:
         return None  # EOF between requests
     reading = ["request line"]
     try:
-        return await asyncio.wait_for(
-            _read_rest(reader, line, max_body_bytes, reading), timeout=io_timeout_s
+        return await within(
+            _read_rest(reader, line, max_body_bytes, reading), io_timeout_s
         )
     except asyncio.TimeoutError:
         if reading[0] == "request line":

@@ -49,6 +49,7 @@ from repro.server.http11 import (
     Request,
     Response,
     read_request,
+    within,
     write_chunked_response,
     write_response,
 )
@@ -176,9 +177,7 @@ class Pipeline:
             self._listener.close()
         assert self._idle is not None and self._stopped is not None
         with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout_s
-            )
+            await within(self._idle.wait(), self.config.drain_timeout_s)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -341,7 +340,7 @@ async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) ->
     """
     try:
         writer.write_eof()
-        await asyncio.wait_for(_drop_input(reader), _LINGER_S)
+        await within(_drop_input(reader), _LINGER_S)
     except (asyncio.TimeoutError, OSError):
         pass
 

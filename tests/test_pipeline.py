@@ -10,13 +10,19 @@ pin what sharing it buys on the wire:
 - the trace id a fleet answers with is the one its worker logs, and
   each front-door request leaves one access-log line naming its worker;
 - a fleet batch is validated in full before it spends tenant quota;
-- a ``/v1/scan`` ``jobs`` that is not an integer is a 400, not a 500.
+- a ``/v1/scan`` ``jobs`` that is not an integer is a 400, not a 500;
+- from Python 3.11, a keep-alive request spawns no asyncio Task at a
+  daemon or at a fleet's front door: every deadline on the way is a
+  timer on the connection's own task.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -208,3 +214,54 @@ class TestScanJobs:
         body = b'{"root": %s, "jobs": "2", "use_cache": false}' % root
         status, _, doc = _exchange(port, "POST", "/v1/scan", body)
         assert status == 200 and doc["files_scanned"] == 1
+
+
+def _tasks_per_keep_alive_request(handle, requests: int = 10) -> list:
+    """The coroutines the handle's event loop wraps in a Task while one
+    keep-alive client sends ``requests`` patched analyses after its
+    first."""
+    created: list = []
+
+    def counting_factory(loop, coro, **kwargs):
+        created.append(getattr(coro, "__qualname__", repr(coro)))
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    loop = handle._loop
+    installed = threading.Event()
+
+    def install() -> None:
+        loop.set_task_factory(counting_factory)
+        installed.set()
+
+    with ServerClient(port=handle.port) as client:
+        client.analyze(SNIPPET, patch=True)  # the connection's first request
+        loop.call_soon_threadsafe(install)
+        assert installed.wait(5)
+        for index in range(requests):
+            source = f"v{index} = pickle.loads(blob{index})\n"
+            assert client.analyze(source, patch=True)["vulnerable"]
+        return list(created)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="asyncio.timeout arrived in Python 3.11"
+)
+class TestNoTaskPerRequest:
+    """Both read deadlines and the analysis deadline (the forward's, at a
+    fleet's front door) ride the connection's task; ``wait_for`` spawned
+    a Task for each, three per request on each side of a fleet hop."""
+
+    def test_daemon(self):
+        with BackgroundServer(PatchitPyServer(config=ServerConfig(port=0))) as handle:
+            assert _tasks_per_keep_alive_request(handle) == []
+
+    def test_fleet_front_door(self):
+        config = FleetConfig(
+            port=0,
+            workers=1,
+            tenant_rate=10_000.0,
+            tenant_burst=10_000.0,
+            health_interval_s=60.0,  # no health probe inside the window
+        )
+        with BackgroundFleet(FleetRouter(config)) as handle:
+            assert _tasks_per_keep_alive_request(handle) == []
