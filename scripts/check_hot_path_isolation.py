@@ -3,8 +3,8 @@
 
 The observability contract (PR 2, extended by the tracing PR) says a scan
 with tracing disabled executes exactly the pre-tracing code.  Seven
-properties keep that honest, and this script asserts all of
-them:
+properties keep that honest, and an eighth keeps the editor surfaces on
+the one verified patch path; this script asserts all of them:
 
 1. ``repro/core/matching.py`` has no *module-level* import of
    ``repro.observability.trace`` or ``repro.observability.provenance`` —
@@ -49,6 +49,12 @@ them:
    mode, and an untraced one never loads histogram.py.  Unlike the grep
    checks above, this one reads the syntax tree, so imports inside
    top-level ``if``/``try`` blocks and relative imports count too.
+8. Every editor surface ships the edits of a verified ``patch()``: no
+   module under ``repro/ide/`` imports ``repro.core.imports`` or
+   ``repro.core.patcher`` (anywhere, function bodies included), or
+   mentions ``render_patches`` in code.  Surfaces take their edits from
+   a ``PatchResult`` only, so no splice or import insertion of their
+   own can bypass overlap resolution, pruning and the verifier.
 
 Exit code 0 when clean, 1 with a report when violated.  Run from the
 repository root (CI does); takes an optional path to the repo root.
@@ -82,6 +88,21 @@ CLI_DEFERRED = (
     "repro.observability.exporters",
 )
 
+IDE_FORBIDDEN = ("repro.core.imports", "repro.core.patcher")
+
+#: Where a syntax node keeps the identifier it names or defines.
+IDENTIFIER_FIELDS = {ast.Attribute: "attr", ast.Name: "id", ast.FunctionDef: "name"}
+
+
+def _absolute(node: ast.ImportFrom, package: str) -> str:
+    """The module a ``from`` import names, relative imports resolved
+    against ``package``."""
+    module = node.module or ""
+    if not node.level:
+        return module
+    parts = package.split(".")[: len(package.split(".")) - node.level + 1]
+    return ".".join(parts + ([module] if module else []))
+
 
 def _import_time_imports(path: Path, package: str) -> Iterator[Tuple[int, str]]:
     """``(line, module)`` for every import that runs when ``path`` is
@@ -100,11 +121,7 @@ def _import_time_imports(path: Path, package: str) -> Iterator[Tuple[int, str]]:
                 for alias in node.names:
                     yield node.lineno, alias.name
             elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if node.level:
-                    parts = package.split(".")[: len(package.split(".")) - node.level + 1]
-                    module = ".".join(parts + ([module] if module else []))
-                yield node.lineno, module
+                yield node.lineno, _absolute(node, package)
             for name in ("body", "orelse", "finalbody", "handlers"):
                 yield from visit(getattr(node, name, ()))
 
@@ -269,6 +286,31 @@ def main(argv: list[str]) -> int:
                 "subcommand or flag that runs it"
             )
 
+    # 8. The editor surfaces have one patch path: a verified patch().
+    for path in sorted((src / "repro" / "ide").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = _absolute(node, "repro.ide")
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                field = IDENTIFIER_FIELDS.get(type(node))
+                if field and getattr(node, field) == "render_patches":
+                    problems.append(
+                        f"{path}:{node.lineno}: uses render_patches — an "
+                        "editor surface takes its edits from a verified "
+                        "PatchResult only"
+                    )
+                continue
+            forbidden = [m for m in modules if _within(m, IDE_FORBIDDEN)]
+            if forbidden:
+                problems.append(
+                    f"{path}:{node.lineno}: imports {forbidden[0]} — an editor "
+                    "surface splices nothing itself; its edits come from a "
+                    "verified PatchResult"
+                )
+
     if problems:
         print("hot-path isolation violated:")
         for problem in problems:
@@ -280,7 +322,8 @@ def main(argv: list[str]) -> int:
           "verify.py and review.py stay off the hot detect path; "
           "histogram.py is stdlib-only and collector.py defers its "
           "import; the package facades are lazy "
-          "and cli.py defers review, exporters, server and IDE imports")
+          "and cli.py defers review, exporters, server and IDE imports; "
+          "the IDE surfaces ship verified PatchResult edits only")
     return 0
 
 

@@ -4,13 +4,20 @@ The paper's extension "leverages VS Code's TextEdit API, using the
 ``replace()`` method of the editBuilder object to modify code" and places
 new imports via the Position API.  :class:`EditBuilder` reproduces that
 contract: edits are queued against a document snapshot and applied
-atomically, back-to-front, rejecting overlaps.
+atomically in one pass, rejecting overlaps.
+
+What the edits say comes from one place: :func:`line_diff` turns the
+text a surface submitted and the text a verified
+:meth:`~repro.core.PatchitPy.patch` returned into the replacements that
+lead from one to the other.
 """
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass
-from typing import List
+from itertools import accumulate
+from typing import List, Tuple
 
 from repro.exceptions import DocumentError
 from repro.ide.document import Position, Range, TextDocument
@@ -60,12 +67,11 @@ class EditBuilder:
         """The queued edits (copy)."""
         return list(self._edits)
 
-    def apply(self) -> int:
-        """Apply all queued edits atomically; returns the edit count.
+    def _ordered(self) -> List[Tuple[int, int, TextEdit]]:
+        """The queued edits as ``(start, end, edit)`` in document order.
 
-        Edits are validated against the snapshot and applied in reverse
-        document order so earlier offsets remain stable.  Overlapping
-        edits raise :class:`DocumentError` and nothing is applied.
+        Raises :class:`DocumentError` for a range outside the snapshot or
+        for two overlapping edits.
         """
         keyed = []
         for edit in self._edits:
@@ -76,17 +82,34 @@ class EditBuilder:
         for (_, prev_end, _), (next_start, _, _) in zip(keyed, keyed[1:]):
             if next_start < prev_end:
                 raise DocumentError("overlapping edits in one edit builder batch")
-        for start, end, edit in reversed(keyed):
-            start_pos = self._document.position_at(start)
-            end_pos = self._document.position_at(end)
-            self._document.replace(Range(start_pos, end_pos), edit.new_text)
+        return keyed
+
+    def apply(self) -> int:
+        """Apply all queued edits atomically; returns the edit count.
+
+        Edits are validated against the snapshot and spliced into it in
+        one pass, so the document changes once however many edits the
+        batch holds.  Overlapping edits raise :class:`DocumentError` and
+        nothing is applied.
+        """
+        keyed = self._ordered()
+        if keyed:
+            text = self._document.get_text()
+            pieces: List[str] = []
+            done = 0
+            for start, end, edit in keyed:
+                pieces += (text[done:start], edit.new_text)
+                done = end
+            pieces.append(text[done:])
+            self._document.replace(self._document.full_range(), "".join(pieces))
         applied = len(self._edits)
         self._edits.clear()
         return applied
 
 
 class WorkspaceEdit:
-    """Edits across multiple documents, applied per-document atomically."""
+    """Edits across multiple documents, applied atomically: every
+    document's edits are validated before any document changes."""
 
     def __init__(self) -> None:
         self._per_document: dict = {}
@@ -103,4 +126,31 @@ class WorkspaceEdit:
         return self._per_document[document.uri]
 
     def apply(self) -> int:
-        return sum(builder.apply() for builder in self._per_document.values())
+        builders = list(self._per_document.values())
+        for builder in builders:
+            builder._ordered()
+        return sum(builder.apply() for builder in builders)
+
+
+def line_diff(before: str, after: str) -> List[Tuple[int, int, str]]:
+    """The minimal line diff that turns ``before`` into ``after``.
+
+    Returns ``(start, end, new_text)`` replacements in ``before``'s
+    character offsets, in document order and never overlapping, so
+    applying all of them gives exactly ``after``.  The lines compared
+    are ``str.splitlines(keepends=True)`` pieces: each keeps its own
+    ending, so CRLF text round-trips, and offsets count characters, so
+    non-ASCII text does too.  ``SequenceMatcher``'s junk heuristic stays
+    on: from 200 lines up it skips lines that fill over 1% of the text
+    (blank lines, ``return``) as match anchors, which keeps a 256 KiB
+    diff near 0.2 s instead of 6 s for an edit a few characters larger.
+    """
+    old = before.splitlines(keepends=True)
+    new = after.splitlines(keepends=True)
+    offsets = list(accumulate(map(len, old), initial=0))
+    matcher = difflib.SequenceMatcher(None, old, new)
+    return [
+        (offsets[i1], offsets[i2], "".join(new[j1:j2]))
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes()
+        if tag != "equal"
+    ]

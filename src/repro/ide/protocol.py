@@ -8,8 +8,13 @@ document model:
 - ``textDocument/didOpen``/``didChange`` → diagnostics published per
   document (one diagnostic per finding, LSP severity mapping, CWE code);
 - ``textDocument/codeAction`` → one quick-fix action per patchable
-  finding in the requested range, carrying a workspace edit (span
-  replacement + import insertion) the client applies verbatim.
+  finding identity in the requested range whose verified patch changes
+  the document.  Its workspace edit is the line diff from the document
+  to ``engine.patch(source, findings, exclude=<the other findings'
+  keys>)`` (:func:`~repro.ide.edits.line_diff`), imports included,
+  which the client applies verbatim.  Identities hash the rule and the
+  matched text, so identical matches (two ``hashlib.md5(`` calls) share
+  one action, which fixes them all.
 
 Payloads are plain dicts in LSP 3.17 shapes, so a thin stdio transport
 can serve any LSP-capable editor.
@@ -18,7 +23,7 @@ The language server normally embeds an in-process engine; pointing it at
 a running scan daemon instead is one line —
 ``LanguageServer(engine=ServerTransport(ServerClient(port=8753)))`` —
 because :class:`ServerTransport` exposes the two engine methods the
-server calls (``detect`` and ``render_patches``) over the daemon's
+server calls (``detect`` and ``patch``) over the daemon's
 ``/v1/analyze`` endpoint.  Many editor windows then share one warm
 engine instead of each paying rule-compilation at startup.
 """
@@ -26,12 +31,15 @@ engine instead of each paying rule-compilation at startup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core import PatchitPy
-from repro.core.imports import ImportManager
-from repro.ide.document import TextDocument
-from repro.types import Finding, Patch, Severity, Span
+from repro.core.engine import PatchResult
+from repro.core.verify import PatchVerdict, finding_key
+from repro.exceptions import DocumentError
+from repro.ide.document import Position, Range, TextDocument
+from repro.ide.edits import WorkspaceEdit, line_diff
+from repro.types import Finding, Patch, Severity
 
 # LSP DiagnosticSeverity: 1=Error, 2=Warning, 3=Information, 4=Hint
 _LSP_SEVERITY = {
@@ -140,37 +148,44 @@ class LanguageServer:
         if end_offset is None:
             end_offset = len(source)
 
+        keys = [finding_key(source, f) for f in findings]
+        every_key = frozenset(keys)
+        # Identities are position-independent: same-text twins share a
+        # key, which must stay patchable, so they share one action.
+        in_range: Dict[str, List[Finding]] = {}
+        for finding, key in zip(findings, keys):
+            if (
+                finding.fixable
+                and start_offset <= finding.span.end
+                and finding.span.start <= end_offset
+            ):
+                in_range.setdefault(key, []).append(finding)
         actions: List[Dict[str, object]] = []
-        for finding in findings:
-            if finding.span.end < start_offset or finding.span.start > end_offset:
+        for key, twins in in_range.items():
+            result = self.engine.patch(source, findings, exclude=every_key - {key})
+            if not result.changed:
                 continue
-            patches = self.engine.render_patches(source, [finding])
-            if not patches:
-                continue
-            patch = patches[0]
+            description = next(
+                (p.description for p in result.rendered if p.trigger_key == key), ""
+            )
             edits = [
-                {
-                    "range": _range(document, patch.span.start, patch.span.end),
-                    "newText": patch.replacement,
-                }
+                {"range": _range(document, start, end), "newText": new_text}
+                for start, end, new_text in line_diff(source, result.patched)
             ]
-            manager = ImportManager(source)
-            missing = manager.missing(patch.new_imports)
-            if missing:
-                insert_at = manager.insertion_offset()
-                edits.append(
-                    {
-                        "range": _range(document, insert_at, insert_at),
-                        "newText": "\n".join(missing) + "\n",
-                    }
-                )
             actions.append(
                 {
-                    "title": f"PatchitPy: {patch.description or 'apply safe alternative'}",
+                    "title": f"PatchitPy: {description or 'apply safe alternative'}",
                     "kind": "quickfix",
-                    "diagnostics": [{"code": finding.cwe_id, "message": finding.message}],
+                    "diagnostics": [
+                        {
+                            "range": _range(document, f.span.start, f.span.end),
+                            "code": f.cwe_id,
+                            "message": f.message,
+                        }
+                        for f in twins
+                    ],
                     "edit": {"changes": {uri: edits}},
-                    "data": {"ruleId": finding.rule_id},
+                    "data": {"ruleId": twins[0].rule_id},
                 }
             )
         return actions
@@ -178,43 +193,41 @@ class LanguageServer:
     # ------------------------------------------------------- edit apply
 
     def apply_workspace_edit(self, edit: Dict[str, object]) -> Dict[str, object]:
-        """Apply a ``WorkspaceEdit`` (as a client would) to the documents."""
-        for uri, edits in edit.get("changes", {}).items():
-            document = self._documents[uri]
-            keyed = []
-            for change in edits:
-                start = document.offset_at(_to_position(document, change["range"]["start"]))
-                end = document.offset_at(_to_position(document, change["range"]["end"]))
-                keyed.append((start, end, change["newText"]))
-            for start, end, new_text in sorted(keyed, reverse=True):
-                start_pos = document.position_at(start)
-                end_pos = document.position_at(end)
-                from repro.ide.document import Range
+        """Apply a ``WorkspaceEdit`` (as a client would) to the documents.
 
-                document.replace(Range(start_pos, end_pos), new_text)
+        All or nothing: an edit outside its document, or two edits that
+        overlap, answer ``applied: False`` with a ``failureReason`` and
+        leave every document unchanged.
+        """
+        changes = edit.get("changes", {})
+        workspace = WorkspaceEdit()
+        try:
+            for uri, edits in changes.items():
+                document = self._documents[uri]
+                for change in edits:
+                    bounds = change["range"]
+                    workspace.replace(
+                        document,
+                        Range(Position(**bounds["start"]), Position(**bounds["end"])),
+                        change["newText"],
+                    )
+            workspace.apply()
+        except DocumentError as error:
+            return {"applied": False, "failureReason": str(error)}
         # refresh diagnostics for changed documents
-        refreshed = {}
-        for uri in edit.get("changes", {}):
-            refreshed[uri] = self._publish(uri)
+        refreshed = {uri: self._publish(uri) for uri in changes}
         return {"applied": True, "diagnostics": refreshed}
-
-
-def _to_position(document: TextDocument, payload: Dict[str, int]):
-    from repro.ide.document import Position
-
-    return Position(payload["line"], payload["character"])
 
 
 class ServerTransport:
     """An engine-shaped adapter that analyzes on a running scan daemon.
 
     Implements exactly the :class:`~repro.core.PatchitPy` surface
-    :class:`LanguageServer` touches — :meth:`detect` and
-    :meth:`render_patches` — by calling the daemon's ``/v1/analyze``
-    endpoint and rebuilding the wire payloads into the ordinary
-    :class:`~repro.types.Finding`/:class:`~repro.types.Patch`
-    dataclasses.  ``client`` is any object with the
-    :class:`~repro.server.client.ServerClient` ``analyze()`` signature.
+    :class:`LanguageServer` touches — :meth:`detect` and :meth:`patch` —
+    by calling the daemon's ``/v1/analyze`` endpoint and rebuilding the
+    wire payloads into the ordinary dataclasses.  ``client`` is any
+    object with the :class:`~repro.server.client.ServerClient`
+    ``analyze()`` signature.
     """
 
     def __init__(self, client) -> None:
@@ -224,34 +237,24 @@ class ServerTransport:
         payload = self.client.analyze(source, patch=False)
         return [Finding.from_dict(raw) for raw in payload.get("findings", [])]
 
-    def render_patches(
-        self, source: str, findings: Sequence[Finding]
-    ) -> List[Patch]:
-        payload = self.client.analyze(source, patch=True)
-        rendered = [
-            Patch(
-                rule_id=raw["rule_id"],
-                cwe_id=raw["cwe_id"],
-                span=Span(raw["span"][0], raw["span"][1]),
-                replacement=raw["replacement"],
-                new_imports=tuple(raw.get("imports", ())),
-                description=raw.get("description", ""),
-            )
-            for raw in payload.get("patches", [])
-        ]
-        # The daemon rendered patches for every finding in the source;
-        # keep only those belonging to the findings asked about (matched
-        # by rule at the finding's span — the daemon may re-anchor spans,
-        # so fall back to the rule alone when no span-exact patch exists).
-        wanted: List[Patch] = []
-        for finding in findings:
-            exact = [
-                p
-                for p in rendered
-                if p.rule_id == finding.rule_id and p.span.start == finding.span.start
-            ]
-            by_rule = exact or [p for p in rendered if p.rule_id == finding.rule_id]
-            for patch in by_rule[:1]:
-                if patch not in wanted:
-                    wanted.append(patch)
-        return wanted
+    def patch(
+        self,
+        source: str,
+        findings: Optional[Sequence[Finding]] = None,
+        exclude: Iterable[str] = frozenset(),
+    ) -> PatchResult:
+        """The daemon's verified patch of ``source``, ``exclude`` kept out.
+
+        The daemon detects ``source`` itself, so ``findings`` only keeps
+        the engine's signature.  ``patched`` is the reply's
+        ``patched_source``; ``rendered`` and ``verdicts`` are its
+        ``patches`` and ``patch_verdicts``.  The wire carries no applied,
+        skipped or unpatchable lists, so those stay empty.
+        """
+        payload = self.client.analyze(source, patch=True, exclude=exclude)
+        return PatchResult(
+            original=source,
+            patched=payload["patched_source"],
+            verdicts=[PatchVerdict.from_dict(raw) for raw in payload["patch_verdicts"]],
+            rendered=[Patch.from_dict(raw) for raw in payload["patches"]],
+        )

@@ -83,6 +83,7 @@ from repro.server.pipeline import (
     batch_reply,
     batch_stream,
     deadline_s,
+    exclude_keys,
     json_object,
     require_root,
     require_source,
@@ -174,9 +175,11 @@ def _exit_with_parent(parent: int, interval_s: float = 0.25) -> None:
     threading.Thread(target=watch, name="patchitpy-parent-watch", daemon=True).start()
 
 
-def _pool_unit(source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
+def _pool_unit(
+    source: str, patch: bool, exclude: frozenset
+) -> Tuple[dict, ScanMetrics]:
     assert _WORKER_ENGINE is not None, "pool initializer did not run"
-    return analysis_unit(_WORKER_ENGINE, _WORKER_STORE, source, patch)
+    return analysis_unit(_WORKER_ENGINE, _WORKER_STORE, source, patch, exclude)
 
 
 def analyze_payload(
@@ -184,19 +187,23 @@ def analyze_payload(
     source: str,
     patch: bool,
     trace: Optional[TraceRecorder] = None,
+    exclude: frozenset = frozenset(),
 ) -> Tuple[dict, ScanMetrics]:
     """Run detect(+patch) and shape the JSON payload for one snippet.
 
     Returns ``(payload, metrics)``: the request's own collector, which
     the caller merges into the lifetime collector (a process pool
-    pickles it with the payload; its tables are plain data).  The
-    ``patches`` list is rendered against the *submitted* source (spans
-    anchored to it) so IDE clients can apply the edits verbatim; the
-    fully patched text additionally lands in ``patched_source``.
+    pickles it with the payload; its tables are plain data).
+    ``patched_source`` is the verified patch of the submitted source,
+    the text a client ships; ``exclude`` holds finding keys (see
+    :func:`repro.core.verify.finding_key`) that patch leaves alone.
+    ``patches`` is each remaining finding's first-pass render, spans
+    anchored to the submitted source, for display: applying it does not
+    give ``patched_source``, which adds later passes, import pruning
+    and the verifier's rulings.
 
     With the engine's verifier on (the default), patches the verifier
-    reverted are filtered out of ``patches`` — a client must never apply
-    an edit the verifier refused to ship — and every examined patch's
+    reverted are filtered out of ``patches``, and every examined patch's
     ruling appears in ``patch_verdicts``, with ``patches_reverted`` and
     the aggregate ``verified`` flag alongside.
     """
@@ -207,7 +214,7 @@ def analyze_payload(
         "findings": [f.to_dict() for f in findings],
     }
     if patch:
-        _apply_patch_fields(engine, source, findings, payload, metrics, trace)
+        _apply_patch_fields(engine, source, findings, payload, metrics, trace, exclude)
     if trace is not None and trace.enabled:
         payload["trace_events"] = list(trace.events)
     return payload, metrics
@@ -220,16 +227,19 @@ def _apply_patch_fields(
     payload: dict,
     metrics: ScanMetrics,
     trace: Optional[TraceRecorder] = None,
+    exclude: frozenset = frozenset(),
 ) -> None:
     """Render the patch-mode payload fields for already-detected findings."""
     if findings:
-        result = engine.patch(source, findings, metrics=metrics, trace=trace)
-        reverted_keys = {v.trigger_key for v in result.verdicts if v.reverted}
+        result = engine.patch(
+            source, findings, metrics=metrics, trace=trace, exclude=exclude
+        )
+        dropped = exclude | {v.trigger_key for v in result.verdicts if v.reverted}
         # canonical Patch wire shape (repro.types.Patch.to_dict), shared
         # with the plain-JSON exporter; the patch call's own render of
         # the submitted source, so the first pass renders once
         payload["patches"] = [
-            p.to_dict() for p in result.rendered if p.trigger_key not in reverted_keys
+            p.to_dict() for p in result.rendered if p.trigger_key not in dropped
         ]
         payload["patched_source"] = result.patched
         payload["patches_applied"] = len(result.applied)
@@ -248,7 +258,11 @@ def _apply_patch_fields(
 
 
 def analysis_unit(
-    engine: PatchitPy, store: Optional[ResultStore], source: str, patch: bool
+    engine: PatchitPy,
+    store: Optional[ResultStore],
+    source: str,
+    patch: bool,
+    exclude: frozenset = frozenset(),
 ) -> Tuple[dict, ScanMetrics]:
     """One snippet's whole unit of pool work: ``(payload, metrics)``.
 
@@ -264,7 +278,7 @@ def analysis_unit(
     unit's own collector.
     """
     if store is None:
-        return analyze_payload(engine, source, patch)
+        return analyze_payload(engine, source, patch, exclude=exclude)
     digest = hash_source(source)
     started = clock()
     entry = store.lookup(digest)
@@ -279,9 +293,11 @@ def analysis_unit(
             "from_cache": True,
         }
         if patch:
-            _apply_patch_fields(engine, source, entry.findings, payload, metrics)
+            _apply_patch_fields(
+                engine, source, entry.findings, payload, metrics, exclude=exclude
+            )
     else:
-        payload, metrics = analyze_payload(engine, source, patch)
+        payload, metrics = analyze_payload(engine, source, patch, exclude=exclude)
         metrics.count("cache_misses")
         metrics.count("snippet_cache_misses")
         started = clock()
@@ -412,7 +428,9 @@ class PatchitPyServer(Pipeline):
             )
         self._pending += units
 
-    async def _run_unit(self, source: str, patch: bool) -> Tuple[dict, ScanMetrics]:
+    async def _run_unit(
+        self, source: str, patch: bool, exclude: frozenset = frozenset()
+    ) -> Tuple[dict, ScanMetrics]:
         """One snippet as one :func:`analysis_unit` on the pool (slot held).
 
         One submission either way: with the shared tier, the lookup and
@@ -427,14 +445,18 @@ class PatchitPyServer(Pipeline):
             if not self._uses_process_pool:
                 store = self._snippet_store
                 return await loop.run_in_executor(
-                    pool, analysis_unit, self.engine, store, source, patch
+                    pool, analysis_unit, self.engine, store, source, patch, exclude
                 )
             try:
-                return await loop.run_in_executor(pool, _pool_unit, source, patch)
+                return await loop.run_in_executor(
+                    pool, _pool_unit, source, patch, exclude
+                )
             except BrokenProcessPool:
                 assert pool is not None
                 pool = self._replace_pool(pool)
-                return await loop.run_in_executor(pool, _pool_unit, source, patch)
+                return await loop.run_in_executor(
+                    pool, _pool_unit, source, patch, exclude
+                )
         finally:
             self._release_slot()
 
@@ -514,6 +536,7 @@ class PatchitPyServer(Pipeline):
         patch = bool(body.get("patch", False))
         want_trace = bool(body.get("trace", False))
         deadline = deadline_s(body, self.config.default_deadline_ms)
+        exclude = exclude_keys(body)
         started = clock()
 
         if want_trace:
@@ -521,11 +544,11 @@ class PatchitPyServer(Pipeline):
             # the recorder's event buffer must come back with the result,
             # and the trace is a debugging surface, not the hot path.
             future = self._off_loop(
-                analyze_payload, self.engine, source, patch, TraceRecorder()
+                analyze_payload, self.engine, source, patch, TraceRecorder(), exclude
             )
         else:
             self._acquire_slots(1)
-            future = self._run_unit(source, patch)
+            future = self._run_unit(source, patch, exclude)
         payload, metrics = await _await_deadline(future, deadline, "analysis")
         self.metrics.merge(metrics)
         elapsed = clock() - started

@@ -17,7 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["ServerClient", "ServerError"]
 
@@ -191,13 +191,20 @@ class ServerClient:
         trace: bool = False,
         deadline_ms: Optional[float] = None,
         trace_id: Optional[str] = None,
+        exclude: Iterable[str] = (),
     ) -> Dict[str, Any]:
-        """``POST /v1/analyze`` — findings (and patches) for one snippet."""
+        """``POST /v1/analyze`` — findings (and patches) for one snippet.
+
+        ``exclude`` names finding keys (:func:`repro.core.finding_key`)
+        the patch must leave alone.
+        """
         payload: Dict[str, Any] = {"source": source, "patch": patch}
         if trace:
             payload["trace"] = True
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms
+        if exclude:
+            payload["exclude"] = sorted(exclude)
         return self._request("POST", "/v1/analyze", payload, trace_id=trace_id)
 
     def batch(

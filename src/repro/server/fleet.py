@@ -79,6 +79,7 @@ from repro.server.pipeline import (
     batch_reply,
     batch_stream,
     deadline_s,
+    exclude_keys,
     json_object,
     pipeline_settings,
     require_root,
@@ -660,7 +661,9 @@ class FleetRouter(Pipeline):
     async def _handle_analyze(self, request: Request) -> Response:
         body = json_object(request)
         source = require_source(body)
-        deadline_s(body, 0.0)  # the daemon's check, before quota is spent
+        # the daemon's checks, before quota is spent
+        deadline_s(body, 0.0)
+        exclude_keys(body)
         self._admit(request, units=1.0)
         # Same digest the result caches use — the ring and the shared
         # cache tier agree on what "the same snippet" means.

@@ -63,6 +63,7 @@ __all__ = [
     "batch_reply",
     "batch_stream",
     "deadline_s",
+    "exclude_keys",
     "json_object",
     "pipeline_settings",
     "require_root",
@@ -385,6 +386,21 @@ def deadline_s(body: dict, default_ms: float) -> Optional[float]:
     except (TypeError, ValueError):
         raise HttpError(400, f"deadline_ms must be a number, got {raw!r}")
     return deadline_ms / 1000.0 if deadline_ms > 0 else None
+
+
+#: A finding identity (:func:`repro.core.verify.finding_key`): 16
+#: lowercase hex digits.
+_FINDING_KEY = re.compile(r"[0-9a-f]{16}")
+
+
+def exclude_keys(body: dict) -> frozenset:
+    """The body's ``exclude`` finding keys, which its patch leaves alone."""
+    raw = body.get("exclude", [])
+    if not isinstance(raw, list) or not all(
+        isinstance(key, str) and _FINDING_KEY.fullmatch(key) for key in raw
+    ):
+        raise HttpError(400, "exclude must be a list of 16-hex-digit finding keys")
+    return frozenset(raw)
 
 
 def batch_items(

@@ -372,10 +372,12 @@ FOLD_CHARS = ("\u017f", "\u212a", "\u0130")
 
 @st.composite
 def mutated_samples(draw, sources):
-    """A corpus sample truncated, spliced, CRLF-ended or fold-salted."""
+    """A corpus sample truncated, spliced, CRLF-ended, fold-salted or
+    indented (every line prefixed with 1 to 8 spaces, the shape of a
+    snippet pasted into a function body)."""
     source = draw(st.sampled_from(sources))
     cut = draw(st.integers(0, len(source)))
-    kind = draw(st.sampled_from(("truncate", "splice", "crlf", "fold")))
+    kind = draw(st.sampled_from(("truncate", "splice", "crlf", "fold", "indent")))
     if kind == "truncate":
         return source[:cut]
     if kind == "splice":
@@ -383,6 +385,9 @@ def mutated_samples(draw, sources):
         return source[:cut] + other[draw(st.integers(0, len(other))) :]
     if kind == "crlf":
         return source.replace("\n", "\r\n")
+    if kind == "indent":
+        pad = " " * draw(st.integers(1, 8))
+        return "".join(pad + line for line in source.splitlines(keepends=True))
     return source[:cut] + draw(st.sampled_from(FOLD_CHARS)) + source[cut:]
 
 

@@ -1,7 +1,10 @@
 """Tests for the IDE layer: document model, edits, extension workflow."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import PatchitPy
 from repro.exceptions import DocumentError
 from repro.ide import (
     EditBuilder,
@@ -12,6 +15,7 @@ from repro.ide import (
     TextEdit,
     WorkspaceEdit,
 )
+from repro.ide.edits import line_diff
 
 SAMPLE = "line one\nline two\nline three\n"
 
@@ -143,12 +147,78 @@ class TestWorkspaceEdit:
         assert doc_a.get_text() == "AAA"
         assert doc_b.get_text() == "Bbbb"
 
+    def test_overlap_leaves_every_document_unchanged(self):
+        doc_a = TextDocument("aaa", uri="file:///a.py")
+        doc_b = TextDocument("abcdef", uri="file:///b.py")
+        ws = WorkspaceEdit()
+        ws.replace(doc_a, Range(Position(0, 0), Position(0, 3)), "AAA")
+        ws.replace(doc_b, Range(Position(0, 0), Position(0, 4)), "X")
+        ws.replace(doc_b, Range(Position(0, 2), Position(0, 6)), "Y")
+        with pytest.raises(DocumentError):
+            ws.apply()
+        assert (doc_a.get_text(), doc_b.get_text()) == ("aaa", "abcdef")
+
+
+#: Lines with every ending ``str.splitlines`` knows of, and non-ASCII text.
+TEXTS = st.lists(
+    st.sampled_from(
+        ["a\n", "b\r\n", "\u00e9 \u00fc\n", "\r", "x", "\u2028", "\x0c", "\n", "    import os\n"]
+    ),
+    max_size=12,
+).map("".join)
+
+
+def _applied(before, edits):
+    """``before`` with ``edits`` applied through an :class:`EditBuilder`."""
+    document = TextDocument(before)
+    builder = EditBuilder(document)
+    for start, end, new_text in edits:
+        builder.replace(
+            Range(document.position_at(start), document.position_at(end)), new_text
+        )
+    assert builder.apply() == len(edits)
+    return document.get_text()
+
+
+class TestLineDiff:
+    @settings(max_examples=300, deadline=None)
+    @given(before=TEXTS, after=TEXTS)
+    def test_applied_edits_give_the_new_text(self, before, after):
+        edits = line_diff(before, after)
+        assert all(a[1] < b[0] for a, b in zip(edits, edits[1:]))
+        assert _applied(before, edits) == after
+
+    def test_long_text_with_popular_lines(self):
+        # from 200 lines up, lines that fill over 1% of the text are junk
+        lines = [
+            line
+            for i in range(150)
+            for line in (f"v{i} = f({i})\n", "\n", "    return x\n")
+        ]
+        before = "".join(lines)
+        lines[9] = "v3 = g(3)\n"
+        lines[301] = "\r\n"
+        lines.insert(0, "import os\n")
+        after = "".join(lines)
+        edits = line_diff(before, after)
+        assert len(edits) == 3
+        assert _applied(before, edits) == after
+
+    def test_unchanged_lines_are_left_alone(self):
+        assert line_diff(SAMPLE, SAMPLE) == []
+        assert line_diff("a\r\n\u03b2\r\nc\r\n", "a\r\n\u03b3\r\nc\r\n") == [
+            (3, 6, "\u03b3\r\n")
+        ]
+        assert line_diff("x\n", "import os\nx\n") == [(0, 0, "import os\n")]
+
 
 VULN_DOC = '''import pickle
 
 def restore(blob):
     return pickle.loads(blob)
 '''
+
+TWIN_MD5 = "import hashlib\na = hashlib.md5(x)\nb = hashlib.md5(y)\n"
 
 
 class TestExtension:
@@ -160,6 +230,12 @@ class TestExtension:
         assert "json.loads(blob)" in doc.get_text()
         assert "import json" in doc.get_text()
         assert session.imports_added == ["import json"]
+
+    def test_ships_the_verified_patch(self):
+        doc = TextDocument(VULN_DOC)
+        PatchitPyExtension().assess_selection(doc)
+        assert doc.get_text() == PatchitPy().patch(VULN_DOC).patched
+        assert "import pickle" not in doc.get_text()  # pruned, not left dead
 
     def test_clean_document_popup(self):
         doc = TextDocument("x = 1\n")
@@ -176,6 +252,48 @@ class TestExtension:
         assert {f.cwe_id for f in session.findings} == {"CWE-502"}
         # md5 outside the selection untouched
         assert "hashlib.md5" in doc.get_text()
+
+    def test_selected_findings_carry_document_offsets(self):
+        doc = TextDocument("x = 1\n" + VULN_DOC)
+        extension = PatchitPyExtension(popup_handler=lambda popup: False)
+        session = extension.assess_selection(doc, doc.range_of_lines(1, 4))
+        (finding,) = session.findings
+        assert doc.get_text()[finding.span.start : finding.span.end] == "pickle.loads(blob)"
+        assert "line   5" in session.popups[0].body
+
+    def test_declined_twin_keeps_the_accepted_one_unpatched(self):
+        # both calls match the same text, so they share one identity
+        doc = TextDocument(TWIN_MD5)
+        answers = iter([True, False])
+        extension = PatchitPyExtension(popup_handler=lambda popup: next(answers))
+        session = extension.assess_selection(doc)
+        assert len(session.findings) == 2
+        assert session.withheld == session.accepted == session.findings[:1]
+        assert "left unpatched" in session.popups[-1].body
+        assert doc.get_text() == TWIN_MD5
+        assert session.applied_edit_count == 0
+
+    def test_twin_outside_the_selection_keeps_the_selected_one_unpatched(self):
+        doc = TextDocument(TWIN_MD5)
+        session = PatchitPyExtension().assess_selection(doc, doc.range_of_lines(1, 1))
+        assert session.withheld == session.accepted == session.findings
+        assert len(session.findings) == 1
+        assert doc.get_text() == TWIN_MD5
+
+    def test_accepted_twins_are_patched_together(self):
+        doc = TextDocument(TWIN_MD5)
+        session = PatchitPyExtension().assess_selection(doc)
+        assert len(session.accepted) == 2 and session.withheld == []
+        assert doc.get_text() == TWIN_MD5.replace("md5", "sha256")
+
+    def test_patch_prunes_every_unused_import(self):
+        # Breaking since 6.0.0: patch() drops each top-level import that
+        # nothing uses, also one no patch touched, and the extension
+        # ships that text even for a one-line selection
+        text = "import sys\nimport hashlib\nh = hashlib.md5(d)\n"
+        doc = TextDocument(text)
+        PatchitPyExtension().assess_selection(doc, doc.range_of_lines(2, 2))
+        assert doc.get_text() == "import hashlib\nh = hashlib.sha256(d)\n"
 
     def test_decline_all(self):
         doc = TextDocument(VULN_DOC)

@@ -104,6 +104,8 @@ class TestWireParity:
             ("POST", "/v1/analyze", [1, 2], 400),
             ("POST", "/v1/analyze", b"{not json", 400),
             ("POST", "/v1/analyze", {"source": SNIPPET, "deadline_ms": "soon"}, 400),
+            ("POST", "/v1/analyze", {"source": SNIPPET, "exclude": "x"}, 400),
+            ("POST", "/v1/analyze", {"source": SNIPPET, "exclude": ["XYZ"]}, 400),
             ("POST", "/v1/batch", {"items": []}, 400),
             ("POST", "/v1/batch", {"items": ["x = 1\n"]}, 400),
             ("POST", "/v1/batch", {"items": [{"id": 1}]}, 400),
@@ -189,11 +191,16 @@ class TestFleetBatchQuota:
             "items": [{"source": "c = 3\n"}] * 3,
             "deadline_ms": "soon",
         }
+        bad_exclude = {"source": "e = 5\n", "exclude": ["not-a-key"]}
         with BackgroundFleet(FleetRouter(config)) as handle:
             with ServerClient(port=handle.port, tenant="bulk") as client:
-                for body in (bad_item, bad_deadline):
+                for path, body in (
+                    ("/v1/batch", bad_item),
+                    ("/v1/batch", bad_deadline),
+                    ("/v1/analyze", bad_exclude),
+                ):
                     with pytest.raises(ServerError) as excinfo:
-                        client._request("POST", "/v1/batch", body)
+                        client._request("POST", path, body)
                     assert excinfo.value.status == 400
                 result = client.batch(["d = 4\n"] * 3)
         assert result["count"] == 3 and result["failed"] == 0

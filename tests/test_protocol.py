@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import PatchitPy
 from repro.ide.protocol import LanguageServer
 
 VULN = 'import pickle\n\ndef restore(blob):\n    return pickle.loads(blob)\n'
@@ -60,12 +61,37 @@ class TestCodeActions:
 
     def test_edit_includes_import_insertion(self, server):
         server.did_open(URI, VULN)
-        edits = server.code_actions(URI)[0]["edit"]["changes"][URI]
-        assert len(edits) == 2  # replacement + import insertion
-        assert any("import json" in e["newText"] for e in edits)
+        action = server.code_actions(URI)[0]
+        assert server.apply_workspace_edit(action["edit"])["applied"]
+        # the line diff to the verified patch: the import json insertion,
+        # and the pruning of the import pickle left dead
+        text = server.document_text(URI)
+        assert text == PatchitPy().patch(VULN).patched
+        assert "import json\n" in text and "import pickle" not in text
 
     def test_detection_only_findings_have_no_action(self, server):
         server.did_open(URI, "exec(payload)\n")
+        assert server.code_actions(URI) == []
+
+    def test_identical_matches_share_one_action(self, server):
+        # both calls match the same text: one identity, one patch() call
+        server.did_open(URI, "import hashlib\na = hashlib.md5(x)\nb = hashlib.md5(y)\n")
+        (action,) = server.code_actions(URI)
+        assert [d["range"]["start"]["line"] for d in action["diagnostics"]] == [1, 2]
+        assert server.apply_workspace_edit(action["edit"])["applied"]
+        assert server.document_text(URI).count("hashlib.sha256(") == 2
+
+    def test_quick_fix_prunes_every_unused_import(self, server):
+        # Breaking since 6.0.0: the verified patch drops each top-level
+        # import that nothing uses, also one the fix did not touch
+        server.did_open(URI, "import sys\nimport hashlib\nh = hashlib.md5(d)\n")
+        (action,) = server.code_actions(URI)
+        assert server.apply_workspace_edit(action["edit"])["applied"]
+        assert server.document_text(URI) == "import hashlib\nh = hashlib.sha256(d)\n"
+
+    def test_fix_the_verifier_reverts_is_not_offered(self, server):
+        # os.system's fix imports subprocess over an existing binding
+        server.did_open(URI, "import os\nsubprocess = load_runner()\nos.system(cmd)\n")
         assert server.code_actions(URI) == []
 
 
@@ -83,6 +109,27 @@ class TestApplyEdit:
             d["code"] != "CWE-502" for d in outcome["diagnostics"][URI]["diagnostics"]
         )
 
+    def test_overlapping_edits_are_refused(self, server):
+        server.did_open(URI, "abcdef\n")
+        edit = {
+            "changes": {
+                URI: [
+                    {"range": _span(0, 0, 0, 4), "newText": "X"},
+                    {"range": _span(0, 2, 0, 6), "newText": "Y"},
+                ]
+            }
+        }
+        outcome = server.apply_workspace_edit(edit)
+        assert outcome["applied"] is False
+        assert "overlapping" in outcome["failureReason"]
+        assert server.document_text(URI) == "abcdef\n"
+
+    def test_edit_outside_the_document_is_refused(self, server):
+        server.did_open(URI, "x = 1\n")
+        edit = {"changes": {URI: [{"range": _span(0, 0, 9, 0), "newText": ""}]}}
+        assert server.apply_workspace_edit(edit)["applied"] is False
+        assert server.document_text(URI) == "x = 1\n"
+
     def test_full_loop_until_clean(self, server):
         source = (
             "import pickle\nfrom flask import Flask, request\n\napp = Flask(__name__)\n\n"
@@ -98,3 +145,10 @@ class TestApplyEdit:
             server.apply_workspace_edit(actions[0]["edit"])
         final = server.did_change(URI, server.document_text(URI))
         assert final["diagnostics"] == []
+
+
+def _span(start_line, start_character, end_line, end_character):
+    return {
+        "start": {"line": start_line, "character": start_character},
+        "end": {"line": end_line, "character": end_character},
+    }

@@ -27,6 +27,7 @@ from repro import (
     ServerError,
     ServerTransport,
 )
+from repro.core import finding_key
 from repro.core.cache import ResultStore, hash_source
 from repro.server.daemon import build_serve_parser, config_from_args
 
@@ -342,6 +343,64 @@ class TestDeadlines:
         assert info.value.status == 400
 
 
+def _pickle_key(engine):
+    """The identity of VULN's pickle finding, and VULN's findings."""
+    findings = engine.detect(VULN)
+    (pickle_finding,) = [f for f in findings if f.cwe_id == "CWE-502"]
+    return finding_key(VULN, pickle_finding), findings
+
+
+class TestExclude:
+    """``exclude``: finding keys the verified patch leaves alone."""
+
+    @pytest.mark.parametrize(
+        "exclude",
+        [
+            "c630e7bb37eb9e48",
+            {"key": "c630e7bb37eb9e48"},
+            None,
+            [12],
+            ["c630e7bb37eb9e4"],
+            ["c630e7bb37eb9e48a"],
+            ["C630E7BB37EB9E48"],
+            ["c630e7bb37eb9e4g"],
+            ["c630e7bb37eb9e48\n"],
+        ],
+    )
+    def test_malformed_exclude_is_400(self, running_server, exclude):
+        _, client = running_server
+        body = {"source": VULN, "patch": True, "exclude": exclude}
+        with pytest.raises(ServerError) as info:
+            client._request("POST", "/v1/analyze", body)
+        assert info.value.status == 400
+        assert "exclude must be a list" in str(info.value)
+
+    def test_excluded_finding_stays_unpatched(self, running_server):
+        server, client = running_server
+        key, findings = _pickle_key(server.engine)
+        payload = client.analyze(VULN, patch=True, exclude=[key])
+        expected = server.engine.patch(VULN, findings, exclude=frozenset([key]))
+        assert payload["patched_source"] == expected.patched
+        assert "pickle.loads(blob)" in payload["patched_source"]
+        assert "debug=True" not in payload["patched_source"]
+        assert [p["cwe_id"] for p in payload["patches"]] == ["CWE-209"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_tier_hit_honours_exclude(self, tmp_path, jobs):
+        server = PatchitPyServer(
+            config=ServerConfig(port=0, jobs=jobs, shared_cache_dir=str(tmp_path))
+        )
+        key, findings = _pickle_key(server.engine)
+        with BackgroundServer(server) as handle:
+            with ServerClient(port=handle.port) as client:
+                miss = client.analyze(VULN, patch=True)
+                hit = client.analyze(VULN, patch=True, exclude=[key])
+        assert miss.get("from_cache", False) is False and hit["from_cache"] is True
+        assert miss["patched_source"] == server.engine.patch(VULN).patched
+        expected = server.engine.patch(VULN, findings, exclude=frozenset([key]))
+        assert hit["patched_source"] == expected.patched != miss["patched_source"]
+
+
 class TestGracefulDrain:
     def test_inflight_request_completes_during_drain(self):
         server = PatchitPyServer(engine=SlowEngine(), config=ServerConfig(port=0))
@@ -630,10 +689,37 @@ class TestServerTransport:
                 local = LanguageServer()
                 expected = local.did_open("file:///gen.py", VULN)
         assert published["diagnostics"] == expected["diagnostics"]
-        assert actions, "quick fixes come back over the wire"
-        for action in actions:
-            assert action["kind"] == "quickfix"
-            assert action["edit"]["changes"]["file:///gen.py"]
+        assert len(actions) == 2, "quick fixes come back over the wire"
+        assert actions == local.code_actions("file:///gen.py")
+
+    def test_quick_fixes_over_a_daemon_match_in_process_on_the_corpus(
+        self, running_server, flat_samples
+    ):
+        server, client = running_server
+        sources = [
+            sample.source
+            for sample in flat_samples
+            if any(f.fixable for f in server.engine.detect(sample.source))
+        ][:48]
+        assert len(sources) >= 40
+        # identical matches share one identity, so one action over the wire too
+        sources.append("import hashlib\na = hashlib.md5(x)\nb = hashlib.md5(y)\n")
+        local = LanguageServer(engine=server.engine)
+        remote = LanguageServer(engine=ServerTransport(client))
+        for index, source in enumerate(sources):
+            uri = f"file:///corpus/{index}.py"
+            remote.did_open(uri, source)
+            local.did_open(uri, source)
+            assert remote.code_actions(uri) == local.code_actions(uri), uri
+
+    def test_transport_patch_is_the_daemons_verified_patch(self, running_server):
+        server, client = running_server
+        key, findings = _pickle_key(server.engine)
+        result = ServerTransport(client).patch(VULN, findings, exclude=frozenset([key]))
+        expected = server.engine.patch(VULN, findings, exclude=frozenset([key]))
+        assert result.patched == expected.patched
+        assert result.verdicts == expected.verdicts
+        assert not hasattr(ServerTransport, "render_patches")
 
     def test_transport_detect_rebuilds_findings(self):
         server = PatchitPyServer(config=ServerConfig(port=0))

@@ -565,3 +565,32 @@ class TestHotPathLint:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         line = len(facade.read_text().splitlines())
         assert f"{facade}:{line}: import-time import of repro.core.engine" in proc.stdout
+
+    def test_lint_rejects_an_ide_splice_path(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        shutil.copytree(
+            root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        ide = tmp_path / "src" / "repro" / "ide"
+        extension = ide / "extension.py"
+        extension.write_text(
+            extension.read_text()
+            + "\n\ndef _splice(engine, text):\n"
+            + "    from ..core import patcher\n"
+            + "    return engine.render_patches(text, [])\n"
+        )
+        protocol = ide / "protocol.py"
+        protocol.write_text(
+            protocol.read_text() + "\nfrom repro.core.imports import ImportManager\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "check_hot_path_isolation.py"), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        last = len(extension.read_text().splitlines())
+        assert f"{extension}:{last - 1}: imports repro.core.patcher" in proc.stdout
+        assert f"{extension}:{last}: uses render_patches" in proc.stdout
+        line = len(protocol.read_text().splitlines())
+        assert f"{protocol}:{line}: imports repro.core.imports" in proc.stdout
