@@ -37,7 +37,7 @@ Quickstart::
 
 from repro._lazy import lazy_exports as _lazy_exports
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 # Name -> defining module, resolved on first access (see repro._lazy).
 __getattr__, __dir__ = _lazy_exports(

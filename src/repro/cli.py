@@ -29,8 +29,7 @@ Exit-code contract (documented in ``--help`` and enforced by tests):
   findings);
 - ``2`` — the tool could not run (bad arguments, unreadable input);
 - ``3`` — patching ran but some patches failed verification and were
-  reverted (``patch`` / ``review --patch``; ``--no-verify`` restores
-  the 0/1/2-only contract).
+  reverted (``patch`` / ``review --patch``).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.observability.trace import TraceRecorder
 EXIT_CODE_CONTRACT = (
     "exit codes: 0 = no findings, 1 = findings reported, 2 = error "
     "(bad arguments or unreadable input), 3 = unverified patches reverted "
-    "(patch mode with verification on)"
+    "(patch mode)"
 )
 
 
@@ -155,17 +154,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     _add_observability_flags(parser)
 
 
-def _add_verify_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--verify",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="verify every applied patch (re-scan, syntax check, "
-        "import-collision check) and revert patches that fail; reverted "
-        "patches exit with code 3 (--no-verify disables)",
-    )
-
-
 # ------------------------------------------------------------- the parser
 
 
@@ -197,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODE_CONTRACT,
     )
     _add_analysis_flags(scan)
-    scan.set_defaults(patch=False, in_place=False, verify=True)
+    scan.set_defaults(patch=False, in_place=False)
 
     patch = subparsers.add_parser(
         "patch",
@@ -214,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite the file(s) instead of printing the patched text "
         "(rejected when combined with --lines)",
     )
-    _add_verify_flag(patch)
     patch.set_defaults(patch=True)
 
     review_cmd = subparsers.add_parser(
@@ -228,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "to review the worktree against it) or a unified diff "
         "(--diff FILE, '-' for stdin).",
         epilog="exit codes: 0 = nothing introduced, 1 = introduced findings "
-        "reported, 2 = error, 3 = unverified patches reverted "
-        "(--patch with verification on)",
+        "reported, 2 = error, 3 = unverified patches reverted (--patch)",
     )
     review_cmd.add_argument(
         "revisions",
@@ -283,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent scan result cache (a warm cache is "
         "what makes reviews millisecond-fast)",
     )
-    _add_verify_flag(review_cmd)
     _add_engine_flags(review_cmd)
     _add_observability_flags(review_cmd, with_budget=False)
 
@@ -383,7 +368,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = PatchitPy(
         rules=extended_ruleset() if args.extended else None,
         metrics=collector,
-        verify=args.verify,
     )
     if tracer is not None:
         findings = engine.detect(analyzed, trace=tracer)
@@ -490,10 +474,7 @@ def _scan_directory(args: argparse.Namespace) -> int:
     collector = ScanMetrics() if _wants_metrics(args) else None
     tracer = TraceRecorder() if args.trace else None
     budget = args.slow_rule_budget_ms if args.slow_rule_budget_ms > 0 else None
-    engine = PatchitPy(
-        rules=extended_ruleset() if args.extended else None,
-        verify=args.verify,
-    )
+    engine = PatchitPy(rules=extended_ruleset() if args.extended else None)
     scanner = ProjectScanner(
         engine=engine, metrics=collector, trace=tracer, slow_rule_budget_ms=budget
     )
@@ -582,10 +563,7 @@ def _run_review(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
     collector = ScanMetrics() if _wants_metrics(args) else None
     tracer = TraceRecorder() if args.trace else None
-    engine = PatchitPy(
-        rules=extended_ruleset() if args.extended else None,
-        verify=args.verify,
-    )
+    engine = PatchitPy(rules=extended_ruleset() if args.extended else None)
     try:
         report = review(
             args.root,
@@ -628,7 +606,7 @@ def _run_review(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     exit_code = 1 if report.introduced else 0
     if args.patch and report.introduced:
         try:
-            results = patch_introduced(report, engine, verify=args.verify)
+            results = patch_introduced(report, engine)
         except ReviewError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

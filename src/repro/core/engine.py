@@ -56,10 +56,9 @@ class PatchResult:
     applied: List[Patch] = field(default_factory=list)
     skipped: List[Patch] = field(default_factory=list)
     unpatchable: List[Finding] = field(default_factory=list)
-    # One verdict per patch the verifier examined; empty when
-    # verification was disabled or nothing was applied.  Reverted patches
-    # keep their verdict here (with ``reverted=True``) even though they
-    # no longer appear in ``applied``.
+    # One verdict per patch the verifier examined; empty when nothing
+    # was applied.  Reverted patches keep their verdict here (with
+    # ``reverted=True``) even though they no longer appear in ``applied``.
     verdicts: List[PatchVerdict] = field(default_factory=list)
     # The first pass's render of ``original``: every patch of the
     # findings the call started from, before verifier bans and overlap
@@ -112,16 +111,13 @@ class PatchitPy:
         enabled recorder every finding additionally carries a
         :class:`~repro.observability.Provenance` record.  Per-call
         ``trace=`` arguments override it, mirroring ``metrics``.
-    verify:
-        When on (the default) every :meth:`patch` call runs the Verifier
-        stage (:mod:`repro.core.verify`) on its output and re-patches
-        with failing patches banned, up to ``max_verify_attempts`` times;
-        patches that cannot be verified are reverted instead of shipped.
-        ``verify=False`` restores the pre-1.5 apply-and-hope behaviour.
     max_verify_attempts:
-        Bound on the verify → ban → re-patch loop.  Each failed attempt
-        bans at least one patch by finding identity, so the loop always
-        terminates; when the bound is hit (or banning cannot make
+        Every :meth:`patch` call runs the Verifier stage
+        (:mod:`repro.core.verify`) on its output and re-patches with
+        failing patches banned, up to this many times; patches that
+        cannot be verified are reverted instead of shipped.  Each failed
+        attempt bans at least one patch by finding identity, so the loop
+        always terminates; when the bound is hit (or banning cannot make
         progress) the whole patch set is reverted and the original text
         is returned unchanged.
     """
@@ -133,7 +129,6 @@ class PatchitPy:
         prune_imports: bool = True,
         metrics: Optional[ScanMetrics] = None,
         trace: Optional[TraceRecorder] = None,
-        verify: bool = True,
         max_verify_attempts: int = 3,
     ) -> None:
         if max_passes < 1:
@@ -145,7 +140,6 @@ class PatchitPy:
         self.prune_imports = prune_imports
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.trace = trace if trace is not None else NULL_TRACE
-        self.verify = verify
         self.max_verify_attempts = max_verify_attempts
 
     def _metrics(self, override: Optional[ScanMetrics]) -> ScanMetrics:
@@ -273,12 +267,15 @@ class PatchitPy:
         ``scan`` the calling :meth:`patch`'s detect, which scans each
         distinct text once.  ``banned`` holds finding-identity keys (see
         :func:`repro.core.verify.finding_key`) of patches the verifier
-        rejected on an earlier attempt; their patches are dropped at
-        render time so a re-run converges without them.  Returns
-        ``(patched, applied, skipped, passes, final_findings)``.
+        rejected on an earlier attempt, or the caller excluded; their
+        patches are dropped at render time so a re-run converges without
+        them.  Returns ``(patched, applied, bases, skipped, passes,
+        final_findings)``, ``bases`` holding, per applied patch, the text
+        its pass rendered it against.
         """
         current = source
         all_applied: List[Patch] = []
+        bases: List[str] = []
         last_skipped: List[Patch] = []
         passes = 0
         patches = rendered
@@ -292,6 +289,7 @@ class PatchitPy:
             passes += 1
             outcome = apply_patches(current, patches)
             all_applied.extend(outcome.applied)
+            bases.extend([current] * len(outcome.applied))
             last_skipped = outcome.skipped
             if not outcome.changed:
                 break
@@ -303,7 +301,7 @@ class PatchitPy:
             from repro.core.imports import prune_unused_imports
 
             current = prune_unused_imports(current)
-        return current, all_applied, last_skipped, passes, scan(current)
+        return current, all_applied, bases, last_skipped, passes, scan(current)
 
     def patch(
         self,
@@ -311,9 +309,7 @@ class PatchitPy:
         findings: Optional[Sequence[Finding]] = None,
         metrics: Optional[ScanMetrics] = None,
         trace: Optional[TraceRecorder] = None,
-        verify: Optional[bool] = None,
         exclude: frozenset = frozenset(),
-        verify_baseline: Optional[Sequence[Finding]] = None,
     ) -> PatchResult:
         """Phase 2: substitute safe alternatives for detected patterns.
 
@@ -321,28 +317,26 @@ class PatchitPy:
         ``max_passes`` is reached; overlapping patches in one pass are
         retried on the next pass against the updated text.
 
-        With verification on (the engine default, overridable per call
-        via ``verify=``), the Verifier stage then re-scans the output:
-        patches whose triggering finding survived, that introduced a new
-        finding, broke the syntax, or collide with an existing binding
-        are banned by finding identity and patching re-runs without them,
-        up to ``max_verify_attempts`` times.  If the loop cannot converge
-        on a fully verified patch set, *everything* is reverted — the
-        original text ships unchanged rather than an unproven edit.  All
-        examined patches keep their verdict in ``PatchResult.verdicts``.
+        The Verifier stage then re-scans the output: patches whose
+        triggering finding survived, that introduced a new finding, broke
+        the syntax, or collide with an existing binding are banned by
+        finding identity and patching re-runs without them, up to
+        ``max_verify_attempts`` times.  If the loop cannot converge on a
+        fully verified patch set, *everything* is reverted — the original
+        text ships unchanged rather than an unproven edit.  All examined
+        patches keep their verdict in ``PatchResult.verdicts``.
 
-        ``exclude`` holds finding-identity keys (see
-        :func:`repro.core.verify.finding_key`) that must never be patched
-        — the review workflow passes the pre-existing identities here so
-        only what a change introduced is rewritten.  ``verify_baseline``
-        overrides the verifier's identity baseline of ``source`` (it
-        defaults to the findings being patched); pass the *full* finding
-        set of ``source`` when patching a subset, so a deliberately
-        unpatched finding is not mistaken for a regression.
+        ``findings`` defaults to a detect of ``source``; it is also the
+        verifier's identity baseline, so pass the *full* finding set and
+        leave what must not change to ``exclude``.  ``exclude`` holds
+        finding-identity keys (see :func:`repro.core.verify.finding_key`)
+        that are never patched: the review workflow passes the
+        pre-existing identities, so only what a change introduced is
+        rewritten, and the editor surfaces the findings a user did not
+        accept.
         """
         m = self._metrics(metrics)
         t = self._trace(trace)
-        do_verify = self.verify if verify is None else verify
         start = clock() if m.enabled else 0.0
         initial = (
             list(findings) if findings is not None else detect_with(self, source, m, t)
@@ -362,27 +356,19 @@ class PatchitPy:
         rendered = self.render_patches(source, initial, t)
         banned: set = set(exclude)
         reverted: List[PatchVerdict] = []
-        verdicts: List[PatchVerdict] = []
         attempts = 0
-        verifier = (
-            PatchVerifier(lambda s: detect_with(self, s))
-            if do_verify
-            else None
-        )
+        verifier = PatchVerifier(lambda s: detect_with(self, s))
         while True:
-            current, all_applied, last_skipped, passes, final_findings = (
+            current, all_applied, bases, last_skipped, passes, final_findings = (
                 self._patch_passes(source, rendered, scan, t, frozenset(banned))
             )
-            if verifier is None or not all_applied:
+            if not all_applied:
                 verdicts = list(reverted)
                 break
             attempts += 1
-            identity_baseline = (
-                verify_baseline if verify_baseline is not None else initial
-            )
             verify_started = clock() if m.enabled else 0.0
             judged = verifier.verify(
-                source, identity_baseline, current, all_applied, final_findings
+                source, initial, current, all_applied, final_findings, bases
             )
             if m.enabled:
                 verify_elapsed = clock() - verify_started

@@ -6,23 +6,33 @@ places them at the top of the file — after a module docstring and any
 ``from __future__`` imports, appended to the existing import block —
 mirroring the VS Code ``Position`` API placement described in §II-B.
 
+Many AI snippets are indented bodies pasted out of a function.  Their
+top is their *margin* (the leading whitespace every code line shares),
+so new imports go in at the margin and the imports at the margin are the
+ones pruning may drop; a text with code at column 0 has an empty margin.
+:func:`import_layout` decides both, in one walk over the text's lines
+(split at Python's own line breaks: ``\n``, ``\r\n`` and ``\r``).
+
 Import-shaped text inside string literals (a module docstring quoting
 ``import os``, a triple-quoted SQL template) is never treated as an
-import: collection, insertion-point scanning, and pruning all consult a
-lightweight string-literal scanner first, so new imports are never
-spliced into the middle of a docstring and docstring lines are never
-"pruned" as dead imports.
+import: the walk consults a lightweight string-literal scanner first, so
+new imports are never spliced into the middle of a docstring and
+docstring lines are never "pruned" as dead imports.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Sequence, Tuple
+from os.path import commonprefix
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-_IMPORT_LINE_RE = re.compile(r"^(?:import\s+[\w.]+|from\s+[\w.]+\s+import\s+.+)", re.MULTILINE)
 _FROM_IMPORT_RE = re.compile(r"^from\s+(?P<module>[\w.]+)\s+import\s+(?P<names>[^#\n]+)")
 _PLAIN_IMPORT_RE = re.compile(r"^import\s+(?P<modules>[^#\n]+)")
+#: One line and its break, at Python's own line breaks.
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+#: Python's indentation whitespace.
+_INDENT = " \t\x0c"
 
 
 def string_spans(source: str) -> List[Tuple[int, int]]:
@@ -30,10 +40,10 @@ def string_spans(source: str) -> List[Tuple[int, int]]:
 
     A small state machine, not a full tokenizer: it tracks single- and
     triple-quoted strings (prefixes and escapes included) and comments,
-    which is exactly enough to decide whether an import-shaped line sits
-    inside a literal.  An unterminated triple quote extends to the end of
-    the text — the conservative reading for generated, possibly
-    incomplete snippets.
+    which is exactly enough to decide whether a line starts inside a
+    literal.  An unterminated triple quote extends to the end of the
+    text — the conservative reading for generated, possibly incomplete
+    snippets — and an unterminated single quote to its line's break.
     """
     spans: List[Tuple[int, int]] = []
     i = 0
@@ -41,8 +51,7 @@ def string_spans(source: str) -> List[Tuple[int, int]]:
     while i < n:
         ch = source[i]
         if ch == "#":
-            newline = source.find("\n", i)
-            i = n if newline == -1 else newline + 1
+            i = _LINE_RE.match(source, i).end()
             continue
         if ch in "\"'":
             # include any immediately-preceding string prefix (r, b, f, u)
@@ -62,9 +71,8 @@ def string_spans(source: str) -> List[Tuple[int, int]]:
                 if source.startswith(quote, i):
                     i += len(quote)
                     break
-                if len(quote) == 1 and source[i] == "\n":
-                    i += 1  # unterminated single-quoted string ends at EOL
-                    break
+                if len(quote) == 1 and source[i] in "\r\n":
+                    break  # unterminated single-quoted string ends at EOL
                 i += 1
             spans.append((start, min(i, n)))
             continue
@@ -80,13 +88,73 @@ def _offset_in_spans(offset: int, spans: Sequence[Tuple[int, int]]) -> bool:
     return index >= 0 and offset < spans[index][1]
 
 
+class ImportLine(NamedTuple):
+    """One import statement line outside string literals: its offsets
+    (``end`` just past its line break), its leading whitespace, its
+    stripped text and that text's :func:`_parse_imports` entries."""
+
+    start: int
+    end: int
+    indent: str
+    statement: str
+    entries: List[Tuple[str, str, frozenset]]
+
+
+class ImportLayout(NamedTuple):
+    """What :func:`import_layout` reads from a text: its margin and every
+    import line, at any indentation, in text order."""
+
+    margin: str
+    lines: List[ImportLine]
+
+    @property
+    def top_level(self) -> List[ImportLine]:
+        """The import lines at the margin: the text's top-level imports."""
+        return [line for line in self.lines if line.indent == self.margin]
+
+
+def import_layout(source: str) -> ImportLayout:
+    """The margin and the import lines of ``source``, from one walk.
+
+    Blank lines, comment-only lines and lines that start inside a string
+    literal hold no code, so they neither count toward the margin nor
+    hold an import; the margin is empty when any code starts at column 0.
+    """
+    spans = string_spans(source)
+    margin: Optional[str] = None
+    lines: List[ImportLine] = []
+    end = 0
+    for line in _LINE_RE.findall(source):
+        start, end = end, end + len(line)
+        code = line.lstrip(_INDENT)
+        if code[:1] in "#\r\n":
+            continue  # blank or comment-only (an empty string is "in" too)
+        importish = code.startswith(("import ", "from "))
+        if margin == "" and not importish:
+            continue  # the margin is settled; only imports matter now
+        if start and _offset_in_spans(start - 1, spans):
+            continue  # starts inside a string: the break before it is in one
+        indent = line[: len(line) - len(code)]
+        margin = indent if margin is None else commonprefix((margin, indent))
+        if importish:
+            statement = code.strip()
+            try:
+                entries = _parse_imports(statement)
+            except ValueError:
+                continue
+            lines.append(ImportLine(start, end, indent, statement, entries))
+    return ImportLayout(margin or "", lines)
+
+
 class ImportManager:
     """Tracks the imports of a source file and inserts missing ones."""
 
     def __init__(self, source: str) -> None:
         self._source = source
-        self._string_spans = string_spans(source)
-        self._existing = _collect_imports(source, self._string_spans)
+        self._layout = import_layout(source)
+        self._existing = [
+            entry for line in self._layout.lines for entry in line.entries
+        ]
 
     def has_import(self, statement: str) -> bool:
         """True when ``statement`` (or a superset of it) is already present.
@@ -120,34 +188,25 @@ class ImportManager:
         return out
 
     def insert(self, statements: Iterable[str]) -> str:
-        """Return the source with the missing ``statements`` inserted."""
+        """Return the source with the missing ``statements`` inserted, each
+        on its own line at the margin."""
         to_add = self.missing(statements)
         if not to_add:
             return self._source
         offset = self.insertion_offset()
-        block = "\n".join(to_add) + "\n"
+        margin = self._layout.margin
+        block = "".join(f"{margin}{statement}\n" for statement in to_add)
         return self._source[:offset] + block + self._source[offset:]
 
     def insertion_offset(self) -> int:
         """Character offset where new imports belong.
 
         After the last top-level import when one exists; otherwise after
-        the module docstring; otherwise offset 0.  Import-shaped lines
-        inside string literals (e.g. a docstring quoting ``import os`` at
-        column 0) are not insertion anchors — splicing there would drop
-        the new imports into the middle of the literal.
+        the module docstring; otherwise offset 0.
         """
-        last_import_end = -1
-        for match in _IMPORT_LINE_RE.finditer(self._source):
-            if _offset_in_spans(match.start(), self._string_spans):
-                continue  # inside a string literal — not a real import
-            line_start = self._source.rfind("\n", 0, match.start()) + 1
-            if self._source[line_start : match.start()].strip():
-                continue  # indented (inside a function) — not top-level
-            line_end = self._source.find("\n", match.end())
-            last_import_end = len(self._source) if line_end == -1 else line_end + 1
-        if last_import_end != -1:
-            return last_import_end
+        top_level = self._layout.top_level
+        if top_level:
+            return top_level[-1].end
         return self._docstring_end()
 
     def _docstring_end(self) -> int:
@@ -157,30 +216,9 @@ class ImportManager:
             if stripped.startswith(quote):
                 end = stripped.find(quote, len(quote))
                 if end != -1:
-                    close = lead + end + len(quote)
-                    newline = self._source.find("\n", close)
-                    return len(self._source) if newline == -1 else newline + 1
+                    rest = _LINE_RE.match(self._source, lead + end + len(quote))
+                    return len(self._source) if rest is None else rest.end()
         return 0
-
-
-def _collect_imports(
-    source: str, spans: Sequence[Tuple[int, int]] = ()
-) -> List[Tuple[str, str, frozenset]]:
-    collected: List[Tuple[str, str, frozenset]] = []
-    offset = 0
-    for line in source.splitlines(keepends=True):
-        start = offset
-        offset += len(line)
-        cleaned = line.strip()
-        if not cleaned.startswith(("import ", "from ")):
-            continue
-        if spans and _offset_in_spans(start + line.find(cleaned[0]), spans):
-            continue  # import-shaped text inside a string literal
-        try:
-            collected.extend(_parse_imports(cleaned))
-        except ValueError:
-            continue
-    return collected
 
 
 def _split_alias(part: str) -> Tuple[str, str]:
@@ -290,44 +328,28 @@ def prune_unused_imports(source: str) -> str:
 
     After a safe substitution (e.g. ``pickle.loads`` → ``json.loads``) the
     original module import frequently becomes dead; pruning it keeps the
-    patched file lint-clean.  Only whole lines are removed, a ``from``
-    import is kept if *any* of its names is still referenced, a plain
-    multi-module import (``import os, pickle``) is kept if *any* of its
-    bindings is still referenced, and two classes of line are never
-    pruned at all: ``from __future__ import ...`` (a compiler directive,
-    not a binding — removing it changes program semantics even when the
-    name is unreferenced) and import-shaped text inside string literals.
+    patched file lint-clean.  Only whole lines at the margin are removed
+    (see :func:`import_layout`), a ``from`` import is kept if *any* of its
+    names is still referenced, a plain multi-module import (``import os,
+    pickle``) is kept if *any* of its bindings is still referenced, and
+    ``from __future__ import ...`` is never pruned: it is a compiler
+    directive, not a binding — removing it changes program semantics even
+    when the name is unreferenced.
     """
-    spans = string_spans(source)
     first_use: Dict[str, int] = {}
-    kept = []
+    kept: List[str] = []
     offset = 0
-    for line in source.splitlines(keepends=True):
-        line_start = offset
-        offset += len(line)
-        stripped = line.strip()
-        if not stripped.startswith(("import ", "from ")) or line[:1] in (" ", "\t"):
-            kept.append(line)
-            continue
-        if _offset_in_spans(line_start, spans):
-            kept.append(line)  # inside a string literal — not an import
-            continue
-        try:
-            entries = _parse_imports(stripped)
-        except ValueError:
-            kept.append(line)
-            continue
-        if any(module == "__future__" for _kind, module, _names in entries):
-            kept.append(line)  # future imports are directives; always keep
-            continue
-        try:
-            bindings = import_bindings(stripped)
-        except ValueError:
-            kept.append(line)
+    for line in import_layout(source).top_level:
+        if any(module == "__future__" for _kind, module, _names in line.entries):
             continue
         if any(
-            _used_outside(source, binding, line_start, offset, first_use)
-            for binding in bindings
+            _used_outside(source, binding, line.start, line.end, first_use)
+            for binding in import_bindings(line.statement)
         ):
-            kept.append(line)
+            continue
+        kept.append(source[offset : line.start])
+        offset = line.end
+    if not offset:
+        return source
+    kept.append(source[offset:])
     return "".join(kept)

@@ -802,50 +802,35 @@ def _load_sides(
 def patch_introduced(
     report: ReviewReport,
     engine: Optional[PatchitPy] = None,
-    verify: Optional[bool] = None,
 ) -> Dict[str, PatchResult]:
     """Patch (and verify) *only* the introduced findings, per file.
 
     Pre-existing findings are left alone — a review must not rewrite code
     the change did not touch.  Returns ``{path: PatchResult}`` for every
-    file with at least one introduced finding; with verification on (the
-    engine default) each result carries the verifier's verdicts, and
-    unverifiable patches are reverted rather than shipped.
+    file with at least one introduced finding; each result carries the
+    verifier's verdicts, and unverifiable patches are reverted rather
+    than shipped.
 
     Requires the report's in-process ``sources`` (a report deserialized
     from JSON cannot be patched — re-run the review locally).
     """
     engine = engine if engine is not None else PatchitPy()
     results: Dict[str, PatchResult] = {}
-    grouped: Dict[str, List[ReviewFinding]] = {}
-    for item in report.introduced:
-        grouped.setdefault(item.path, []).append(item)
-    for path, items in grouped.items():
+    for path in dict.fromkeys(item.path for item in report.introduced):
         sides = report.sources.get(path)
         if sides is None or sides[1] is None:
             raise ReviewError(
                 f"no head source retained for {path}; patch_introduced needs "
                 "the in-process report of a local review"
             )
-        # Pre-existing identities are excluded from patching (the change
-        # did not cause them), and the verifier judges against the *full*
-        # head finding set so a deliberately unpatched pre-existing
-        # finding is not mistaken for a regression.
-        pre_existing_keys = frozenset(
-            f.key
-            for f in report.findings
-            if f.path == path and f.status == STATUS_PRE_EXISTING
-        )
-        head_findings = [
-            f.finding
-            for f in report.findings
-            if f.path == path and f.status != STATUS_FIXED
-        ]
+        # The engine gets the head's full finding set, so the verifier
+        # does not mistake a deliberately unpatched pre-existing finding
+        # for a regression, and excludes the pre-existing identities (the
+        # change did not cause them).
+        head = [f for f in report.findings if f.path == path and f.status != STATUS_FIXED]
         results[path] = engine.patch(
             sides[1],
-            [item.finding for item in items],
-            verify=verify,
-            exclude=pre_existing_keys,
-            verify_baseline=head_findings,
+            [f.finding for f in head],
+            exclude=frozenset(f.key for f in head if f.status == STATUS_PRE_EXISTING),
         )
     return results

@@ -125,7 +125,9 @@ def build_rules() -> list:
 
 
 def _insert_login_required(match):
-    """Insert a @login_required decorator between the route and the def."""
+    """Insert a @login_required decorator between the route and the def,
+    at the def's own indentation."""
     text = match.group(0)
-    head, _, tail = text.rpartition("\ndef ")
-    return f"{head}\n@login_required\ndef {tail}", ()
+    head, _, def_line = text.rpartition("\n")
+    indent = def_line[: len(def_line) - len(def_line.lstrip())]
+    return f"{head}\n{indent}@login_required\n{def_line}", ()

@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Counter as CounterType, Dict, List, Optional, Sequence, Tuple
 from collections import Counter
 
 from repro.core.imports import ImportManager, import_bindings
+from repro.core.patcher import apply_patches
 from repro.types import Finding, Patch
 
 __all__ = [
@@ -106,9 +108,23 @@ def finding_key(source: str, finding: Finding) -> str:
 _WRAPPER_CONTEXTS: Tuple[str, ...] = ("module", "function-body", "async-body")
 
 
+#: The file name compiled text is reported under, and the one warning
+#: filter that silences what the compiler says about it.  Compiling user
+#: text must neither print its warnings (an invalid escape such as
+#: ``"\d"``) nor, under an ``error`` filter, fail because of them.
+_FILENAME = "<patch-verify>"
+_QUIET_MODULE = re.escape(_FILENAME) + r"\Z"
+_QUIET = ("ignore", None, Warning, re.compile(_QUIET_MODULE), 0)
+
+
 def _compiles(code: str) -> bool:
+    # Re-asserted per call, since a later ``simplefilter`` would shadow a
+    # filter installed once; it matches only this file name, so no other
+    # thread's warnings change, and nothing swaps the process's filters.
+    if warnings.filters[:1] != [_QUIET]:
+        warnings.filterwarnings("ignore", module=_QUIET_MODULE)
     try:
-        compile(code, "<patch-verify>", "exec")
+        compile(code, _FILENAME, "exec")
         return True
     except SyntaxError:
         return False
@@ -124,6 +140,17 @@ def _indent(source: str) -> str:
     )
 
 
+def _compiles_in(source: str, context: str) -> bool:
+    """Whether ``source`` compiles in the wrapper ``context``."""
+    if context == "module":
+        return _compiles(source)
+    body = _indent(source)
+    if not body.strip():
+        return False  # nothing to wrap; the module context decides
+    keyword = "async def" if context == "async-body" else "def"
+    return _compiles(f"{keyword} _patchitpy_wrapper():\n{body}\n")
+
+
 def syntax_context(source: str) -> Optional[str]:
     """The first wrapper context in which ``source`` compiles, else ``None``.
 
@@ -132,15 +159,7 @@ def syntax_context(source: str) -> Optional[str]:
     are recognized as valid incomplete code rather than syntax errors).
     """
     for context in _WRAPPER_CONTEXTS:
-        if context == "module":
-            candidate = source
-        else:
-            keyword = "async def" if context == "async-body" else "def"
-            body = _indent(source)
-            if not body.strip():
-                continue  # nothing to wrap; the module context decides
-            candidate = f"{keyword} _patchitpy_wrapper():\n{body}\n"
-        if _compiles(candidate):
+        if _compiles_in(source, context):
             return context
     return None
 
@@ -261,21 +280,6 @@ class PatchVerdict:
         )
 
 
-def _fragment_parses(fragment: str) -> bool:
-    """True when a patch replacement is itself well-formed Python.
-
-    Replacements are usually expressions (``json.loads(blob)``) but may
-    be statements or multi-line blocks; accept anything that compiles as
-    an expression, a statement sequence, or inside a wrapper context.
-    """
-    try:
-        compile(fragment, "<patch-fragment>", "eval")
-        return True
-    except (SyntaxError, ValueError):
-        pass
-    return syntax_context(fragment) is not None
-
-
 class PatchVerifier:
     """Re-scan, syntax-check, and import-check a patching outcome.
 
@@ -317,12 +321,16 @@ class PatchVerifier:
         patched: str,
         applied: Sequence[Patch],
         final_findings: Optional[Sequence[Finding]] = None,
+        bases: Optional[Sequence[str]] = None,
     ) -> List[PatchVerdict]:
         """One verdict per applied patch, in application order.
 
         ``baseline`` is the findings of ``original`` (the identity
         baseline for the gone/new analysis); ``final_findings`` reuses an
         already-computed re-scan of ``patched`` when the caller has one.
+        ``bases`` holds, per applied patch, the text its pass rendered it
+        against (``original`` for every patch by default); the syntax
+        blame applies each patch to its own.
         """
         if final_findings is None:
             final_findings = self._detect(patched)
@@ -356,7 +364,9 @@ class PatchVerifier:
             )
 
         if syntax_broken:
-            self._blame_syntax(verdicts, applied)
+            self._blame_syntax(
+                verdicts, applied, bases if bases is not None else [original] * len(applied)
+            )
         if unattributed_introductions:
             # A finding appeared that no individual patch's replacement
             # explains (e.g. it matches across a splice boundary): no
@@ -413,23 +423,33 @@ class PatchVerifier:
         return verdict
 
     def _blame_syntax(
-        self, verdicts: List[PatchVerdict], applied: Sequence[Patch]
+        self,
+        verdicts: List[PatchVerdict],
+        applied: Sequence[Patch],
+        bases: Sequence[str],
     ) -> None:
         """Attribute a whole-file syntax failure to concrete patches.
 
-        A replacement that does not itself parse (in any wrapper context)
-        is the culprit; when every replacement parses individually the
-        breakage is an interaction, so every patch is held responsible —
-        the safe default, since none can be proven innocent.
+        A patch is the culprit when applying it alone, with its imports,
+        to the text its pass rendered it against breaks that text: the
+        result compiles in none of the wrapper contexts the text compiles
+        in.  When no patch fails alone the breakage is an interaction, so
+        every patch is held responsible — the safe default, since none
+        can be proven innocent.  This runs only when the output broke.
         """
-        culprits = [
-            index
-            for index, patch in enumerate(applied)
-            if not _fragment_parses(patch.replacement)
-        ]
+        contexts: Dict[str, List[str]] = {}
+        culprits = []
+        for index, (patch, base) in enumerate(zip(applied, bases)):
+            if base not in contexts:
+                contexts[base] = [c for c in _WRAPPER_CONTEXTS if _compiles_in(base, c)]
+            alone = apply_patches(base, [patch]).source
+            if contexts[base] and not any(
+                _compiles_in(alone, c) for c in contexts[base]
+            ):
+                culprits.append(index)
         targets = culprits if culprits else range(len(verdicts))
         detail = (
-            "replacement is not valid Python in any wrapper context"
+            "patch alone breaks the text it was rendered against"
             if culprits
             else "patched output compiles in no wrapper context"
         )

@@ -202,10 +202,9 @@ def analyze_payload(
     give ``patched_source``, which adds later passes, import pruning
     and the verifier's rulings.
 
-    With the engine's verifier on (the default), patches the verifier
-    reverted are filtered out of ``patches``, and every examined patch's
-    ruling appears in ``patch_verdicts``, with ``patches_reverted`` and
-    the aggregate ``verified`` flag alongside.
+    Patches the verifier reverted are filtered out of ``patches``, and
+    every examined patch's ruling appears in ``patch_verdicts``, with
+    ``patches_reverted`` and the aggregate ``verified`` flag alongside.
     """
     metrics = ScanMetrics()
     findings = engine.detect(source, metrics=metrics, trace=trace)

@@ -414,6 +414,60 @@ class TestPatchIntroduced:
         # ... the pre-existing one is left exactly as it was
         assert "yaml.load(data)" in patched
 
+    @pytest.mark.parametrize(
+        "old, new, patched, applied",
+        [
+            (
+                PREAMBLE + VULN_YAML,
+                PREAMBLE + VULN_YAML + VULN_YAML_OTHER,
+                "import yaml\ncfg = yaml.load(data)\ncfg2 = yaml.safe_load(other)\n",
+                [("PIT-A08-06", 59, 75, "yaml.safe_load(other)")],
+            ),
+            (
+                PREAMBLE + VULN_YAML,
+                PREAMBLE + VULN_YAML + VULN_SHELL,
+                PREAMBLE + VULN_YAML + VULN_SHELL.replace("True", "False"),
+                [("PIT-A03-08", 52, 93, VULN_SHELL.replace("True", "False")[:-1])],
+            ),
+            (
+                PREAMBLE,
+                PREAMBLE + VULN_YAML + VULN_SHELL,
+                PREAMBLE
+                + "cfg = yaml.safe_load(data)\n"
+                + VULN_SHELL.replace("True", "False"),
+                [
+                    ("PIT-A08-06", 36, 51, "yaml.safe_load(data)"),
+                    ("PIT-A03-08", 52, 93, VULN_SHELL.replace("True", "False")[:-1]),
+                ],
+            ),
+            # a second copy of a pre-existing finding shares its identity
+            (PREAMBLE + VULN_YAML, PREAMBLE + VULN_YAML * 2, PREAMBLE + VULN_YAML * 2, []),
+            (
+                PREAMBLE + VULN_SHELL,
+                VULN_YAML_OTHER + PREAMBLE + VULN_SHELL + VULN_YAML,
+                "cfg2 = yaml.safe_load(other)\n" + PREAMBLE + VULN_SHELL
+                + "cfg = yaml.safe_load(data)\n",
+                [
+                    ("PIT-A08-06", 7, 23, "yaml.safe_load(other)"),
+                    ("PIT-A08-06", 102, 117, "yaml.safe_load(data)"),
+                ],
+            ),
+        ],
+    )
+    def test_outcomes_on_the_head_finding_set(self, tmp_path, old, new, patched, applied):
+        """The engine gets every head finding, pre-existing identities
+        excluded: the patched text, applied patches and verdicts are
+        those of patching the introduced findings alone against the head
+        baseline."""
+        (result,) = patch_introduced(review_of(tmp_path, old, new), ENGINE).values()
+        assert result.patched == patched
+        assert [
+            (p.rule_id, p.span.start, p.span.end, p.replacement) for p in result.applied
+        ] == applied
+        assert [(v.rule_id, v.status, v.reverted) for v in result.verdicts] == [
+            (rule_id, "verified", False) for rule_id, *_ in applied
+        ]
+
     def test_deserialized_report_cannot_patch(self, tmp_path):
         report = review_of(
             tmp_path, PREAMBLE + VULN_YAML, PREAMBLE + VULN_YAML + VULN_YAML_OTHER

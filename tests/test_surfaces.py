@@ -114,19 +114,27 @@ def test_surfaces_ship_the_verified_patch_on_mutations(flat_samples, engine, che
     run()
 
 
-def test_an_indented_snippet_gets_only_the_fix_that_verifies():
-    """Patching both findings puts ``import subprocess`` at column 0
-    above indented code, so the verifier reverts the whole-file patch;
-    the MD5 fix alone verifies, and is the one quick fix offered."""
+def test_an_indented_snippet_gets_both_fixes():
+    """Imports go in at the snippet's margin, so each quick fix and the
+    whole-file patch verify."""
     text = "    import hashlib\n    h = hashlib.md5(data)\n    os.system(cmd)\n"
+    patched = PatchitPy().patch(text)
+    assert not patched.unverified
+    assert patched.patched.startswith(
+        "    import hashlib\n    import subprocess\n    import shlex\n"
+    )
+
     server = LanguageServer()
     server.did_open(URI, text)
-    (action,) = server.code_actions(URI)
-    assert server.apply_workspace_edit(action["edit"])["applied"]
-    assert server.document_text(URI) == text.replace("md5", "sha256")
+    actions = server.code_actions(URI)
+    assert len(actions) == 2
+    for action in actions:
+        server.did_change(URI, text)
+        assert server.apply_workspace_edit(action["edit"])["applied"]
+        assert server.document_text(URI) != text
+        assert syntax_context(server.document_text(URI)) is not None
 
     document = TextDocument(text)
     session = PatchitPyExtension().assess_selection(document)
     assert len(session.accepted) == 2
-    assert session.applied_edit_count == 0
-    assert document.get_text() == text
+    assert document.get_text() == patched.patched

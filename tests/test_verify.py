@@ -1,5 +1,6 @@
 """Tests for the Verifier stage: verdict taxonomy and the re-patch loop."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,16 @@ BREAKING_RULE = rule(
     "legacy parse",
     r"legacy_parse\((\w+)\)",
     patch=PatchTemplate(replacement=r"broken((", description="mangles syntax"),
+)
+
+# An unclosed-call fragment: it never parses on its own, yet applied to
+# its text it compiles.
+FRAGMENT_RULE = rule(
+    "TST-FRAG-01",
+    "CWE-328",
+    "weak hash",
+    r"weak_hash\(",
+    patch=PatchTemplate(replacement="strong_hash(", description="use strong_hash"),
 )
 
 COLLIDING_RULE = rule(
@@ -216,16 +227,33 @@ class TestRepatchLoop:
         assert [v.rule_id for v in reverted] == ["TST-BREAK-01"]
         assert len(result.applied) == 1
 
-    def test_verify_false_ships_unchecked(self):
-        engine = PatchitPy(rules=_rules(BREAKING_RULE), verify=False)
-        result = engine.patch("value = legacy_parse(raw)\n")
-        assert "broken((" in result.patched
-        assert result.verdicts == []
+    def test_only_the_patch_that_breaks_alone_is_blamed(self):
+        engine = PatchitPy(rules=_rules(FRAGMENT_RULE, BREAKING_RULE))
+        result = engine.patch("a = weak_hash(x)\nb = legacy_parse(y)\n")
+        assert result.patched == "a = strong_hash(x)\nb = legacy_parse(y)\n"
+        assert [(v.rule_id, v.status, v.reverted) for v in result.verdicts] == [
+            ("TST-BREAK-01", VERDICT_SYNTAX_BROKEN, True),
+            ("TST-FRAG-01", VERDICT_VERIFIED, False),
+        ]
+        assert "alone" in result.verdicts[0].detail
 
-    def test_per_call_override(self):
-        engine = PatchitPy(rules=_rules(BREAKING_RULE))
-        result = engine.patch("value = legacy_parse(raw)\n", verify=False)
-        assert "broken((" in result.patched
+    def test_an_interaction_blames_every_patch(self):
+        # each patch alone compiles; together they assign a name before
+        # declaring it global
+        global_rule = rule(
+            "TST-GLOBAL-01", "CWE-094", "declares", r"foo\(\)",
+            patch=PatchTemplate(replacement="global x", description="declare"),
+        )
+        assign_rule = rule(
+            "TST-ASSIGN-01", "CWE-094", "assigns", r"bar\(\)",
+            patch=PatchTemplate(replacement="x = 1", description="assign"),
+        )
+        engine = PatchitPy(rules=_rules(global_rule, assign_rule))
+        source = "def f():\n    bar()\n    foo()\n"
+        result = engine.patch(source)
+        assert result.patched == source
+        assert [v.status for v in result.verdicts] == [VERDICT_SYNTAX_BROKEN] * 2
+        assert all("no wrapper context" in v.detail for v in result.verdicts)
 
     def test_attempts_bounded(self):
         engine = PatchitPy(rules=_rules(NOOP_RULE), max_verify_attempts=1)
@@ -236,6 +264,60 @@ class TestRepatchLoop:
     def test_invalid_max_verify_attempts_rejected(self):
         with pytest.raises(ValueError):
             PatchitPy(max_verify_attempts=0)
+
+
+class TestWarningFilters:
+    """Compiling user text says nothing and depends on no warning filter."""
+
+    # an invalid escape: a DeprecationWarning, a SyntaxWarning from 3.12
+    SOURCE = 'import re\nPATTERN = re.compile("\\d+")\nvalue = legacy_parse(raw)\n'
+
+    def _patch(self, action):
+        engine = PatchitPy(rules=_rules(BREAKING_RULE))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            result = engine.patch(self.SOURCE)
+        return result, caught
+
+    def test_no_warning_and_the_same_result_under_any_filter(self):
+        result, caught = self._patch("always")
+        assert [str(w.message) for w in caught] == []
+        assert [v.status for v in result.verdicts] == [VERDICT_SYNTAX_BROKEN]
+        assert self._patch("error")[0] == result
+        assert self._patch("ignore")[0] == result
+
+
+class TestCorpusGate:
+    """The verifier reverts nothing the engine ships for the corpus, and
+    an indented corpus sample that compiles keeps compiling."""
+
+    def test_no_patch_reverted_on_the_corpus(self, flat_samples, engine):
+        assert len(flat_samples) == 609
+        reverted = [
+            (sample.sample_id, v.rule_id, v.detail)
+            for sample in flat_samples
+            for v in engine.patch(sample.source).verdicts
+            if v.reverted
+        ]
+        assert reverted == []
+
+    def test_indented_samples_get_no_syntax_broken_verdict(self, flat_samples, engine):
+        compiling, broken = 0, []
+        for pad in (" ", "  ", "    ", "        "):
+            for sample in flat_samples:
+                text = "".join(
+                    pad + line for line in sample.source.splitlines(keepends=True)
+                )
+                if syntax_context(text) is None:
+                    continue
+                compiling += 1
+                broken.extend(
+                    (len(pad), sample.sample_id, v.rule_id)
+                    for v in engine.patch(text).verdicts
+                    if v.status == VERDICT_SYNTAX_BROKEN
+                )
+        assert compiling == 2056
+        assert broken == []
 
 
 class TestVerdictSurfacing:
@@ -394,17 +476,23 @@ class TestCliIntegration:
         captured = capsys.readouterr()
         assert code == 3
         assert "syntax-broken" in captured.err
-        # verification off restores the 0/1/2 contract
-        assert cli.main(["patch", str(target), "--no-verify"]) == 1
+        # verification cannot be turned off
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["patch", str(target), "--no-verify"])
+        assert exited.value.code == 2
 
     def test_verify_flag_parses(self):
+        """There is no flag: every patching subcommand verifies."""
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["patch", "x.py", "--no-verify"])
-        assert args.verify is False
-        assert build_parser().parse_args(["patch", "x.py"]).verify is True
-        # scan never patches, so verification is structurally on-but-moot
-        assert build_parser().parse_args(["scan", "x.py"]).verify is True
+        for argv in (
+            ["patch", "x.py", "--no-verify"],
+            ["patch", "x.py", "--verify"],
+            ["review", "HEAD", "--patch", "--no-verify"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args(argv)
+            assert exited.value.code == 2
 
     def test_sarif_export_carries_verdicts_and_exit_code(
         self, tmp_path: Path, monkeypatch, capsys
