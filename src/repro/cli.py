@@ -113,7 +113,8 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lines",
         metavar="START:END",
-        help="restrict analysis to a 1-based inclusive line range (selection mode)",
+        help="file mode: restrict analysis to a 1-based inclusive line range "
+        "(selection mode)",
     )
     parser.add_argument(
         "--html",
@@ -124,7 +125,8 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
-        help="report format (text findings, plain JSON, or SARIF 2.1.0)",
+        help="report format (text findings, plain JSON, or SARIF 2.1.0); "
+        "json and sarif are file mode only",
     )
     parser.add_argument(
         "--jobs",
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--in-place",
         action="store_true",
         help="rewrite the file(s) instead of printing the patched text "
-        "(rejected when combined with --lines)",
+        "(required for a directory; rejected when combined with --lines)",
     )
     patch.set_defaults(patch=True)
 
@@ -287,10 +289,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject silently-ignored flag combinations (exit code 2)."""
+    """Reject flag combinations that would be silently ignored (exit code 2),
+    naming the spelling that works."""
+    command = f"patchitpy {args.command}"
     if args.in_place and args.lines:
         parser.error("--in-place cannot be combined with --lines "
                      "(a partial rewrite would corrupt the file)")
+    if args.path.is_dir():
+        if args.patch and not args.in_place:
+            parser.error(f"patching a directory rewrites its files: {command} DIR "
+                         f"--in-place (or {command} FILE to print one patched file)")
+        if args.lines:
+            parser.error(f"--lines selects lines of one file: {command} FILE "
+                         "--lines START:END")
+        if args.format != "text":
+            parser.error(f"--format {args.format} reports one file: {command} FILE "
+                         f"--format {args.format} (a directory reports as text, "
+                         "or with --html FILE)")
+    elif args.html and args.path.is_file():
+        parser.error(f"--html reports a directory: {command} DIR --html FILE")
 
 
 def _select_lines(source: str, spec: str) -> str:

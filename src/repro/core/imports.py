@@ -27,8 +27,10 @@ from bisect import bisect_right
 from os.path import commonprefix
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-_FROM_IMPORT_RE = re.compile(r"^from\s+(?P<module>[\w.]+)\s+import\s+(?P<names>[^#\n]+)")
-_PLAIN_IMPORT_RE = re.compile(r"^import\s+(?P<modules>[^#\n]+)")
+# An import names something: ``import )`` and ``from m import  # c`` are
+# no imports, so they neither anchor new imports nor get pruned.
+_FROM_IMPORT_RE = re.compile(r"^from\s+(?P<module>[\w.]+)\s+import\s+(?P<names>[^#\s][^#\n]*)")
+_PLAIN_IMPORT_RE = re.compile(r"^import\s+(?P<modules>[\w.][^#\n]*)")
 #: One line and its break, at Python's own line breaks.
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 #: Python's indentation whitespace.
@@ -196,6 +198,8 @@ class ImportManager:
         offset = self.insertion_offset()
         margin = self._layout.margin
         block = "".join(f"{margin}{statement}\n" for statement in to_add)
+        if offset and self._source[offset - 1] not in "\r\n":
+            block = "\n" + block  # the end of a text without a final line break
         return self._source[:offset] + block + self._source[offset:]
 
     def insertion_offset(self) -> int:

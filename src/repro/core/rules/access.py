@@ -5,7 +5,7 @@ Rule ids use the ``PIT-A01-##`` scheme.
 
 from __future__ import annotations
 
-from repro.core.rules.base import PatchTemplate, rule
+from repro.core.rules.base import PatchTemplate, literal_body, rule
 from repro.core.rules.helpers import add_call_kwargs
 from repro.types import Confidence, Severity
 
@@ -20,7 +20,9 @@ def build_rules() -> list:
             "PIT-A01-01",
             "CWE-022",
             "File opened from a path interpolating request data",
-            r"open\(\s*f(?P<q>['\"])(?P<pre>(?:(?!(?P=q)).)*)\{(?P<expr>[^{}]+)\}(?P<post>(?:(?!(?P=q)).)*)(?P=q)",
+            r"open\(\s*f(?P<q>['\"])"
+            + literal_body(r"\{[^{}]+\}", pre="pre", expr="expr", post="post")
+            + r"(?P=q)",
             severity=Severity.HIGH,
             not_if=(r"basename\(", r"secure_filename\("),
             patch=PatchTemplate(

@@ -178,6 +178,57 @@ def rule(
     )
 
 
+#: ``\{``, an optional zero-width guard, ``[^{}]+`` or ``[^{}]*``, ``\}``.
+_FIELD_MARKER = re.compile(r"\\\{(?P<guard>.*)\[\^\{\}\](?P<count>[+*])\\\}")
+
+#: One character of a string literal's line: not its quote, not a break.
+_BODY_CHAR = r"(?!(?P=q))."
+
+
+def literal_body(marker: str, *, pre: str = "", expr: str = "", post: str = "") -> str:
+    """The body of a string literal that holds ``marker``, matched in linear time.
+
+    The fragment goes between the pattern's opening ``(?P<q>['\\"])`` and
+    its closing ``(?P=q)``.  It matches what
+    ``(?:(?!(?P=q)).)*MARKER(?:(?!(?P=q)).)*`` matches, with the same
+    span and the same split at the marker.  That spelling lets both
+    repeats take the same characters, so it is quadratic when the literal
+    never closes or what follows it fails.  The fragment keeps that
+    spelling's two cases:
+
+    - the marker lies inside the literal's line: the match splits at the
+      last such marker, so the tail after it may not pass another one;
+    - a field's expression runs past the closing quote or a line break
+      (Python 3.12 f-strings nest quotes): only the line's last brace
+      can, and the tail after it runs to the next quote, markers and all.
+
+    ``marker`` is a field (``\\{``, an optional zero-width guard such as
+    ``(?!\\s*escape\\()``, then ``[^{}]+`` or ``[^{}]*`` and ``\\}``) or a
+    token that matches neither a quote nor a line break (``%[sdif]``).
+    ``pre``, ``expr`` and ``post`` name groups for the text before the
+    marker, the field's expression (or the token) and the text after it.
+    A field adds the group ``crossed``, so the fragment goes into a
+    pattern once, and the pattern must not set ``re.DOTALL``.
+    """
+
+    def group(name: str, body: str) -> str:
+        return f"(?P<{name}>{body})" if name else f"(?:{body})"
+
+    head = group(pre, f"(?:{_BODY_CHAR})*")
+    field = _FIELD_MARKER.fullmatch(marker)
+    if field is None:
+        if marker.startswith(r"\{"):
+            raise RuleError(f"not a field marker: {marker}")
+        return head + group(expr, marker) + group(post, f"(?:(?!(?P=q)|{marker}).)*")
+    guard, count = field.group("guard", "count")
+    inline = r"(?:(?!(?P=q))[^{}\n])"  # an expression character on the line
+    content = inline + r"*(?:(?P<crossed>(?P=q)|\n)[^{}]*)?"
+    opening = r"\{" + guard + ("(?=[^{}])" if count == "+" else "")
+    another = r"\{" + guard + inline + count + r"\}"  # a later field on the line
+    tail = rf"(?(crossed)(?:{_BODY_CHAR})*|(?:(?!(?P=q)|{another}).)*)"
+    return head + opening + group(expr, content) + r"\}" + group(post, tail)
+
+
 class RuleSet:
     """An ordered, id-unique collection of detection rules."""
 

@@ -8,7 +8,7 @@ interpolated field).
 
 from __future__ import annotations
 
-from repro.core.rules.base import PatchTemplate, rule
+from repro.core.rules.base import PatchTemplate, literal_body, rule
 from repro.core.rules.helpers import (
     logging_fstring_to_lazy,
     parameterize_sql_concat,
@@ -24,6 +24,10 @@ from repro.types import Confidence, Severity
 # The database handle spelling varies across generated code.
 _EXEC = r"(?P<call>\b[A-Za-z_][\w.]*\.execute(?:many|script)?)"
 _REQUEST_SOURCE = r"request\.(?:args|form|values|cookies|headers|json|data|files)"
+# String-literal markers (see ``literal_body``): an f-string field, and
+# one that does not already start with escape().
+_FIELD = r"\{[^{}]+\}"
+_UNESCAPED_FIELD = r"\{(?!\s*escape\()[^{}]+\}"
 
 
 def build_rules() -> list:
@@ -34,7 +38,7 @@ def build_rules() -> list:
             "PIT-A03-01",
             "CWE-089",
             "SQL query built with an f-string is passed to execute()",
-            _EXEC + r"\(\s*f(?P<q>['\"])(?P<sql>(?:(?!(?P=q)).)*\{[^{}]+\}(?:(?!(?P=q)).)*)(?P=q)\s*\)",
+            _EXEC + r"\(\s*f(?P<q>['\"])(?P<sql>" + literal_body(_FIELD) + r")(?P=q)\s*\)",
             severity=Severity.HIGH,
             patch=PatchTemplate(
                 builder=parameterize_sql_fstring,
@@ -46,7 +50,9 @@ def build_rules() -> list:
             "CWE-089",
             "SQL query built with %-interpolation is passed to execute()",
             _EXEC
-            + r"\(\s*(?P<q>['\"])(?P<sql>(?:(?!(?P=q)).)*%[sdif](?:(?!(?P=q)).)*)(?P=q)\s*%\s*(?P<operand>\([^()]*\)|[A-Za-z_][\w.\[\]'\"()]*)\s*\)",
+            + r"\(\s*(?P<q>['\"])(?P<sql>"
+            + literal_body(r"%[sdif]")
+            + r")(?P=q)\s*%\s*(?P<operand>\([^()]*\)|[A-Za-z_][\w.\[\]'\"()]*)\s*\)",
             severity=Severity.HIGH,
             patch=PatchTemplate(
                 builder=parameterize_sql_percent,
@@ -58,7 +64,9 @@ def build_rules() -> list:
             "CWE-089",
             "SQL query built with str.format() is passed to execute()",
             _EXEC
-            + r"\(\s*(?P<q>['\"])(?P<sql>(?:(?!(?P=q)).)*\{[^{}]*\}(?:(?!(?P=q)).)*)(?P=q)\s*\.format\(\s*(?P<args>[^()]*)\)\s*\)",
+            + r"\(\s*(?P<q>['\"])(?P<sql>"
+            + literal_body(r"\{[^{}]*\}")
+            + r")(?P=q)\s*\.format\(\s*(?P<args>[^()]*)\)\s*\)",
             severity=Severity.HIGH,
             patch=PatchTemplate(
                 builder=parameterize_sql_format,
@@ -81,7 +89,7 @@ def build_rules() -> list:
             "PIT-A03-05",
             "CWE-089",
             "SQLAlchemy text()/raw SQL composed with f-string interpolation",
-            r"\btext\(\s*f(?P<q>['\"])(?:(?!(?P=q)).)*\{[^{}]+\}(?:(?!(?P=q)).)*(?P=q)\s*\)",
+            r"\btext\(\s*f(?P<q>['\"])" + literal_body(_FIELD) + r"(?P=q)\s*\)",
             severity=Severity.HIGH,
             confidence=Confidence.MEDIUM,
         ),
@@ -167,7 +175,7 @@ def build_rules() -> list:
             "PIT-A03-13",
             "CWE-079",
             "User-controlled value interpolated into an HTML response f-string",
-            r"return\s+f(?P<q>['\"])(?:(?!(?P=q)).)*\{(?!\s*escape\()[^{}]+\}(?:(?!(?P=q)).)*(?P=q)",
+            r"return\s+f(?P<q>['\"])" + literal_body(_UNESCAPED_FIELD) + r"(?P=q)",
             severity=Severity.HIGH,
             require_in_file=(r"flask|django|app\.route|request\.",),
             not_if=(r"\{\s*escape\(",),
@@ -182,7 +190,7 @@ def build_rules() -> list:
             "PIT-A03-14",
             "CWE-079",
             "User-controlled value interpolated into make_response()",
-            r"make_response\(\s*f(?P<q>['\"])(?:(?!(?P=q)).)*\{(?!\s*escape\()[^{}]+\}(?:(?!(?P=q)).)*(?P=q)\s*\)",
+            r"make_response\(\s*f(?P<q>['\"])" + literal_body(_UNESCAPED_FIELD) + r"(?P=q)\s*\)",
             severity=Severity.HIGH,
             not_if=(r"\{\s*escape\(",),
             patch=PatchTemplate(
@@ -224,7 +232,8 @@ def build_rules() -> list:
             "PIT-A03-18",
             "CWE-090",
             "LDAP search filter interpolates user data",
-            r"(?P<call>\b[\w.]*\.search(?:_s|_ext_s)?)\(\s*(?P<pre>[^)]*?)f(?P<q>['\"])(?P<body>(?:(?!(?P=q)).)*\{[^{}]+\}(?:(?!(?P=q)).)*)(?P=q)",
+            r"(?P<call>\b[\w.]*\.search(?:_s|_ext_s)?)\(\s*(?P<pre>(?:[^)\s][^)]*?)??)"
+            + r"f(?P<q>['\"])(?P<body>" + literal_body(_FIELD) + r")(?P=q)",
             severity=Severity.HIGH,
             not_if=(r"escape_filter_chars",),
             patch=PatchTemplate(
@@ -239,7 +248,9 @@ def build_rules() -> list:
             "PIT-A03-19",
             "CWE-643",
             "XPath query interpolates user data",
-            r"(?P<call>\b[\w.]*\.xpath)\(\s*f(?P<q>['\"])(?P<body>(?:(?!(?P=q)).)*\{[^{}]+\}(?:(?!(?P=q)).)*)(?P=q)\s*\)",
+            r"(?P<call>\b[\w.]*\.xpath)\(\s*f(?P<q>['\"])(?P<body>"
+            + literal_body(_FIELD)
+            + r")(?P=q)\s*\)",
             severity=Severity.HIGH,
             patch=PatchTemplate(
                 builder=xpath_parameterize,
@@ -259,7 +270,8 @@ def build_rules() -> list:
             "PIT-A03-21",
             "CWE-117",
             "User-controlled value interpolated into a log message",
-            r"(?P<call>\b(?:logging|logger|log)\.(?:info|warning|error|debug|critical))\(\s*f(?P<q>['\"])(?P<body>(?:(?!(?P=q)).)*\{[^{}]+\}(?:(?!(?P=q)).)*)(?P=q)\s*\)",
+            r"(?P<call>\b(?:logging|logger|log)\.(?:info|warning|error|debug|critical))"
+            + r"\(\s*f(?P<q>['\"])(?P<body>" + literal_body(_FIELD) + r")(?P=q)\s*\)",
             severity=Severity.MEDIUM,
             not_in_file=(),
             patch=PatchTemplate(

@@ -81,6 +81,7 @@ from repro.server.pipeline import (
     deadline_s,
     exclude_keys,
     json_object,
+    pipeline_argv,
     pipeline_settings,
     require_root,
     require_source,
@@ -218,8 +219,7 @@ class FleetWorker:
             cmd += ["--shared-cache", str(cfg.shared_cache_dir)]
         if cfg.extended:
             cmd.append("--extended")
-        if cfg.access_log:
-            cmd.append("--access-log")
+        cmd += pipeline_argv(cfg)
         env = dict(os.environ)
         # The fleet may be launched from an installed console script or a
         # source checkout; either way the child must import `repro`.

@@ -65,6 +65,7 @@ __all__ = [
     "deadline_s",
     "exclude_keys",
     "json_object",
+    "pipeline_argv",
     "pipeline_settings",
     "require_root",
     "require_source",
@@ -503,9 +504,12 @@ def add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def pipeline_settings(args: argparse.Namespace) -> Dict[str, Any]:
+def pipeline_settings(args: Any) -> Dict[str, Any]:
     """Config fields from :func:`add_pipeline_flags` and ``--access-log``,
-    floored to workable values."""
+    floored to workable values.
+
+    ``args`` is parsed flags, or a config that holds the same fields.
+    """
     return {
         "max_body_bytes": max(1, args.max_body_bytes),
         "drain_timeout_s": max(0.0, args.drain_timeout_s),
@@ -513,6 +517,19 @@ def pipeline_settings(args: argparse.Namespace) -> Dict[str, Any]:
         "window_interval_s": max(0.1, args.window_interval_s),
         "window_slots": max(1, args.window_slots),
     }
+
+
+def pipeline_argv(config: Any) -> List[str]:
+    """The ``patchitpy serve`` flags that give a worker ``config``'s
+    :func:`pipeline_settings`, so a fleet's workers share its limits."""
+    argv: List[str] = []
+    for field, value in pipeline_settings(config).items():
+        flag = "--" + field.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    return argv
 
 
 class Background:

@@ -129,3 +129,32 @@ class TestDirectoryMode:
         assert code == 1
         # the wiped cache forces a full re-analysis
         assert "cache: 0 hit(s), 2 miss(es)" in out
+
+
+class TestIgnoredFlags:
+    """Flags that would be silently ignored are usage errors (exit 2)
+    whose message names the spelling that works."""
+
+    @pytest.fixture()
+    def project(self, tmp_path):
+        (tmp_path / "a.py").write_text("import pickle\nx = pickle.loads(b)\n")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, spelling",
+        [
+            (["patch", "{dir}"], "patchitpy patch DIR --in-place"),
+            (["scan", "{dir}", "--format", "json"], "patchitpy scan FILE --format json"),
+            (["patch", "{dir}", "--in-place", "--format", "sarif"], "FILE --format sarif"),
+            (["scan", "{dir}", "--lines", "1:2"], "patchitpy scan FILE --lines START:END"),
+            (["scan", "{file}", "--html", "{out}"], "patchitpy scan DIR --html FILE"),
+        ],
+    )
+    def test_is_a_usage_error(self, project, tmp_path, capsys, argv, spelling):
+        paths = {"dir": project, "file": project / "a.py", "out": tmp_path / "r.html"}
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(**paths) for arg in argv])
+        assert info.value.code == 2
+        assert spelling in capsys.readouterr().err
+        assert (project / "a.py").read_text() == "import pickle\nx = pickle.loads(b)\n"
+        assert not (tmp_path / "r.html").exists()

@@ -33,8 +33,10 @@ from hypothesis import strategies as st
 
 from repro import BackgroundFleet, FleetConfig, FleetRouter, ServerClient, ServerError
 from repro.core.cache import hash_source
+from repro.server.daemon import build_serve_parser
 from repro.server.fleet import FleetWorker, build_fleet_parser, config_from_args
 from repro.server.http11 import HttpError, read_request
+from repro.server.pipeline import pipeline_argv, pipeline_settings
 from repro.server.router import (
     DEFAULT_TENANT,
     HashRing,
@@ -229,6 +231,20 @@ class TestFleetParser:
         assert cfg.jobs == 1
         assert cfg.tenant_burst == 1.0
 
+    def test_workers_get_the_pipeline_settings(self):
+        args = build_fleet_parser().parse_args(
+            ["--max-body-bytes", "4194304", "--window-slots", "0", "--access-log"]
+        )
+        assert pipeline_argv(config_from_args(args)) == [
+            "--max-body-bytes", "4194304",
+            "--drain-timeout-s", "10.0",
+            "--access-log",
+            "--window-interval-s", "5.0",
+            "--window-slots", "1",
+        ]
+        flags = build_serve_parser().parse_args(pipeline_argv(config_from_args(args)))
+        assert pipeline_settings(flags) == pipeline_settings(config_from_args(args))
+
     def test_cli_lists_fleet_subcommand(self):
         import argparse
 
@@ -376,6 +392,7 @@ def running_fleet():
         tenant_burst=10_000.0,
         health_interval_s=0.2,
         restart_backoff_s=0.2,
+        max_body_bytes=4 * 1024 * 1024,
     )
     router = FleetRouter(config)
     with BackgroundFleet(router) as fleet:
@@ -429,6 +446,15 @@ class TestFleetRoundTrips:
         assert summary["count"] == 2 and summary["failed"] == 0
         ids = {line["id"] for line in lines[:-1]}
         assert ids == {0, 1}
+
+    def test_a_body_past_the_default_limit_reaches_a_worker(self, running_fleet):
+        """The workers take the fleet's 4 MiB body limit: a 3 MiB review
+        gets the worker's 400 for its missing root, not a 413."""
+        router, client = running_fleet
+        with pytest.raises(ServerError) as excinfo:
+            client.review("/no/such/directory/anywhere", diff="x" * (3 * 1024 * 1024))
+        assert excinfo.value.status == 400
+        assert "not a directory" in excinfo.value.payload["error"]
 
     def test_worker_errors_pass_through_verbatim(self, running_fleet):
         router, client = running_fleet

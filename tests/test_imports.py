@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from repro.core import imports
+from repro.core import PatchitPy, imports
 from repro.core.imports import (
     ImportManager,
     import_bindings,
@@ -115,6 +115,30 @@ class TestInsertion:
         out = insert_imports(source, ["import json"])
         assert "import sys\nimport json\n" in out
 
+    def test_a_text_without_a_final_line_break_gets_one_before_the_imports(self):
+        # regression: the block was glued onto the last line
+        assert insert_imports('"""doc"""', ["import yaml"]) == '"""doc"""\nimport yaml\n'
+        assert insert_imports("import os", ["import yaml"]) == "import os\nimport yaml\n"
+        assert insert_imports("import os\r", ["import yaml"]) == "import os\rimport yaml\n"
+
+    def test_patch_after_a_last_import_without_a_line_break(self):
+        # regression: "import osimport yaml", which pruning then dropped
+        result = PatchitPy().patch("data = yaml.load(b)\nimport os")
+        assert "import yaml" in result.patched.splitlines()
+        assert [verdict.status for verdict in result.verdicts] == ["verified"]
+
+    @pytest.mark.parametrize(
+        "line", ["import )", 'import ")', "from flask import # c", "from flask import  # c"]
+    )
+    def test_an_import_line_that_names_nothing_is_no_anchor(self, line):
+        # regression: "import )" (a truncated snippet) anchored the block
+        source = f"{line}\nx = 1\n"
+        assert insert_imports(source, ["import yaml"]) == "import yaml\n" + source
+
+    def test_a_from_import_at_a_line_end_does_not_read_the_next_line(self):
+        source = "from flask import\ndef f():\n    pass\n"
+        assert insert_imports(source, ["import yaml"]) == "import yaml\n" + source
+
 
 class TestPruning:
     def test_dead_plain_import_removed(self):
@@ -187,6 +211,11 @@ class TestImportBindings:
         with pytest.raises(ValueError):
             import_bindings("x = 1")
 
+    @pytest.mark.parametrize("statement", ["import )", "import , os", "from m import  # c"])
+    def test_an_import_that_names_nothing_raises(self, statement):
+        with pytest.raises(ValueError):
+            import_bindings(statement)
+
 
 class TestMargin:
     def test_column_zero_code_empties_the_margin(self):
@@ -241,8 +270,13 @@ class TestMargin:
 # ``import_layout``.  On a text whose margin is empty the two must agree
 # byte for byte.
 
+#: Its column-0 regex, less two slips the line walk does not make: its
+#: ``\s`` crossed a line break, so ``from flask import`` at a line's end
+#: took the next line for its names and new imports went in below that
+#: line, and its ``.+`` took a comment for the names.
 _OLD_IMPORT_LINE_RE = re.compile(
-    r"^(?:import\s+[\w.]+|from\s+[\w.]+\s+import\s+.+)", re.MULTILINE
+    r"^(?:import[^\S\n]+[\w.]+|from[^\S\n]+[\w.]+[^\S\n]+import[^\S\n]+[^#\s])",
+    re.MULTILINE,
 )
 
 
@@ -376,14 +410,25 @@ PATCH_IMPORTS = sorted(
 )
 
 
+def _old_insert(old, statements):
+    """The old insertion, plus the line break it left out before the
+    block at the end of a text without a final one."""
+    text, offset = old._source, old.insertion_offset()
+    out = old.insert(statements)
+    if out != text and offset and text[offset - 1] not in "\r\n":
+        out = out[:offset] + "\n" + out[offset:]
+    return out
+
+
 def _agrees_with_the_old_layer(text):
-    """False when ``text`` has a margin; else asserts byte identity."""
+    """False when ``text`` has a margin; else asserts byte identity (but
+    for the line break :func:`_old_insert` adds)."""
     if import_layout(text).margin:
         return False
     new, old = ImportManager(text), OldImportManager(text)
     assert new.insertion_offset() == old.insertion_offset()
     for statements in (PATCH_IMPORTS[:1], PATCH_IMPORTS):
-        assert new.insert(statements) == old.insert(statements)
+        assert new.insert(statements) == _old_insert(old, statements)
     assert prune_unused_imports(text) == old_prune_unused_imports(text)
     return True
 

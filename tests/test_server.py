@@ -342,6 +342,34 @@ class TestDeadlines:
             client._request("POST", "/v1/analyze", {"source": SAFE, "deadline_ms": "soon"})
         assert info.value.status == 400
 
+    def test_a_pumped_literal_leaves_healthz_responsive(self):
+        """An unclosed f-string of 4,000 fields once held the one analysis
+        thread, and with it the GIL, for seconds: the request got its 504
+        after 3.2 s and ``/healthz`` stalled for 3.1 s."""
+        server = PatchitPyServer(config=ServerConfig(port=0, jobs=1))
+        source = 'conn.search_s(f"' + "{a} " * 4000
+        round_trips = []
+        with BackgroundServer(server) as handle:
+            analyzed = threading.Event()
+
+            def poll():
+                with ServerClient(port=handle.port) as poller:
+                    while not analyzed.is_set():
+                        started = time.monotonic()
+                        poller.healthz()
+                        round_trips.append(time.monotonic() - started)
+
+            polling = threading.Thread(target=poll)
+            polling.start()
+            try:
+                with ServerClient(port=handle.port) as client:
+                    payload = client.analyze(source, deadline_ms=500)
+            finally:
+                analyzed.set()
+                polling.join()
+        assert payload["vulnerable"] is False
+        assert round_trips and max(round_trips) < 0.5, max(round_trips)
+
 
 def _pickle_key(engine):
     """The identity of VULN's pickle finding, and VULN's findings."""
