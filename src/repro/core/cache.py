@@ -364,13 +364,18 @@ class ResultStore:
         """Where the entry for ``digest`` lives."""
         return os.path.join(self.objects_dir, digest[:2], digest[2:])
 
-    def lookup(self, digest: str) -> Optional[CachedResult]:
+    def lookup(
+        self, digest: str, max_bytes: Optional[int] = None
+    ) -> Optional[CachedResult]:
         """The stored result for ``digest`` (one file read), or ``None``
-        when the entry is missing, truncated or malformed."""
+        when the entry is missing, truncated or malformed, or larger than
+        ``max_bytes`` (then at most ``max_bytes + 1`` bytes are read)."""
         try:
             with open(self.path_for(digest), "rb") as handle:
-                entry = json.loads(handle.read())
-            return _result(entry)
+                data = handle.read(-1 if max_bytes is None else max_bytes + 1)
+            if max_bytes is not None and len(data) > max_bytes:
+                return None
+            return _result(json.loads(data))
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 

@@ -28,8 +28,26 @@ from os.path import commonprefix
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 # An import names something: ``import )`` and ``from m import  # c`` are
-# no imports, so they neither anchor new imports nor get pruned.
-_FROM_IMPORT_RE = re.compile(r"^from\s+(?P<module>[\w.]+)\s+import\s+(?P<names>[^#\s][^#\n]*)")
+# no imports, so they neither anchor new imports nor get pruned.  Nor is
+# a from-import whose parenthesized names :data:`_PAREN_FROM` cannot
+# read (an unclosed ``(``), so its names never start with one.
+_FROM_IMPORT_RE = re.compile(r"^from\s+(?P<module>[\w.]+)\s+import\s+(?P<names>[^#\s(][^#\n]*)")
+#: A from-import with its names in parentheses, from ``from`` to the
+#: closing ``)``, over any number of lines.  A comment runs to its line's
+#: end, so a ``)`` inside one closes nothing.  Between the parentheses
+#: only what a names list holds may stand (words, whitespace, commas,
+#: comments): an unclosed ``(`` stops at the first other character, at
+#: the latest the next such import's own ``(``, so no two of these walks
+#: cover the same text.  This pattern and the two below are left to
+#: ``re``'s own cache, compiled on first use: few texts hold such an
+#: import, and a scan never reads imports at all.
+_PAREN_FROM = (
+    r"from[^\S\r\n]+(?P<module>[\w.]+)[^\S\r\n]+import[^\S\r\n]*"
+    r"\((?P<names>(?:[\w\s,]|#[^\r\n]*(?![^\r\n]))*)\)"
+)
+_COMMENT = r"#[^\r\n]*"
+#: One name a from-import binds: ``name`` or ``name as alias``.
+_IMPORTED_NAME = r"[^\W\d]\w*(?:\s+as\s+[^\W\d]\w*)?"
 _PLAIN_IMPORT_RE = re.compile(r"^import\s+(?P<modules>[\w.][^#\n]*)")
 #: One line and its break, at Python's own line breaks.
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
@@ -37,49 +55,72 @@ _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _INDENT = " \t\x0c"
 
 
+#: Where a walk outside string literals stops: a comment or a quote.
+_LEXEME_RE = re.compile(r"[#'\"]")
+#: Where a walk through each kind of string literal's body stops: an
+#: escape, its quote character and, for one-line literals, a line break.
+_BODY_STOP_RE = {
+    "'": re.compile(r"[\\'\r\n]"),
+    '"': re.compile(r'[\\"\r\n]'),
+    "'''": re.compile(r"[\\']"),
+    '"""': re.compile(r'[\\"]'),
+}
+
+
 def string_spans(source: str) -> List[Tuple[int, int]]:
     """Half-open ``[start, end)`` spans of string literals in ``source``.
 
-    A small state machine, not a full tokenizer: it tracks single- and
+    A small lexer, not a full tokenizer: it tracks single- and
     triple-quoted strings (prefixes and escapes included) and comments,
     which is exactly enough to decide whether a line starts inside a
     literal.  An unterminated triple quote extends to the end of the
     text — the conservative reading for generated, possibly incomplete
     snippets — and an unterminated single quote to its line's break.
+    It jumps between the characters that matter with compiled searches.
     """
     spans: List[Tuple[int, int]] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "#":
-            i = _LINE_RE.match(source, i).end()
+    find = _LEXEME_RE.search
+    lexeme = find(source)
+    while lexeme is not None:
+        i = lexeme.start()
+        if source[i] == "#":
+            lexeme = find(source, _LINE_RE.match(source, i).end())
             continue
-        if ch in "\"'":
-            # include any immediately-preceding string prefix (r, b, f, u)
-            start = i
-            j = start - 1
-            while j >= 0 and source[j] in "rRbBuUfF":
-                j -= 1
-            # only a prefix if glued to the quote as part of a name-free token
-            if j < start - 1 and (j < 0 or not (source[j].isalnum() or source[j] == "_")):
-                start = j + 1
-            quote = source[i : i + 3] if source[i : i + 3] in ('"""', "'''") else ch
-            i += len(quote)
-            while i < n:
-                if source[i] == "\\":
-                    i += 2
-                    continue
-                if source.startswith(quote, i):
-                    i += len(quote)
-                    break
-                if len(quote) == 1 and source[i] in "\r\n":
-                    break  # unterminated single-quoted string ends at EOL
-                i += 1
-            spans.append((start, min(i, n)))
-            continue
-        i += 1
+        # include any immediately-preceding string prefix (r, b, f, u)
+        start = j = i
+        while j and source[j - 1] in "rRbBuUfF":
+            j -= 1
+        # only a prefix if glued to the quote as part of a name-free token
+        if j < i and not (j and (source[j - 1].isalnum() or source[j - 1] == "_")):
+            start = j
+        quote = source[i : i + 3]
+        if quote not in ('"""', "'''"):
+            quote = source[i]
+        end = _literal_end(source, i + len(quote), quote)
+        spans.append((start, end))
+        lexeme = find(source, end)
     return spans
+
+
+def _literal_end(source: str, i: int, quote: str) -> int:
+    """Where the literal opened by ``quote`` ends, its body starting at
+    ``i``: past its closing quote, at the line break that cuts a
+    one-line literal short, or at the end of the text."""
+    stop = _BODY_STOP_RE[quote].search
+    while True:
+        found = stop(source, i)
+        if found is None:
+            return len(source)
+        i = found.start()
+        ch = source[i]
+        if ch == "\\":
+            i += 2  # the escaped character, a line break included
+        elif ch in "\r\n":
+            return i  # unterminated single-quoted string ends at EOL
+        elif len(quote) == 1 or source.startswith(quote, i):
+            return i + len(quote)
+        else:
+            i += 1
 
 
 def _offset_in_spans(offset: int, spans: Sequence[Tuple[int, int]]) -> bool:
@@ -91,9 +132,10 @@ def _offset_in_spans(offset: int, spans: Sequence[Tuple[int, int]]) -> bool:
 
 
 class ImportLine(NamedTuple):
-    """One import statement line outside string literals: its offsets
-    (``end`` just past its line break), its leading whitespace, its
-    stripped text and that text's :func:`_parse_imports` entries."""
+    """One import statement outside string literals: its offsets (``end``
+    just past the line break of its last line), its leading whitespace,
+    its text on one line (a parenthesized from-import's names joined by
+    ``, ``) and that text's :func:`_parse_imports` entries."""
 
     start: int
     end: int
@@ -121,13 +163,18 @@ def import_layout(source: str) -> ImportLayout:
     Blank lines, comment-only lines and lines that start inside a string
     literal hold no code, so they neither count toward the margin nor
     hold an import; the margin is empty when any code starts at column 0.
+    A parenthesized from-import is one :class:`ImportLine` up to its
+    closing ``)``, and the lines of its names are neither code nor
+    imports of their own.
     """
     spans = string_spans(source)
     margin: Optional[str] = None
     lines: List[ImportLine] = []
-    end = 0
+    end = resume = 0
     for line in _LINE_RE.findall(source):
         start, end = end, end + len(line)
+        if start < resume:
+            continue  # a line of a parenthesized import's names
         code = line.lstrip(_INDENT)
         if code[:1] in "#\r\n":
             continue  # blank or comment-only (an empty string is "in" too)
@@ -139,13 +186,42 @@ def import_layout(source: str) -> ImportLayout:
         indent = line[: len(line) - len(code)]
         margin = indent if margin is None else commonprefix((margin, indent))
         if importish:
-            statement = code.strip()
+            statement, stop = code.strip(), end
+            if statement.startswith("from ") and "(" in statement:
+                found = _parenthesized_from(source, start + len(indent))
+                if found is not None:
+                    statement, stop = found
+                    resume = stop
             try:
                 entries = _parse_imports(statement)
             except ValueError:
                 continue
-            lines.append(ImportLine(start, end, indent, statement, entries))
+            lines.append(ImportLine(start, stop, indent, statement, entries))
     return ImportLayout(margin or "", lines)
+
+
+def _parenthesized_from(source: str, at: int) -> Optional[Tuple[str, int]]:
+    """The from-import with parenthesized names that starts at ``at``:
+    its one-line form and the end of its last line (past the break).
+
+    ``None`` unless the parentheses close and hold one or more names
+    (``name`` or ``name as alias``) separated by commas, with comments
+    and a trailing comma allowed — what Python accepts there.
+    """
+    match = re.compile(_PAREN_FROM).match(source, at)
+    if match is None:
+        return None
+    names = [
+        " ".join(name.split())
+        for name in re.sub(_COMMENT, "", match.group("names")).split(",")
+    ]
+    if names[-1] == "" and len(names) > 1:
+        names.pop()  # the trailing comma
+    if not all(re.fullmatch(_IMPORTED_NAME, name) for name in names):
+        return None
+    rest = _LINE_RE.match(source, match.end())
+    stop = len(source) if rest is None else rest.end()
+    return f"from {match.group('module')} import {', '.join(names)}", stop
 
 
 class ImportManager:

@@ -41,6 +41,7 @@ the hot detect path (``matching.py`` / ``candidates.py``);
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 from collections import Counter
@@ -333,10 +334,65 @@ def _git_show(root: Path, revision: str, path: str) -> Optional[str]:
         raise ReviewError(f"cannot run git: {error}")
     if result.returncode != 0:
         return None
+    return _utf8(result.stdout)
+
+
+def _utf8(data: bytes) -> Optional[str]:
     try:
-        return result.stdout.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         return None
+
+
+Blob = Tuple[str, str]  # (revision, path)
+
+#: What a ``git cat-file --batch`` input line cannot hold: it ends at a
+#: line feed, and a carriage return before one is dropped.
+_LINE_BREAK = re.compile(r"[\r\n]")
+
+
+def _git_blobs(root: Path, blobs: Sequence[Blob]) -> Dict[Blob, Optional[str]]:
+    """Each blob's text, as :func:`_git_show` gives it, from one
+    ``git cat-file --batch`` process.
+
+    ``None`` marks a blob absent at its revision or not UTF-8.  A blob
+    this cannot read — a path holding a line break (the batch is
+    line-based), an object that is not a blob, a batch that failed — is
+    left out, for :func:`_git_show`.
+    """
+    wanted = [
+        blob for blob in dict.fromkeys(blobs) if not _LINE_BREAK.search("".join(blob))
+    ]
+    if not wanted:
+        return {}
+    names = b"".join(os.fsencode(f"{rev}:{path}") + b"\n" for rev, path in wanted)
+    try:
+        result = subprocess.run(
+            ["git", "-C", str(root), "cat-file", "--batch"],
+            input=names,
+            capture_output=True,
+        )
+    except OSError:
+        return {}
+    if result.returncode != 0:
+        return {}
+    out, pos = result.stdout, 0
+    texts: Dict[Blob, Optional[str]] = {}
+    for blob in wanted:
+        eol = out.find(b"\n", pos)
+        if eol < 0:
+            break  # cut short: the rest go to git show
+        # "<oid> <type> <size>", or "<name> missing" (or "ambiguous")
+        header = out[pos:eol].split(b" ")
+        pos = eol + 1
+        if len(header) != 3 or not header[2].isdigit():
+            texts[blob] = None
+            continue
+        size = int(header[2])
+        if header[1] == b"blob":
+            texts[blob] = _utf8(out[pos : pos + size])
+        pos += size + 1  # the content and the newline after it
+    return texts
 
 
 # ----------------------------------------------------------------- results
@@ -712,13 +768,18 @@ def review(
     reviewer = _Reviewer(engine, cache, m, t)
     scan_sid = t.begin("review", str(root)) if t.enabled else ""
 
-    for diff in diffs:
-        if diff.binary or not (_is_python(diff.old_path) or _is_python(diff.new_path)):
-            continue
+    touched = [
+        diff
+        for diff in diffs
+        if not diff.binary and (_is_python(diff.old_path) or _is_python(diff.new_path))
+    ]
+    blobs: Optional[Dict[Blob, Optional[str]]] = None
+    if diff_text is None:
+        assert base is not None
+        blobs = _git_blobs(root, _sides_in_git(touched, base, head))
+    for diff in touched:
         try:
-            old_source, new_source = _load_sides(
-                root, diff, base=base, head=head, from_diff=diff_text is not None
-            )
+            old_source, new_source = _load_sides(root, diff, base, head, blobs)
         except (ReviewError, OSError, UnicodeDecodeError) as error:
             report.files.append(
                 ReviewedFile(
@@ -766,15 +827,34 @@ def review(
     return report
 
 
+def _sides_in_git(
+    diffs: Sequence[FileDiff], base: str, head: Optional[str]
+) -> List[Blob]:
+    """The blobs a revision review of ``diffs`` reads: each old side at
+    ``base`` and, with ``head`` given, each new side at ``head``."""
+    blobs: List[Blob] = []
+    for diff in diffs:
+        if diff.old_path is not None:
+            blobs.append((base, diff.old_path))
+        if head is not None and diff.new_path is not None:
+            blobs.append((head, diff.new_path))
+    return blobs
+
+
 def _load_sides(
     root: Path,
     diff: FileDiff,
     base: Optional[str],
     head: Optional[str],
-    from_diff: bool,
+    blobs: Optional[Dict[Blob, Optional[str]]],
 ) -> Tuple[Optional[str], Optional[str]]:
-    """The ``(baseline, head)`` text of one touched file."""
-    if from_diff:
+    """The ``(baseline, head)`` text of one touched file.
+
+    ``blobs`` is ``None`` for a review of a diff; for one of git
+    revisions it holds what :func:`_git_blobs` read, and a side it lacks
+    comes from :func:`_git_show`.
+    """
+    if blobs is None:
         if diff.new_path is None:
             # deleted file: the whole old content is in the hunks
             return reverse_apply("", diff.hunks), None
@@ -783,13 +863,16 @@ def _load_sides(
             return None, new_source
         return reverse_apply(new_source, diff.hunks), new_source
     assert base is not None
-    old_source = (
-        _git_show(root, base, diff.old_path) if diff.old_path is not None else None
-    )
+
+    def at(revision: str, path: str) -> Optional[str]:
+        key = (revision, path)
+        return blobs[key] if key in blobs else _git_show(root, revision, path)
+
+    old_source = at(base, diff.old_path) if diff.old_path is not None else None
     if diff.new_path is None:
         new_source = None
     elif head is not None:
-        new_source = _git_show(root, head, diff.new_path)
+        new_source = at(head, diff.new_path)
     else:
         target = root / diff.new_path
         new_source = target.read_text() if target.exists() else None

@@ -87,6 +87,7 @@ from repro.server.pipeline import (
     json_object,
     require_root,
     require_source,
+    tier_hit,
 )
 from repro.server.statusz import render_statusz
 from repro.types import Finding
@@ -279,32 +280,23 @@ def analysis_unit(
     if store is None:
         return analyze_payload(engine, source, patch, exclude=exclude)
     digest = hash_source(source)
-    started = clock()
-    entry = store.lookup(digest)
-    cache_s = clock() - started
-    if entry is not None:
-        metrics = ScanMetrics()
-        metrics.count("cache_hits")
-        metrics.count("snippet_cache_hits")
-        payload: dict = {
-            "vulnerable": bool(entry.findings),
-            "findings": [f.to_dict() for f in entry.findings],
-            "from_cache": True,
-        }
+    payload, lookup = tier_hit(store, digest)
+    if payload is not None:
         if patch:
+            findings = [Finding.from_dict(raw) for raw in payload["findings"]]
             _apply_patch_fields(
-                engine, source, entry.findings, payload, metrics, exclude=exclude
+                engine, source, findings, payload, lookup, exclude=exclude
             )
-    else:
-        payload, metrics = analyze_payload(engine, source, patch, exclude=exclude)
-        metrics.count("cache_misses")
-        metrics.count("snippet_cache_misses")
-        started = clock()
-        findings = [Finding.from_dict(raw) for raw in payload["findings"]]
-        if not store.store(digest, findings):
-            metrics.count("snippet_cache_write_errors")
-        cache_s += clock() - started
-    metrics.add_time("snippet_cache_time_s", cache_s)
+        return payload, lookup
+    payload, metrics = analyze_payload(engine, source, patch, exclude=exclude)
+    metrics.merge(lookup)
+    metrics.count("cache_misses")
+    metrics.count("snippet_cache_misses")
+    started = clock()
+    findings = [Finding.from_dict(raw) for raw in payload["findings"]]
+    if not store.store(digest, findings):
+        metrics.count("snippet_cache_write_errors")
+    metrics.add_time("snippet_cache_time_s", clock() - started)
     return payload, metrics
 
 
@@ -334,6 +326,11 @@ class PatchitPyServer(Pipeline):
             },
         )
         self._caches: Dict[Path, ScanCache] = {}
+        #: The engine's ruleset fingerprint, computed once at start: it
+        #: names the shared tier's object directory and every open cache,
+        #: and ``/healthz`` reports it so a fleet front door reads the tier
+        #: under the same name.
+        self.fingerprint = ""
         #: The cross-process shared snippet cache (fleet tier), or None.
         self._snippet_store: Optional[ResultStore] = None
         self._pool: Optional[Executor] = None
@@ -348,9 +345,10 @@ class PatchitPyServer(Pipeline):
     async def start(self) -> "PatchitPyServer":
         """Warm the engine, build the pool, and bind the listener."""
         self.engine.warmup()
+        self.fingerprint = self.engine.rules.fingerprint()
         if self.config.shared_cache_dir:
             self._snippet_store = ResultStore(
-                Path(self.config.shared_cache_dir), self.engine.rules.fingerprint()
+                Path(self.config.shared_cache_dir), self.fingerprint
             )
         self._pool, self._pool_kind = self._build_pool()
         cfg = self.config
@@ -365,7 +363,7 @@ class PatchitPyServer(Pipeline):
         store = self._snippet_store
         store_at = None
         if store is not None:
-            store_at = (str(store.root), self.engine.rules.fingerprint())
+            store_at = (str(store.root), self.fingerprint)
         self._pool_initargs = (pickled, store_at)
         self._uses_process_pool = True
         return self._process_pool(), "process"
@@ -499,6 +497,7 @@ class PatchitPyServer(Pipeline):
                 "requests_total": self.metrics.counters.get("server_requests", 0),
                 "open_caches": len(self._caches),
                 "shared_cache": self._snippet_store is not None,
+                "fingerprint": self.fingerprint,
             },
             status=503 if self.draining else 200,
         )
@@ -779,7 +778,7 @@ class PatchitPyServer(Pipeline):
         key = root.resolve()
         cache = self._caches.get(key)
         if cache is None or cache.closed:
-            cache = ScanCache(key, self.engine.rules.fingerprint())
+            cache = ScanCache(key, self.fingerprint)
             self._caches[key] = cache
         return cache
 

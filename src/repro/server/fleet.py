@@ -23,10 +23,13 @@ disjoint.  All workers additionally share one content-addressed result
 cache directory (:class:`~repro.core.cache.ResultStore`, a file per
 digest), so when the ring re-routes — a worker died mid-batch — the surviving
 worker serves the bytes its dead sibling already scanned as a warm hit
-instead of re-analyzing them.  Per-tenant token buckets
-(:class:`~repro.server.router.TenantQuotas`) shed abusive load at the
-front door with ``429`` + ``Retry-After`` before any worker spends a
-queue slot on it.
+instead of re-analyzing them.  The front door reads that tier too: an
+unpatched, untraced snippet whose entry is there is answered on the
+router's loop from one file read, with the body a worker's hit would
+carry, and never makes the round trip to a worker.  Per-tenant token
+buckets (:class:`~repro.server.router.TenantQuotas`) shed abusive load
+at the front door with ``429`` + ``Retry-After`` before any worker
+spends a queue slot on it.
 
 Observability is fleet-wide: ``/metrics`` folds every worker's
 :class:`~repro.observability.collector.ScanMetrics` snapshot into one
@@ -51,6 +54,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.cache import hash_source
+from repro.core.cache import ResultStore, hash_source
 from repro.observability.collector import ScanMetrics, clock
 from repro.observability.exporters import to_prometheus
 from repro.server.http11 import (
@@ -86,6 +90,7 @@ from repro.server.pipeline import (
     require_root,
     require_source,
     run_foreground,
+    tier_hit,
 )
 from repro.server.router import HashRing, TenantQuotas, tenant_label
 from repro.server.statusz import render_fleet_statusz
@@ -110,6 +115,22 @@ _PROXY_ERRORS = (OSError, asyncio.TimeoutError)
 
 #: Keep-alive connections pooled per worker; beyond this, extras close.
 _POOL_LIMIT = 8
+
+#: What ``X-Fleet-Worker`` and the access log's ``worker`` say for a
+#: request the router answered from the shared tier itself; worker ids
+#: are ``w<index>``, so it never names a worker.
+FRONT_DOOR = "front-door"
+
+#: The largest shared-tier entry, in bytes, the front door answers
+#: itself.  Turning an entry into a reply costs about 50 ns a byte on a
+#: 2-vCPU VM, so a hit holds the router's loop 0.4 ms at most (some 40
+#: findings); a larger entry is decoded in a worker's pool, and the
+#: front door reads no more of it than this bound and one byte.
+_FRONT_DOOR_ENTRY_BYTES = 8 * 1024
+
+#: The shape of a ruleset fingerprint (a SHA-256 hex digest), the only
+#: worker-reported value that becomes part of a path the router reads.
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -187,6 +208,9 @@ class FleetWorker:
         self.up_since = 0.0
         self.probe_failures = 0
         self.fail_reason = ""
+        #: The ruleset fingerprint this incarnation's last ``/healthz``
+        #: reported; ``None`` until one has, and after a respawn.
+        self.fingerprint: Optional[str] = None
         self._pool: List[_Upstream] = []
         self._log_handle = None
 
@@ -197,6 +221,7 @@ class FleetWorker:
         with contextlib.suppress(FileNotFoundError, OSError):
             self.port_file.unlink()
         self.port = None
+        self.fingerprint = None
         self.generation += 1
         self.probe_failures = 0
         cfg = self.config
@@ -249,14 +274,24 @@ class FleetWorker:
             return None
 
     async def probe(self) -> bool:
-        """One fresh-connection ``/healthz`` round trip."""
+        """One fresh-connection ``/healthz`` round trip; a healthy answer
+        also records the worker's ruleset ``fingerprint``."""
         try:
             _, _, raw = await within(
                 self.fetch("/healthz"), min(5.0, self.config.proxy_timeout_s)
             )
-            return json.loads(raw.decode("utf-8")).get("status") == "ok"
+            doc = json.loads(raw.decode("utf-8"))
+            healthy = doc.get("status") == "ok"
         except Exception:  # noqa: BLE001 - any failure is "not healthy"
             return False
+        if healthy:
+            fingerprint = doc.get("fingerprint")
+            self.fingerprint = (
+                fingerprint
+                if isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint)
+                else None
+            )
+        return healthy
 
     def terminate(self) -> None:
         if self.alive():
@@ -387,8 +422,9 @@ class _Upstream:
 class FleetRouter(Pipeline):
     """The fleet front door: one listener, N supervised daemon shards.
 
-    Router-side ``metrics`` hold the ``fleet_*`` families only; worker
-    families merge in at scrape time and are never stored here.
+    Router-side ``metrics`` hold the ``fleet_*`` families and the cache
+    counts of the hits the front door answered itself; worker families
+    merge in at scrape time and are never stored here.
     """
 
     prefix = "fleet"
@@ -418,6 +454,8 @@ class FleetRouter(Pipeline):
         self._owns_run_dir = False
         self._forwarding: Optional[asyncio.Semaphore] = None
         self._supervisor: Optional[asyncio.Task] = None
+        #: The shared tier under the fingerprint the up workers agree on.
+        self._tier: Optional[Tuple[str, ResultStore]] = None
 
     # ----------------------------------------------------------- lifecycle
 
@@ -646,15 +684,55 @@ class FleetRouter(Pipeline):
             key, request.method, request.path, request.body,
             self._forward_headers(request),
         )
-        response = Response(
-            status=status,
-            body=raw,
-            content_type=content_type,
-            headers={"X-Fleet-Worker": worker_id},
+        return _served_by(
+            Response(status=status, body=raw, content_type=content_type), worker_id
         )
-        # The serving shard travels to the front-door access log.
-        response.access = {"worker": worker_id}  # type: ignore[attr-defined]
-        return response
+
+    # -------------------------------------------------- the shared tier
+
+    def _tier_store(self) -> Optional[ResultStore]:
+        """The shared tier as the workers name it, or ``None`` while the
+        front door may not read it.
+
+        It may while at least one worker is up and every up worker
+        reported the same fingerprint: during a rolling catalog change
+        the workers disagree and every request is forwarded, and with no
+        worker up the forward answers 503.
+        """
+        fingerprints = {
+            worker.fingerprint
+            for worker in self.workers.values()
+            if worker.state == "up"
+        }
+        if len(fingerprints) != 1 or None in fingerprints:
+            return None
+        (fingerprint,) = fingerprints
+        if self._tier is None or self._tier[0] != fingerprint:
+            assert self.shared_cache_dir is not None, "not started"
+            self._tier = (fingerprint, ResultStore(self.shared_cache_dir, fingerprint))
+        return self._tier[1]
+
+    def _tier_hit(self, key: str) -> Optional[dict]:
+        """The body a worker's hit on ``key`` would carry, read from the
+        shared tier on this loop, or ``None`` to forward.
+
+        Only an entry of at most :data:`_FRONT_DOOR_ENTRY_BYTES` is
+        answered here, so a hit holds the loop every tenant shares for a
+        bounded time whatever its entry holds; a larger entry, like a
+        miss, goes to a worker, which counts the miss beside the
+        analysis and write-through it runs.
+        """
+        store = self._tier_store()
+        if store is None:
+            return None
+        started = clock()
+        payload, metrics = tier_hit(store, key, _FRONT_DOOR_ENTRY_BYTES)
+        if payload is None:
+            return None
+        payload["duration_ms"] = round((clock() - started) * 1000.0, 3)
+        metrics.count("fleet_front_door_hits")
+        self.metrics.merge(metrics)
+        return payload
 
     # ------------------------------------------------------------ handlers
 
@@ -667,7 +745,12 @@ class FleetRouter(Pipeline):
         self._admit(request, units=1.0)
         # Same digest the result caches use — the ring and the shared
         # cache tier agree on what "the same snippet" means.
-        return await self._proxy(request, hash_source(source))
+        key = hash_source(source)
+        if not (body.get("patch", False) or body.get("trace", False)):
+            payload = self._tier_hit(key)
+            if payload is not None:
+                return _served_by(Response.json_response(payload), FRONT_DOOR)
+        return await self._proxy(request, key)
 
     async def _handle_rooted(self, request: Request) -> Response:
         """``/v1/scan`` and ``/v1/review``: route by the body's root."""
@@ -700,7 +783,9 @@ class FleetRouter(Pipeline):
             payload = json.dumps(sub).encode("utf-8")
             tasks.append(
                 asyncio.ensure_future(
-                    self._batch_item(item_id, hash_source(source), payload, headers)
+                    self._batch_item(
+                        item_id, hash_source(source), payload, headers, patch
+                    )
                 )
             )
         if not stream:
@@ -713,15 +798,26 @@ class FleetRouter(Pipeline):
         return batch_stream(completed(), started)
 
     async def _batch_item(
-        self, item_id: Any, key: str, payload: bytes, headers: Dict[str, str]
+        self,
+        item_id: Any,
+        key: str,
+        payload: bytes,
+        headers: Dict[str, str],
+        patch: bool,
     ) -> dict:
         """One batch item as one routed ``/v1/analyze`` — never raises.
 
         Items fan out *per digest*, so a single batch spreads over every
-        worker that owns a slice of it; failures (worker 4xx/5xx, or the
-        whole fleet down) become per-item error entries, matching the
-        daemon's own batch shape.
+        worker that owns a slice of it; an unpatched item the shared tier
+        holds is answered here, as its ``/v1/analyze`` would be.
+        Failures (worker 4xx/5xx, or the whole fleet down) become
+        per-item error entries, matching the daemon's own batch shape.
         """
+        if not patch:
+            line = self._tier_hit(key)
+            if line is not None:
+                line["id"] = item_id
+                return line
         try:
             status, _, raw, _ = await self._forward(
                 key, "POST", "/v1/analyze", payload, headers
@@ -758,6 +854,7 @@ class FleetRouter(Pipeline):
                     "pid": worker.process.pid if worker.process else None,
                     "restarts": worker.restarts,
                     "proxied": worker.proxied,
+                    "fingerprint": worker.fingerprint,
                     "reason": worker.fail_reason if worker.state != "up" else "",
                 }
             )
@@ -869,6 +966,14 @@ class FleetRouter(Pipeline):
         return Response.html_response(
             render_fleet_statusz(self, self.merged_metrics(docs))
         )
+
+
+def _served_by(response: Response, name: str) -> Response:
+    """Name who answered — a worker id or :data:`FRONT_DOOR` — in the
+    ``X-Fleet-Worker`` header and the front-door access log."""
+    response.headers["X-Fleet-Worker"] = name
+    response.access = {"worker": name}  # type: ignore[attr-defined]
+    return response
 
 
 class BackgroundFleet(Background):

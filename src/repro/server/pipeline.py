@@ -16,8 +16,9 @@ here once, in the :class:`Pipeline` both are built on:
   front end's metric prefix (``server_`` or ``fleet_``), the rolling
   SLO window, and the JSON access log;
 - the JSON-body checks both front ends apply, so a malformed body gets
-  the same ``400`` from either, and the ``/v1/batch`` reply shapes
-  (one JSON envelope, or NDJSON lines and a summary).
+  the same ``400`` from either, the shared-tier lookup whose hits both
+  answer alike, and the ``/v1/batch`` reply shapes (one JSON envelope,
+  or NDJSON lines and a summary).
 
 The front ends keep only what is theirs: handlers, the analysis pool
 and queue, caches, the supervisor and the proxy.  :class:`Background`
@@ -39,7 +40,17 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    AsyncIterator,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.observability.collector import ScanMetrics, clock
 from repro.observability.histogram import RollingWindow
@@ -53,6 +64,9 @@ from repro.server.http11 import (
     write_chunked_response,
     write_response,
 )
+
+if TYPE_CHECKING:
+    from repro.core.cache import ResultStore
 
 __all__ = [
     "Background",
@@ -70,6 +84,7 @@ __all__ = [
     "require_root",
     "require_source",
     "run_foreground",
+    "tier_hit",
 ]
 
 Handler = Callable[[Request], Awaitable[Response]]
@@ -420,6 +435,33 @@ def batch_items(
         sources.append(require_source(item, where=f"items[{index}]"))
         ids.append(item.get("id", index))
     return ids, sources, deadline
+
+
+def tier_hit(
+    store: ResultStore, digest: str, max_bytes: Optional[int] = None
+) -> Tuple[Optional[dict], ScanMetrics]:
+    """One lookup of ``digest`` in the shared tier: the body of an
+    unpatched hit (``None`` on a miss, or when the entry is larger than
+    ``max_bytes``) and a collector holding the lookup's wall time
+    (``snippet_cache_time_s``) and, on a hit, its counts.
+
+    A daemon's analysis unit and a fleet front door both look up here,
+    so their hits answer alike (before ``duration_ms``) and count alike.
+    """
+    started = clock()
+    entry = store.lookup(digest, max_bytes)
+    metrics = ScanMetrics()
+    metrics.add_time("snippet_cache_time_s", clock() - started)
+    if entry is None:
+        return None, metrics
+    metrics.count("cache_hits")
+    metrics.count("snippet_cache_hits")
+    payload = {
+        "vulnerable": bool(entry.findings),
+        "findings": [finding.to_dict() for finding in entry.findings],
+        "from_cache": True,
+    }
+    return payload, metrics
 
 
 def batch_reply(lines: List[dict], started: float) -> Response:

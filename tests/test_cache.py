@@ -404,6 +404,15 @@ class TestSharedCacheTier:
         assert reader.lookup("digest-present") is not None
         writer.close()
 
+    def test_an_entry_over_max_bytes_reads_as_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path, "fp")
+        assert store.store("digest-big", [_finding()] * 3)
+        size = Path(store.path_for("digest-big")).stat().st_size
+        assert store.lookup("digest-big", max_bytes=size - 1) is None
+        entry = store.lookup("digest-big", max_bytes=size)
+        assert entry is not None and entry.findings == [_finding()] * 3
+        store.close()
+
     def test_saves_merge_instead_of_clobbering(self, tmp_path):
         a = ResultStore(tmp_path, "fp")
         b = ResultStore(tmp_path, "fp")

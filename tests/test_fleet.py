@@ -7,12 +7,15 @@ Two layers, matching the module split:
 - the router's forward on its event loop against in-process fake
   workers: every transport failure takes the mark-down and failover
   path, and an HTTP error status is passed through;
+- the front door's own shared-tier answers, against the same fakes: it
+  reads the tier only while every up worker reports one fingerprint,
+  and forwards patch, trace and miss requests;
 - end-to-end tests that run a real :class:`FleetRouter` supervising
   real daemon subprocesses via :class:`BackgroundFleet`, and drive it
   through the stdlib :class:`ServerClient` — including the two fleet
   acceptance drills: a worker killed mid-traffic with zero
   client-visible errors, and a cross-worker warm cache hit served from
-  the shared tier.
+  the shared tier — and front-door hits whose body is a worker hit's.
 
 The subprocess fleet is expensive to boot (each worker warms a full
 engine), so the end-to-end tests share one module-scoped fleet and a
@@ -22,20 +25,28 @@ separate test covers the kill/restart drill on its own fleet.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BackgroundFleet, FleetConfig, FleetRouter, ServerClient, ServerError
-from repro.core.cache import hash_source
+from repro.core.cache import ResultStore, hash_source
 from repro.server.daemon import build_serve_parser
-from repro.server.fleet import FleetWorker, build_fleet_parser, config_from_args
-from repro.server.http11 import HttpError, read_request
+from repro.server.fleet import (
+    _FRONT_DOOR_ENTRY_BYTES,
+    FRONT_DOOR,
+    FleetWorker,
+    build_fleet_parser,
+    config_from_args,
+)
+from repro.server.http11 import HttpError, Request, read_request
 from repro.server.pipeline import pipeline_argv, pipeline_settings
 from repro.server.router import (
     DEFAULT_TENANT,
@@ -379,6 +390,136 @@ class TestForwardOnTheLoop:
         assert excinfo.value.status == 503
 
 
+# ------------------------------------------- answers from the shared tier
+
+#: The fingerprint the fake workers below report; the tier is written
+#: under it.
+TIER_FINGERPRINT = "a" * 64
+
+
+async def _analyze_via_fakes(tmp_path, workers, body):
+    """``/v1/analyze`` with ``body`` at a router whose workers are fakes
+    answering ``GOOD_REPLY``; ``workers`` holds each one's ``(state,
+    fingerprint)``.  The shared tier at ``tmp_path`` is the router's."""
+    good, port = await _serve(GOOD_REPLY)
+    router = FleetRouter(FleetConfig(port=0, workers=len(workers)))
+    router._forwarding = asyncio.Semaphore(8)  # what start() makes
+    router.shared_cache_dir = tmp_path
+    for index, (state, fingerprint) in enumerate(workers):
+        worker = FleetWorker(f"w{index}", router.config, tmp_path)
+        worker.port, worker.state, worker.fingerprint = port, state, fingerprint
+        router.workers[worker.worker_id] = worker
+        if state == "up":
+            router.ring.add(worker.worker_id)
+    request = Request("POST", "/v1/analyze", {}, {}, json.dumps(body).encode())
+    try:
+        return router, await router._handle_analyze(request)
+    finally:
+        for worker in router.workers.values():
+            await worker.close()
+        good.close()
+
+
+@pytest.fixture
+def tier(tmp_path, engine):
+    """A shared tier holding VULN's findings under ``TIER_FINGERPRINT``."""
+    findings = engine.detect(VULN)
+    assert findings
+    assert ResultStore(tmp_path, TIER_FINGERPRINT).store(hash_source(VULN), findings)
+    return tmp_path, findings
+
+
+class TestFrontDoorTier:
+    def test_agreeing_workers_let_the_front_door_answer(self, tier):
+        tmp_path, findings = tier
+        up = ("up", TIER_FINGERPRINT)
+        router, response = asyncio.run(
+            _analyze_via_fakes(tmp_path, [up, up], {"source": VULN})
+        )
+        assert response.headers["X-Fleet-Worker"] == FRONT_DOOR
+        assert response.access == {"worker": FRONT_DOOR}
+        body = json.loads(response.body)
+        assert body.pop("duration_ms") >= 0
+        assert body == {
+            "vulnerable": True,
+            "findings": [finding.to_dict() for finding in findings],
+            "from_cache": True,
+        }
+        counters = router.metrics.counters
+        for name in ("cache_hits", "snippet_cache_hits", "fleet_front_door_hits"):
+            assert counters[name] == 1, name
+        assert "cache_misses" not in counters  # the worker counts misses
+        assert [w.proxied for w in router.workers.values()] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            [("up", TIER_FINGERPRINT), ("up", "b" * 64)],  # rolling change
+            [("up", TIER_FINGERPRINT), ("up", None)],  # not reported yet
+            [("up", "b" * 64), ("down", TIER_FINGERPRINT)],  # another name
+        ],
+        ids=["disagree", "unreported", "other-fingerprint"],
+    )
+    def test_no_single_fingerprint_means_forward(self, tier, workers):
+        tmp_path, _ = tier
+        router, response = asyncio.run(
+            _analyze_via_fakes(tmp_path, workers, {"source": VULN})
+        )
+        assert response.body == b"{}\n"  # the fake worker's answer
+        assert response.headers["X-Fleet-Worker"] in {"w0", "w1"}
+        assert "fleet_front_door_hits" not in router.metrics.counters
+
+    def test_a_down_worker_does_not_veto(self, tier):
+        tmp_path, _ = tier
+        workers = [("up", TIER_FINGERPRINT), ("down", "b" * 64)]
+        _, response = asyncio.run(
+            _analyze_via_fakes(tmp_path, workers, {"source": VULN})
+        )
+        assert response.headers["X-Fleet-Worker"] == FRONT_DOOR
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"source": VULN, "patch": True},
+            {"source": VULN, "trace": True},
+            {"source": "never_stored = 1\n"},
+        ],
+        ids=["patch", "trace", "miss"],
+    )
+    def test_patch_trace_and_miss_are_forwarded(self, tier, body):
+        tmp_path, _ = tier
+        up = ("up", TIER_FINGERPRINT)
+        router, response = asyncio.run(_analyze_via_fakes(tmp_path, [up, up], body))
+        assert response.body == b"{}\n"
+        assert sum(w.proxied for w in router.workers.values()) == 1
+        assert "fleet_front_door_hits" not in router.metrics.counters
+
+    def test_an_entry_over_the_bound_is_forwarded(self, tier, engine):
+        """A hit holds the router's loop for a bounded time: an entry
+        with more findings than the bound allows is decoded by a worker."""
+        tmp_path, findings = tier
+        source = "many_findings = 1\n"
+        store = ResultStore(tmp_path, TIER_FINGERPRINT)
+        assert store.store(hash_source(source), findings * 200)
+        assert Path(store.path_for(hash_source(source))).stat().st_size > (
+            _FRONT_DOOR_ENTRY_BYTES
+        )
+        up = ("up", TIER_FINGERPRINT)
+        router, response = asyncio.run(
+            _analyze_via_fakes(tmp_path, [up, up], {"source": source})
+        )
+        assert response.body == b"{}\n"
+        assert sum(w.proxied for w in router.workers.values()) == 1
+        assert "fleet_front_door_hits" not in router.metrics.counters
+
+    def test_no_worker_up_is_503_not_a_hit(self, tier):
+        tmp_path, _ = tier
+        down = ("down", TIER_FINGERPRINT)
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(_analyze_via_fakes(tmp_path, [down, down], {"source": VULN}))
+        assert excinfo.value.status == 503
+
+
 # ----------------------------------------------------------- live fleet
 
 
@@ -505,6 +646,122 @@ class TestFleetRoundTrips:
         assert expected in {"w0", "w1"}
 
 
+def _post(port, path, payload):
+    """One raw POST: ``(status, response headers, decoded body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", path, body=json.dumps(payload))
+        response = conn.getresponse()
+        return response.status, dict(response.getheaders()), json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _proxied(router) -> int:
+    return sum(row["proxied"] for row in router.worker_table())
+
+
+def _without_duration(doc: dict) -> dict:
+    return {key: value for key, value in doc.items() if key != "duration_ms"}
+
+
+class TestFrontDoorHits:
+    def test_hit_body_is_the_worker_hit_body_on_the_corpus(
+        self, running_fleet, flat_samples, engine
+    ):
+        router, client = running_fleet
+        with_findings = [s.source for s in flat_samples if engine.detect(s.source)]
+        without = [s.source for s in flat_samples if not engine.detect(s.source)]
+        assert with_findings and without
+        sources = with_findings[:6] + without[:3]
+        port = router.port
+        for source in sources:
+            status, headers, cold = _post(port, "/v1/analyze", {"source": source})
+            assert status == 200 and headers["X-Fleet-Worker"] in router.workers
+            if cold.get("from_cache"):
+                continue  # an earlier sample with the same text wrote it
+            # a worker asked directly gives its own hit on the stored entry
+            worker = router.workers[headers["X-Fleet-Worker"]]
+            with ServerClient(port=worker.port) as direct:
+                at_worker = direct.analyze(source)
+            status, headers, at_front = _post(port, "/v1/analyze", {"source": source})
+            assert status == 200 and headers["X-Fleet-Worker"] == FRONT_DOOR
+            assert at_worker["from_cache"] is True
+            assert _without_duration(at_front) == _without_duration(at_worker)
+            assert at_front["findings"] == cold["findings"]
+
+    def test_patch_trace_miss_and_batch_misses_are_forwarded(self, running_fleet):
+        router, client = running_fleet
+        hot = "forward_probe = pickle.loads(blob)\n"
+        client.analyze(hot)  # written through
+        hits = router.metrics.counters.get("fleet_front_door_hits", 0)
+        proxied = _proxied(router)
+        assert client.analyze(hot)["from_cache"] is True
+        assert _proxied(router) == proxied
+        for options in ({"patch": True}, {"trace": True}):
+            reply = client.analyze(hot, **options)
+            assert reply["findings"]
+            assert _proxied(router) == proxied + 1, options
+            proxied += 1
+        assert "from_cache" not in client.analyze("forward_miss = eval(x)\n")
+        assert _proxied(router) == proxied + 1
+        proxied += 1
+        # a batch answers its held items at the front door, forwards the rest
+        batch = client.batch([hot, "forward_batch_0 = eval(a)", "forward_batch_1 = 1"])
+        assert batch["failed"] == 0
+        assert [line.get("from_cache", False) for line in batch["results"]] == [
+            True, False, False,
+        ]
+        assert _proxied(router) == proxied + 2
+        proxied += 2
+        patched = client.batch([hot], patch=True)
+        assert patched["results"][0]["patched_source"] != hot
+        assert _proxied(router) == proxied + 1
+        assert router.metrics.counters["fleet_front_door_hits"] == hits + 2
+
+    def test_a_truncated_entry_is_forwarded_and_repaired(self, running_fleet):
+        router, client = running_fleet
+        source = "truncated_probe = pickle.loads(blob)\n"
+        cold = client.analyze(source)
+        store = router._tier_store()
+        assert store is not None
+        entry = Path(store.path_for(hash_source(source)))
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[: len(whole) // 2])
+        proxied = _proxied(router)
+        status, headers, repaired = _post(router.port, "/v1/analyze", {"source": source})
+        assert status == 200 and headers["X-Fleet-Worker"] in router.workers
+        assert _proxied(router) == proxied + 1
+        assert "from_cache" not in repaired  # the worker re-analyzed it
+        assert repaired["findings"] == cold["findings"]
+        assert entry.read_bytes() == whole  # and wrote it through again
+        status, headers, hit = _post(router.port, "/v1/analyze", {"source": source})
+        assert headers["X-Fleet-Worker"] == FRONT_DOOR and hit["from_cache"] is True
+
+    def test_a_large_entry_is_answered_by_a_worker(self, running_fleet):
+        router, client = running_fleet
+        source = "".join(f"large_{i} = pickle.loads(blob)\n" for i in range(60))
+        cold = client.analyze(source)
+        store = router._tier_store()
+        assert store is not None
+        size = Path(store.path_for(hash_source(source))).stat().st_size
+        assert size > _FRONT_DOOR_ENTRY_BYTES
+        proxied = _proxied(router)
+        status, headers, hit = _post(router.port, "/v1/analyze", {"source": source})
+        assert status == 200 and headers["X-Fleet-Worker"] in router.workers
+        assert _proxied(router) == proxied + 1
+        assert hit["from_cache"] is True and hit["findings"] == cold["findings"]
+
+    def test_front_door_hits_reach_merged_metrics(self, running_fleet):
+        router, client = running_fleet
+        source = "metrics_hit = pickle.loads(blob)\n"
+        client.analyze(source)
+        assert client.analyze(source)["from_cache"] is True
+        text = client.metrics_text()
+        assert "patchitpy_fleet_front_door_hits" in text
+        assert "Cache (lifetime)" in client.statusz()
+
+
 class TestFleetQuotas:
     def test_quota_exhaustion_answers_429_with_tenant_metrics(self):
         config = FleetConfig(
@@ -576,9 +833,11 @@ class TestFleetFailover:
                 assert victim.process is not None
                 victim.process.kill()
 
-                # Immediately re-request: the router must fail over to the
-                # survivor without surfacing any error to the client...
-                failover = client.analyze(probe)
+                # Immediately re-request, patched so that the front door
+                # cannot answer it from the tier: the router must fail
+                # over to the survivor without surfacing any error to the
+                # client...
+                failover = client.analyze(probe, patch=True)
                 assert failover["findings"] == cold["findings"]
                 # ...and the survivor serves bytes it never scanned itself
                 # as a warm hit from the shared tier.
@@ -616,11 +875,19 @@ class TestFleetFailover:
         router = FleetRouter(config)
         with BackgroundFleet(router) as fleet:
             with ServerClient(port=fleet.port) as client:
+                held = "held = pickle.loads(blob)\n"
+                client.analyze(held)  # in the shared tier now
+                assert client.analyze(held)["from_cache"] is True
                 worker = router.workers["w0"]
                 assert worker.process is not None
                 worker.process.kill()
                 with pytest.raises(ServerError) as excinfo:
                     client.analyze("x = 1\n")
+                assert excinfo.value.status == 503
+                # with no worker up, the front door answers nothing itself
+                assert router.workers["w0"].state == "down"
+                with pytest.raises(ServerError) as excinfo:
+                    client.analyze(held)
                 assert excinfo.value.status == 503
 
 

@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PatchitPy, imports
 from repro.core.imports import (
@@ -14,6 +15,7 @@ from repro.core.imports import (
     import_layout,
     insert_imports,
     prune_unused_imports,
+    string_spans,
 )
 from repro.core.rules import default_ruleset
 from tests.test_candidates import mutated_samples
@@ -190,6 +192,82 @@ class TestPruning:
     def test_docstring_import_line_not_pruned(self):
         source = '"""Example:\nimport os\n"""\n\nprint("hi")\n'
         assert prune_unused_imports(source) == source
+
+
+#: A parenthesized from-import whose name the code uses.
+FLASK_IMPORT = "from flask import (\n    Flask,\n)\n"
+
+
+class TestParenthesizedFromImport:
+    """A from-import whose names sit in parentheses is one statement up
+    to its closing ``)``: before, its first line was read alone, with
+    ``(`` for its names."""
+
+    def test_a_used_import_is_kept_whole(self):
+        # regression: pruning dropped "from flask import (" alone
+        source = FLASK_IMPORT + "app = Flask(__name__)\n"
+        assert prune_unused_imports(source) == source
+
+    def test_an_unused_import_goes_whole(self):
+        assert prune_unused_imports(FLASK_IMPORT + "x = 1\n") == "x = 1\n"
+
+    def test_new_imports_go_in_after_the_closing_parenthesis(self):
+        # regression: "import yaml" went in between "(" and "Flask,"
+        source = FLASK_IMPORT + "x = 1\n"
+        assert insert_imports(source, ["import yaml"]) == (
+            FLASK_IMPORT + "import yaml\nx = 1\n"
+        )
+
+    def test_the_patch_beside_it_verifies(self):
+        # regression: the insertion split the statement, so the verifier
+        # reverted the patch as syntax-broken
+        source = FLASK_IMPORT + "app = Flask(__name__)\nx = pickle.loads(b)\n"
+        result = PatchitPy().patch(source)
+        assert [verdict.status for verdict in result.verdicts] == ["verified"]
+        assert result.patched == (
+            FLASK_IMPORT + "import json\napp = Flask(__name__)\nx = json.loads(b)\n"
+        )
+
+    def test_comments_aliases_and_a_trailing_comma(self):
+        source = (
+            "from a.b import (  # why (not)\n"
+            "    c,  # a ) in a comment\n"
+            "    d\n    as e,\n"
+            ")  # done\n"
+            "print(c)\n"
+        )
+        (line,) = import_layout(source).lines
+        assert (line.start, line.end) == (0, source.index("print"))
+        assert line.statement == "from a.b import c, d as e"
+        assert line.entries == [("from", "a.b", frozenset({"c", "d"}))]
+        assert import_bindings(line.statement) == ["c", "e"]
+        assert ImportManager(source).has_import("from a.b import d")
+        assert prune_unused_imports(source) == source
+
+    def test_on_one_line(self):
+        (line,) = import_layout("from m import (a, b)\n").lines
+        assert line.statement == "from m import a, b"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from m import (\n    a,\nx = 1\n",  # never closed
+            "from m import ()\nx = 1\n",
+            "from m import (,)\nx = 1\n",
+            "from m import (a b)\nx = 1\n",
+            "from m import (a,, b)\nx = 1\n",
+        ],
+    )
+    def test_what_python_would_not_read_is_no_import(self, source):
+        assert import_layout(source).lines == []
+        assert prune_unused_imports(source) == source
+        assert insert_imports(source, ["import yaml"]) == "import yaml\n" + source
+
+    def test_its_lines_are_neither_code_nor_imports(self):
+        source = "    from m import (\n  a,\n)\n    print(a)\n"
+        layout = import_layout(source)
+        assert layout.margin == "    "
+        assert [line.statement for line in layout.top_level] == ["from m import a"]
 
 
 class TestImportBindings:
@@ -420,10 +498,15 @@ def _old_insert(old, statements):
     return out
 
 
+#: Where the old layer read a from-import's first line alone.
+_PAREN_FROM = re.compile(r"from\s+[\w.]+\s+import\s*\(")
+
+
 def _agrees_with_the_old_layer(text):
-    """False when ``text`` has a margin; else asserts byte identity (but
-    for the line break :func:`_old_insert` adds)."""
-    if import_layout(text).margin:
+    """False when ``text`` has a margin or a parenthesized from-import
+    (:class:`TestParenthesizedFromImport`); else asserts byte identity
+    (but for the line break :func:`_old_insert` adds)."""
+    if import_layout(text).margin or _PAREN_FROM.search(text):
         return False
     new, old = ImportManager(text), OldImportManager(text)
     assert new.insertion_offset() == old.insertion_offset()
@@ -445,3 +528,76 @@ def test_an_empty_margin_keeps_the_old_layer_on_mutations(flat_samples):
         _agrees_with_the_old_layer(source)
 
     check()
+
+
+# ------------------------------------------------------ string-literal spans
+# ``string_spans`` as a per-character state machine, before it jumped
+# between the characters that matter with compiled searches: the oracle
+# the lexer must equal on any text.
+
+
+def char_loop_string_spans(source):
+    spans = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "#":
+            i = imports._LINE_RE.match(source, i).end()
+            continue
+        if ch in "\"'":
+            start = i
+            j = start - 1
+            while j >= 0 and source[j] in "rRbBuUfF":
+                j -= 1
+            if j < start - 1 and (j < 0 or not (source[j].isalnum() or source[j] == "_")):
+                start = j + 1
+            quote = source[i : i + 3] if source[i : i + 3] in ('"""', "'''") else ch
+            i += len(quote)
+            while i < n:
+                if source[i] == "\\":
+                    i += 2
+                    continue
+                if source.startswith(quote, i):
+                    i += len(quote)
+                    break
+                if len(quote) == 1 and source[i] in "\r\n":
+                    break
+                i += 1
+            spans.append((start, min(i, n)))
+            continue
+        i += 1
+    return spans
+
+
+class TestStringSpans:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet="#'\"\\\r\nrRbBuUfFx_\u00e9 ", max_size=40))
+    def test_equals_the_character_loop_on_lexical_noise(self, text):
+        assert string_spans(text) == char_loop_string_spans(text)
+
+    def test_equals_the_character_loop_on_the_corpus(self, flat_samples):
+        for sample in flat_samples:
+            assert string_spans(sample.source) == char_loop_string_spans(sample.source)
+
+    def test_equals_the_character_loop_on_mutations(self, flat_samples):
+        @settings(max_examples=300, deadline=None)
+        @given(source=mutated_samples([sample.source for sample in flat_samples]))
+        def check(source):
+            assert string_spans(source) == char_loop_string_spans(source)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "source, spans",
+        [
+            ("x = rb'a' + f\"{b}\"\n", [(4, 9), (12, 18)]),
+            ("xr'a'\n", [(2, 5)]),  # a name's last letter is no prefix
+            ("s = 'cut\r\nt = 1\n", [(4, 8)]),
+            ("d = '''open", [(4, 11)]),
+            ("e = 'a\\\nb'\n", [(4, 10)]),  # an escaped line break
+            ("# it's\nq = '#'\n", [(11, 14)]),
+        ],
+    )
+    def test_literals_prefixes_and_comments(self, source, spans):
+        assert string_spans(source) == char_loop_string_spans(source) == spans

@@ -181,6 +181,17 @@ def _best_of_5(engine, text):
     return best
 
 
+def _assert_grows_near_linearly(engine, texts):
+    """Each text is about 4x the one before; its patch may cost about
+    4x, and fails the first step that costs 8x or more."""
+    times = [_best_of_5(engine, texts[0])]
+    for text in texts[1:]:
+        times.append(_best_of_5(engine, text))
+        assert times[-1] / times[-2] < 8, [
+            (len(text), seconds) for text, seconds in zip(texts, times)
+        ]
+
+
 def test_patching_concatenated_snippets_grows_near_linearly():
     """4x the input may cost about 4x, never the 10x-20x it used to.
 
@@ -191,7 +202,17 @@ def test_patching_concatenated_snippets_grows_near_linearly():
     engine = PatchitPy()
     pool = _import_carrying_snippets(engine)
     sizes = (4 * 1024, 16 * 1024, 64 * 1024)
-    times = [_best_of_5(engine, _concatenated(pool, sizes[0]))]
-    for size in sizes[1:]:
-        times.append(_best_of_5(engine, _concatenated(pool, size)))
-        assert times[-1] / times[-2] < 8, dict(zip(sizes, times))
+    _assert_grows_near_linearly(engine, [_concatenated(pool, size) for size in sizes])
+
+
+def test_unclosed_parenthesized_imports_grow_near_linearly():
+    """An unclosed ``from m import (`` reads its names no further than
+    the next one's ``(``.  No corpus snippet holds a parenthesized
+    import, so the test above cannot see a walk that runs on to the end
+    of the text for each of them: 4x the lines cost 16x."""
+    engine = PatchitPy()
+    texts = [
+        "from m import (\n" * lines + "x = pickle.loads(b)\n"
+        for lines in (256, 1024, 4096)
+    ]
+    _assert_grows_near_linearly(engine, texts)

@@ -8,12 +8,13 @@ pin what sharing it buys on the wire:
 - the same malformed body gets the same status and the same ``error``
   text from a daemon and from a fleet;
 - the trace id a fleet answers with is the one its worker logs, and
-  each front-door request leaves one access-log line naming its worker;
+  each front-door request leaves one access-log line naming its worker,
+  or the front door when it answered from the shared tier itself;
 - a fleet batch is validated in full before it spends tenant quota;
 - a ``/v1/scan`` ``jobs`` that is not an integer is a 400, not a 500;
 - from Python 3.11, a keep-alive request spawns no asyncio Task at a
-  daemon or at a fleet's front door: every deadline on the way is a
-  timer on the connection's own task.
+  daemon or at a fleet's front door, forwarded or answered there: every
+  deadline on the way is a timer on the connection's own task.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro import (
     ServerConfig,
     ServerError,
 )
+from repro.server.fleet import FRONT_DOOR
 
 SNIPPET = "data = pickle.loads(blob)\n"
 
@@ -76,6 +78,17 @@ def fleet(tmp_path_factory):
     )
     with BackgroundFleet(FleetRouter(config)) as handle:
         yield run_dir, handle.port
+
+
+def _front_door_records(capfd, trace_id: str):
+    """The front door's access-log records for ``trace_id`` logged since
+    the last read of ``capfd``."""
+    lines = [
+        json.loads(line)
+        for line in capfd.readouterr().err.splitlines()
+        if line.startswith("{")
+    ]
+    return [record for record in lines if record.get("trace_id") == trace_id]
 
 
 def _worker_log_records(run_dir: Path, worker: str, trace_id: str, count: int):
@@ -134,10 +147,15 @@ class TestWireParity:
 
 
 class TestFleetTraceIds:
+    """Each test sends its own snippet: a repeat of an earlier one would be
+    answered from the shared tier at the front door, never reaching the
+    worker log."""
+
     def test_generated_trace_id_reaches_the_worker_log(self, fleet):
         run_dir, port = fleet
+        source = "traced = pickle.loads(blob)\n"
         status, headers, _ = _exchange(
-            port, "POST", "/v1/analyze", json.dumps({"source": SNIPPET})
+            port, "POST", "/v1/analyze", json.dumps({"source": source})
         )
         assert status == 200
         trace_id = headers["X-Patchitpy-Trace-Id"]
@@ -162,19 +180,42 @@ class TestFleetTraceIds:
             port,
             "POST",
             "/v1/analyze",
-            json.dumps({"source": SNIPPET}),
+            json.dumps({"source": "logged = pickle.loads(blob)\n"}),
             {"X-Trace-Id": "front-door.1"},
         )
         assert headers["X-Patchitpy-Trace-Id"] == "front-door.1"
-        lines = [
-            json.loads(line)
-            for line in capfd.readouterr().err.splitlines()
-            if line.startswith("{")
-        ]
-        mine = [r for r in lines if r.get("trace_id") == "front-door.1"]
+        mine = _front_door_records(capfd, "front-door.1")
         assert len(mine) == 1
         assert mine[0]["path"] == "/v1/analyze" and mine[0]["status"] == 200
-        assert mine[0]["worker"] == headers["X-Fleet-Worker"]
+        assert mine[0]["worker"] == headers["X-Fleet-Worker"] == "w0"
+
+    def test_a_front_door_hit_logs_its_trace_id_and_the_front_door(
+        self, fleet, capfd
+    ):
+        run_dir, port = fleet
+        body = json.dumps({"source": "repeated = pickle.loads(blob)\n"})
+        _exchange(port, "POST", "/v1/analyze", body)  # written through
+        capfd.readouterr()
+        _, headers, doc = _exchange(
+            port, "POST", "/v1/analyze", body, {"X-Trace-Id": "front-door.2"}
+        )
+        assert doc["from_cache"] is True
+        assert headers["X-Patchitpy-Trace-Id"] == "front-door.2"
+        assert headers["X-Fleet-Worker"] == FRONT_DOOR
+        mine = _front_door_records(capfd, "front-door.2")
+        assert len(mine) == 1
+        assert mine[0]["status"] == 200 and mine[0]["worker"] == FRONT_DOOR
+        # The worker never saw it: a later forwarded request's line is in
+        # its log, the hit's is not.
+        _exchange(
+            port,
+            "POST",
+            "/v1/analyze",
+            json.dumps({"source": "after_the_hit = eval(x)\n"}),
+            {"X-Trace-Id": "front-door.3"},
+        )
+        assert _worker_log_records(run_dir, "w0", "front-door.3", 1)
+        assert not _worker_log_records(run_dir, "w0", "front-door.2", 0)
 
 
 class TestFleetBatchQuota:
@@ -226,7 +267,8 @@ class TestScanJobs:
 def _tasks_per_keep_alive_request(handle, requests: int = 10) -> list:
     """The coroutines the handle's event loop wraps in a Task while one
     keep-alive client sends ``requests`` patched analyses after its
-    first."""
+    first, then ``requests`` unpatched repeats of the first (at a fleet,
+    answered from the shared tier by the front door)."""
     created: list = []
 
     def counting_factory(loop, coro, **kwargs):
@@ -247,6 +289,8 @@ def _tasks_per_keep_alive_request(handle, requests: int = 10) -> list:
         for index in range(requests):
             source = f"v{index} = pickle.loads(blob{index})\n"
             assert client.analyze(source, patch=True)["vulnerable"]
+        for _ in range(requests):
+            assert client.analyze(SNIPPET)["vulnerable"]
         return list(created)
 
 
@@ -270,5 +314,7 @@ class TestNoTaskPerRequest:
             tenant_burst=10_000.0,
             health_interval_s=60.0,  # no health probe inside the window
         )
-        with BackgroundFleet(FleetRouter(config)) as handle:
+        router = FleetRouter(config)
+        with BackgroundFleet(router) as handle:
             assert _tasks_per_keep_alive_request(handle) == []
+        assert router.metrics.counters["fleet_front_door_hits"] == 10

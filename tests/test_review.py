@@ -31,6 +31,7 @@ from repro import (
     ServerError,
     review,
 )
+from repro.core import review as review_module
 from repro.core.review import (
     STATUS_FIXED,
     STATUS_INTRODUCED,
@@ -340,6 +341,111 @@ class TestCacheAndGit:
     def test_unknown_revision_raises(self, git_repo):
         with pytest.raises(ReviewError):
             review(git_repo, base="no-such-rev", use_cache=False, engine=ENGINE)
+
+
+def _push_repo(root, files: int):
+    """A git repo at ``root`` whose last commit touches ``files`` Python
+    files, deletes one, adds one, and renames one that is not UTF-8."""
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("config", "user.email", "t@example.com")
+    git("config", "user.name", "t")
+    names = [f"pkg/m {index}.py" for index in range(files)]
+    (root / "pkg").mkdir()
+    for name in names:
+        (root / name).write_text(PREAMBLE + VULN_YAML)
+    (root / "gone.py").write_text(PREAMBLE + VULN_SHELL)
+    (root / "latin1.py").write_bytes(b"# caf\xe9\n" + VULN_YAML.encode())
+    git("add", "-A")
+    git("commit", "-qm", "base")
+    for name in names:
+        (root / name).write_text(PREAMBLE + VULN_SHELL + VULN_YAML)
+    (root / "gone.py").unlink()
+    (root / "new.py").write_text(VULN_SHELL)
+    git("mv", "latin1.py", "latin1_moved.py")
+    git("add", "-A")
+    git("commit", "-qm", "push")
+
+
+class TestBlobsInOneGitProcess:
+    """A revision review reads its blobs with one ``git cat-file
+    --batch``; ``git show`` per side per file is the reference."""
+
+    def _reviewed(self, root, monkeypatch, **kwargs):
+        programs = []
+        run = subprocess.run
+
+        def counting(argv, *args, **options):
+            programs.append(argv[3])  # git -C <root> <program>
+            return run(argv, *args, **options)
+
+        monkeypatch.setattr(review_module.subprocess, "run", counting)
+        report = review(root, use_cache=False, engine=ENGINE, **kwargs)
+        monkeypatch.undo()
+        return report.to_dict(), programs
+
+    @pytest.mark.parametrize("head", ["HEAD", None], ids=["revisions", "worktree"])
+    def test_the_report_is_what_git_show_gives(self, tmp_path, monkeypatch, head):
+        _push_repo(tmp_path, 5)
+        batched, programs = self._reviewed(
+            tmp_path, monkeypatch, base="HEAD~1", head=head
+        )
+        assert programs.count("cat-file") == 1 and "show" not in programs
+        monkeypatch.setattr(review_module, "_git_blobs", lambda root, blobs: {})
+        shown, programs = self._reviewed(tmp_path, monkeypatch, base="HEAD~1", head=head)
+        assert "show" in programs
+        assert batched == shown
+        assert len(batched["findings"]) >= 5
+
+    def test_the_process_count_does_not_grow_with_files(self, tmp_path, monkeypatch):
+        counts = []
+        for files in (1, 8):
+            root = tmp_path / str(files)
+            root.mkdir()
+            _push_repo(root, files)
+            _, programs = self._reviewed(root, monkeypatch, base="HEAD~1", head="HEAD")
+            counts.append(len(programs))
+        assert counts[0] == counts[1] == 3  # rev-parse, diff, cat-file
+
+    def test_absent_and_undecodable_sides_are_none(self, tmp_path):
+        _push_repo(tmp_path, 1)
+        blobs = [
+            ("HEAD~1", "latin1.py"),  # not UTF-8
+            ("HEAD", "latin1.py"),  # moved away
+            ("HEAD", "no such.py"),
+            ("no-such-rev", "new.py"),
+            ("HEAD", "new.py"),
+        ]
+        texts = review_module._git_blobs(tmp_path, blobs)
+        assert texts == {
+            blob: review_module._git_show(tmp_path, *blob) for blob in blobs
+        }
+        assert texts[("HEAD", "new.py")] == VULN_SHELL
+        assert [blob for blob, text in texts.items() if text is None] == blobs[:4]
+
+    def test_a_path_holding_a_line_break_is_left_to_git_show(self, tmp_path):
+        # git quotes such a path in a diff, so the parser never yields
+        # one; a caller's FileDiff can still name it
+        _push_repo(tmp_path, 1)
+        odd = "odd\nname.py"
+        (tmp_path / odd).write_text(VULN_YAML)
+        subprocess.run(
+            ["git", "-C", str(tmp_path), "add", "-A"], check=True, capture_output=True
+        )
+        subprocess.run(
+            ["git", "-C", str(tmp_path), "commit", "-qm", "odd"],
+            check=True,
+            capture_output=True,
+        )
+        blobs = [("HEAD", odd), ("HEAD", "new.py")]
+        texts = review_module._git_blobs(tmp_path, blobs)
+        assert texts == {("HEAD", "new.py"): VULN_SHELL}
+        diff = review_module.FileDiff(old_path=odd, new_path=odd)
+        sides = review_module._load_sides(tmp_path, diff, "HEAD", "HEAD", texts)
+        assert sides == (VULN_YAML, VULN_YAML)
 
 
 # ------------------------------------------------------- serialization/SARIF
