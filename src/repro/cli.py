@@ -561,11 +561,13 @@ def _run_review(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     diff_text: Optional[str] = None
     base = head = None
     if args.diff:
+        # Bytes that are not UTF-8 decode to lone surrogates, so a file
+        # whose lines hold them is that file's error, not the review's.
         if args.diff == "-":
-            diff_text = sys.stdin.read()
+            diff_text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
         else:
             try:
-                diff_text = Path(args.diff).read_text()
+                diff_text = Path(args.diff).read_text("utf-8", "surrogateescape")
             except OSError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2

@@ -145,11 +145,13 @@ class ImportLine(NamedTuple):
 
 
 class ImportLayout(NamedTuple):
-    """What :func:`import_layout` reads from a text: its margin and every
-    import line, at any indentation, in text order."""
+    """What :func:`import_layout` reads from a text: its margin, every
+    import line, at any indentation, in text order, and the
+    :func:`string_spans` it read them with."""
 
     margin: str
     lines: List[ImportLine]
+    spans: List[Tuple[int, int]]
 
     @property
     def top_level(self) -> List[ImportLine]:
@@ -197,7 +199,7 @@ def import_layout(source: str) -> ImportLayout:
             except ValueError:
                 continue
             lines.append(ImportLine(start, stop, indent, statement, entries))
-    return ImportLayout(margin or "", lines)
+    return ImportLayout(margin or "", lines, spans)
 
 
 def _parenthesized_from(source: str, at: int) -> Optional[Tuple[str, int]]:
@@ -271,23 +273,36 @@ class ImportManager:
         to_add = self.missing(statements)
         if not to_add:
             return self._source
-        offset = self.insertion_offset()
+        offset = self.insertion_offset(to_add)
         margin = self._layout.margin
         block = "".join(f"{margin}{statement}\n" for statement in to_add)
         if offset and self._source[offset - 1] not in "\r\n":
             block = "\n" + block  # the end of a text without a final line break
         return self._source[:offset] + block + self._source[offset:]
 
-    def insertion_offset(self) -> int:
+    def insertion_offset(self, statements: Sequence[str] = ()) -> int:
         """Character offset where new imports belong.
 
         After the last top-level import when one exists; otherwise after
-        the module docstring; otherwise offset 0.
+        the module docstring; otherwise offset 0.  When a statement at
+        the margin before that point already uses a name one of
+        ``statements`` binds, before the first such statement instead,
+        so the name is bound before it runs.
         """
         top_level = self._layout.top_level
-        if top_level:
-            return top_level[-1].end
-        return self._docstring_end()
+        offset = top_level[-1].end if top_level else self._docstring_end()
+        names = set()
+        for statement in statements:
+            try:
+                names.update(import_bindings(statement))
+            except ValueError:
+                continue  # no import statement: it binds nothing
+        if offset and names:
+            layout = self._layout
+            using = _statement_using(self._source, offset, names, layout.margin, layout.spans)
+            if using is not None:
+                return using
+        return offset
 
     def _docstring_end(self) -> int:
         stripped = self._source.lstrip()
@@ -299,6 +314,117 @@ class ImportManager:
                     rest = _LINE_RE.match(self._source, lead + end + len(quote))
                     return len(self._source) if rest is None else rest.end()
         return 0
+
+
+#: The first line of a margin-level statement whose indented body runs
+#: only when called, and of one that a decorator line before it holds.
+_DEF_START = ("def ", "async def ")
+_DECORATED_START = ("@", "class ") + _DEF_START
+#: A clause that continues the compound statement above it.
+_CLAUSE = r"(?:else|elif|except|finally)(?!\w)"
+#: What a code line holds first, past its indentation.
+_CODE_FIRST = r"[^ \t\x0c\r\n]"
+
+
+def _statement_using(
+    source: str,
+    stop: int,
+    names: Iterable[str],
+    margin: str,
+    spans: Sequence[Tuple[int, int]],
+) -> Optional[int]:
+    """Where the first margin-level statement before ``stop`` that uses
+    one of ``names`` starts, or ``None``; ``spans`` are the text's
+    :func:`string_spans`.
+
+    A use is a match of the name as :func:`_used_outside` reads it,
+    outside string literals and comments.  A statement is a code line at
+    the margin outside brackets, not after a backslash and not an
+    ``else``, ``elif``, ``except`` or ``finally`` clause (its decorators
+    with it), and the lines up to the next one: those that continue it,
+    its clauses, and its indented body.  A ``def`` body does not run
+    until a call, so a use there does not count; one on the ``def``
+    line does.
+    """
+    region = source[:stop]
+    alternatives = "|".join(re.escape(name) for name in sorted(names))
+    pattern = re.compile(r"(?<![\w.])(?:%s)(?![\w])" % alternatives)
+    if pattern.search(region) is None:
+        return None  # the usual case: the code that uses them comes later
+    code = _blank_strings_and_comments(region, spans)
+    # The names first, so the search skips ahead by them; the whole
+    # pattern then checks the character before.
+    uses = [
+        found.start()
+        for found in re.finditer(r"(?:%s)(?![\w])" % alternatives, code)
+        if pattern.match(code, found.start())
+    ]
+    if not uses:
+        return None
+    head = re.escape(margin) + _CODE_FIRST
+    heads = [0] if re.match(head, code) else []
+    heads += [
+        found.end() for found in re.finditer(r"(?:\r\n?|\n)(?=%s)" % head, code)
+    ]
+    clause = re.compile(_CLAUSE)
+    statement = use = depth = previous = header_end = 0
+    in_def = decorated = False
+    for start in heads:
+        while use < len(uses) and uses[use] < start:
+            if not in_def or uses[use] < header_end:
+                return statement
+            use += 1
+        if use == len(uses):
+            return None
+        between = code[previous:start]
+        depth = max(
+            0,
+            depth
+            + between.count("(") + between.count("[") + between.count("{")
+            - between.count(")") - between.count("]") - between.count("}"),
+        )
+        previous = start
+        before_break = start - (2 if code.startswith("\r\n", start - 2) else 1) - 1
+        if depth or (before_break >= 0 and code[before_break] == "\\"):
+            continue  # a line that continues the statement above it
+        at = start + len(margin)
+        if clause.match(code, at):
+            continue  # a clause of the compound statement above it
+        if not (decorated and code.startswith(_DECORATED_START, at)):
+            statement = start
+        in_def = code.startswith(_DEF_START, at)
+        decorated = code.startswith("@", at)
+        header_end = _LINE_RE.match(code, start).end()
+    if any(not in_def or at < header_end for at in uses[use:]):
+        return statement
+    return None
+
+
+def _blank_strings_and_comments(text: str, spans: Sequence[Tuple[int, int]]) -> str:
+    """``text`` with its code kept and the rest blanked to spaces, at the
+    same offsets: each comment, and each string literal (``spans``) but
+    for a ``"`` in its first place, so a line that starts one still
+    starts with a character that is no name, bracket or backslash.
+
+    One pass: the code before each literal is searched for comments
+    once, and each search resumes past the comment it found, so a ``#``
+    inside a comment is never read again."""
+    comment = re.compile(_COMMENT)
+    limit = len(text)
+    pieces: List[str] = []
+    pos = 0
+    for start, end in [*spans, (limit, limit)]:
+        start, end = min(start, limit), min(end, limit)
+        for found in comment.finditer(text, pos, start):
+            pieces += (text[pos : found.start()], " " * (found.end() - found.start()))
+            pos = found.end()
+        pieces.append(text[pos:start])
+        if start < end:
+            pieces += ('"', " " * (end - start - 1))
+        pos = end
+        if pos == limit:
+            break
+    return "".join(pieces)
 
 
 def _split_alias(part: str) -> Tuple[str, str]:

@@ -163,6 +163,29 @@ class FileDiff:
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
+#: One escape of git's C-style path quoting: three octal digits (one
+#: byte of the name's UTF-8), or a backslash and one character.
+_C_ESCAPE_RE = re.compile(r"\\(?:([0-3][0-7]{2})|(.))", re.DOTALL)
+_C_ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t", "v": "\v"}
+
+
+def _unquote_c(text: str) -> str:
+    """A path git quoted (``core.quotePath``), between its quotes, as the
+    name it stands for: ``caf\\303\\251.py`` is ``café.py``."""
+    raw = bytearray()
+    pos = 0
+    for escape in _C_ESCAPE_RE.finditer(text):
+        raw += text[pos : escape.start()].encode("utf-8", "surrogateescape")
+        octal, char = escape.groups()
+        if octal is not None:
+            raw.append(int(octal, 8))
+        else:
+            raw += _C_ESCAPES.get(char, char).encode("utf-8", "surrogateescape")
+        pos = escape.end()
+    raw += text[pos:].encode("utf-8", "surrogateescape")
+    return raw.decode("utf-8", "surrogateescape")
+
+
 def _clean_diff_path(raw: str) -> Optional[str]:
     """Normalize a ``---``/``+++`` header path (strip prefix/timestamp)."""
     text = raw.rstrip("\n")
@@ -170,7 +193,7 @@ def _clean_diff_path(raw: str) -> Optional[str]:
     # in POSIX diffs.  Either way the path is the first field.
     text = text.split("\t", 1)[0].strip()
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        text = text[1:-1]
+        text = _unquote_c(text[1:-1])
     if text == "/dev/null":
         return None
     if text.startswith(("a/", "b/")):
@@ -305,11 +328,15 @@ def reverse_apply(new_text: str, hunks: Sequence[Hunk]) -> str:
 
 
 def _git(root: Path, *args: str) -> str:
+    """``git args`` run at ``root``: its output as text.  Bytes that are
+    not UTF-8 (a Latin-1 line in a diff) decode to lone surrogates, so
+    the one file that holds them is that file's error, not the review's."""
     try:
         result = subprocess.run(
             ["git", "-C", str(root), *args],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
+            errors="surrogateescape",
         )
     except OSError as error:
         raise ReviewError(f"cannot run git: {error}")
@@ -852,7 +879,10 @@ def _load_sides(
 
     ``blobs`` is ``None`` for a review of a diff; for one of git
     revisions it holds what :func:`_git_blobs` read, and a side it lacks
-    comes from :func:`_git_show`.
+    comes from :func:`_git_show`.  A side the diff names that cannot be
+    read as UTF-8 text raises (:class:`ReviewError` for a blob,
+    :class:`UnicodeDecodeError` for a worktree file), and the file is
+    reported with that error.
     """
     if blobs is None:
         if diff.new_path is None:
@@ -864,9 +894,12 @@ def _load_sides(
         return reverse_apply(new_source, diff.hunks), new_source
     assert base is not None
 
-    def at(revision: str, path: str) -> Optional[str]:
+    def at(revision: str, path: str) -> str:
         key = (revision, path)
-        return blobs[key] if key in blobs else _git_show(root, revision, path)
+        text = blobs[key] if key in blobs else _git_show(root, revision, path)
+        if text is None:
+            raise ReviewError(f"cannot read {path} at {revision} as UTF-8 text")
+        return text
 
     old_source = at(base, diff.old_path) if diff.old_path is not None else None
     if diff.new_path is None:

@@ -59,13 +59,14 @@ import asyncio
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.cache import ResultStore, ScanCache, hash_source
 from repro.core.engine import PatchitPy
@@ -94,16 +95,20 @@ from repro.types import Finding
 
 __all__ = ["BackgroundServer", "PatchitPyServer", "ServerConfig"]
 
+_R = TypeVar("_R")
+
 
 @dataclass
 class ServerConfig:
     """Tunables for one :class:`PatchitPyServer` instance.
 
-    ``jobs`` sizes the analysis pool: 1 keeps a single worker thread
-    (the event loop stays responsive while regex work runs), >1 fans
-    snippets out over a process pool when the engine is picklable (regex
-    matching is CPU-bound, so threads would be GIL-bound) and falls back
-    to threads otherwise.  ``queue_depth`` bounds queued-plus-running
+    ``jobs`` sizes the analysis pool: 1 keeps a single worker thread,
+    and on a loop that owns the main thread each snippet first runs on
+    the loop itself under a SIGALRM budget (see
+    :meth:`PatchitPyServer._run_unit`); >1 fans snippets out over a
+    process pool when the engine is picklable (regex matching is
+    CPU-bound, so threads would be GIL-bound) and falls back to threads
+    otherwise.  ``queue_depth`` bounds queued-plus-running
     analysis units; ``default_deadline_ms`` applies when a request does
     not carry its own (0 disables).
     """
@@ -269,16 +274,35 @@ def analysis_unit(
     Without a shared tier (``store`` is ``None``) that is
     :func:`analyze_payload`.  With one, the unit is lookup, analysis on
     a miss, and write-through, in that order and on one thread, so a
-    reply always means every sibling can hit the entry.  A hit shapes
-    the payload from the stored findings with no detect; patch
-    rendering, when asked for, runs against the submitted source so the
-    edits anchor to it exactly as a cold analysis would, and
-    ``from_cache`` marks it.  The hit, miss and failed-publish counts
-    and the tier's wall time (``snippet_cache_time_s``) travel in the
-    unit's own collector.
+    reply always means every sibling can hit the entry.  The first two
+    are :func:`lookup_and_analyze`, the last :func:`write_through`.
+    """
+    payload, metrics, miss = lookup_and_analyze(engine, store, source, patch, exclude)
+    if miss is not None:
+        assert store is not None
+        write_through(store, miss, payload, metrics)
+    return payload, metrics
+
+
+def lookup_and_analyze(
+    engine: PatchitPy,
+    store: Optional[ResultStore],
+    source: str,
+    patch: bool,
+    exclude: frozenset = frozenset(),
+) -> Tuple[dict, ScanMetrics, Optional[str]]:
+    """A unit before its write-through: ``(payload, metrics, miss)``.
+
+    ``miss`` is the digest a shared-tier miss still has to publish, or
+    ``None`` (a hit, or no tier).  A hit shapes the payload from the
+    stored findings with no detect; patch rendering, when asked for,
+    runs against the submitted source so the edits anchor to it exactly
+    as a cold analysis would, and ``from_cache`` marks it.  The hit and
+    miss counts and the lookup's wall time (``snippet_cache_time_s``)
+    travel in the unit's own collector.
     """
     if store is None:
-        return analyze_payload(engine, source, patch, exclude=exclude)
+        return analyze_payload(engine, source, patch, exclude=exclude) + (None,)
     digest = hash_source(source)
     payload, lookup = tier_hit(store, digest)
     if payload is not None:
@@ -287,17 +311,41 @@ def analysis_unit(
             _apply_patch_fields(
                 engine, source, findings, payload, lookup, exclude=exclude
             )
-        return payload, lookup
+        return payload, lookup, None
     payload, metrics = analyze_payload(engine, source, patch, exclude=exclude)
     metrics.merge(lookup)
     metrics.count("cache_misses")
     metrics.count("snippet_cache_misses")
+    return payload, metrics, digest
+
+
+def write_through(
+    store: ResultStore, digest: str, payload: dict, metrics: ScanMetrics
+) -> None:
+    """Publish a miss's findings under ``digest``; a failed publish and
+    the write's wall time land in ``metrics``."""
     started = clock()
     findings = [Finding.from_dict(raw) for raw in payload["findings"]]
     if not store.store(digest, findings):
         metrics.count("snippet_cache_write_errors")
     metrics.add_time("snippet_cache_time_s", clock() - started)
-    return payload, metrics
+
+
+def _timed(fn: Callable[..., _R], *args: Any) -> Tuple[_R, float]:
+    """``fn(*args)`` and the seconds it took, measured where it ran."""
+    started = clock()
+    result = fn(*args)
+    return result, clock() - started
+
+
+class _Overrun(BaseException):
+    """Raised by the SIGALRM handler into an inline unit that ran past
+    its budget.  A ``BaseException``, so that no ``except Exception`` on
+    the unit's path can swallow it."""
+
+
+#: Weight of the newest unit in the seconds-per-character estimate.
+_PACE_WEIGHT = 0.125
 
 
 class PatchitPyServer(Pipeline):
@@ -339,6 +387,17 @@ class PatchitPyServer(Pipeline):
         #: ``_pool_init``'s arguments, kept to replace a broken pool.
         self._pool_initargs: Tuple[Any, ...] = ()
         self._pending = 0  # queued-or-running analysis units (backpressure)
+        #: Whether analysis units run on the event loop under a SIGALRM
+        #: budget before the pool; decided by :meth:`start`.
+        self.inline = False
+        self._alarm_previous: Any = None  # SIGALRM's disposition before start
+        self._unraisable_previous: Any = None  # sys.unraisablehook before start
+        self._armed = False  # the alarm may cut the code running now
+        #: When the loop's current turn stops granting inline work.
+        self._slice_end: Optional[float] = None
+        #: Decaying sums of unit seconds and characters (:meth:`_learn`).
+        self._pace_seconds = 0.0
+        self._pace_chars = 0.0
 
     # ----------------------------------------------------------- lifecycle
 
@@ -353,7 +412,27 @@ class PatchitPyServer(Pipeline):
         self._pool, self._pool_kind = self._build_pool()
         cfg = self.config
         await self._bind(cfg.host, cfg.port, cfg.unix_socket)
+        self.inline = self._can_run_inline()
+        if self.inline:
+            self._alarm_previous = signal.signal(signal.SIGALRM, self._on_alarm)
+            self._unraisable_previous = sys.unraisablehook
+            sys.unraisablehook = self._unraisable
         return self
+
+    def _can_run_inline(self) -> bool:
+        """Whether units may run on this loop under a SIGALRM budget.
+
+        That takes one analysis slot, a loop on the main thread (the
+        only thread a Python signal handler interrupts), a platform with
+        ``setitimer``, and SIGALRM at its default disposition: an
+        embedder's own handler is never taken over.
+        """
+        return (
+            self.config.jobs <= 1
+            and threading.current_thread() is threading.main_thread()
+            and hasattr(signal, "setitimer")
+            and signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+        )
 
     def _build_pool(self) -> Tuple[Executor, str]:
         jobs = max(1, self.config.jobs)
@@ -399,6 +478,10 @@ class PatchitPyServer(Pipeline):
         """After the drain: stop the pool and persist every open cache."""
         if self._pool is not None:
             self._pool.shutdown(wait=False)
+        if self.inline:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, self._alarm_previous)
+            sys.unraisablehook = self._unraisable_previous
         for cache in self._caches.values():
             cache.close()
         if self._snippet_store is not None:
@@ -426,24 +509,51 @@ class PatchitPyServer(Pipeline):
         self._pending += units
 
     async def _run_unit(
-        self, source: str, patch: bool, exclude: frozenset = frozenset()
+        self,
+        source: str,
+        patch: bool,
+        exclude: frozenset = frozenset(),
+        deadline_at: Optional[float] = None,
     ) -> Tuple[dict, ScanMetrics]:
-        """One snippet as one :func:`analysis_unit` on the pool (slot held).
+        """One snippet as one :func:`analysis_unit` (slot held).
 
-        One submission either way: with the shared tier, the lookup and
-        a miss's write-through run inside the unit, beside its analysis.
-        A process pool that lost a process (killed, out of memory) fails
+        An inline server runs the unit on the loop when its estimate
+        says the unit fits the budget (:meth:`_budget`), with no thread
+        hop; a unit predicted to overrun, or cut by the alarm, runs on
+        the pool thread, unless the request's deadline (loop time
+        ``deadline_at``) is what ran out: then it raises
+        :class:`asyncio.TimeoutError`, as the deadline's own timer
+        makes the wait for it do.  Otherwise the unit is one
+        submission to the pool: with the shared tier, the lookup and a
+        miss's write-through run inside it, beside its analysis.  A
+        process pool that lost a process (killed, out of memory) fails
         every unit it held; each is retried once on a fresh pool.  The
         slot frees when the unit ends or is cancelled.
         """
         loop = asyncio.get_running_loop()
         pool = self._pool
+        store = self._snippet_store
         try:
+            if self.inline:
+                budget, deadline_bound = self._budget(loop, deadline_at)
+                fits = budget > 0 and len(source) * self._pace() < budget
+                if fits:
+                    unit = self._inline_unit(budget, source, patch, exclude)
+                    if unit is not None:
+                        return unit
+                if deadline_bound and (fits or budget <= 0):
+                    # The deadline ran out on the loop: answer as its
+                    # timer would, and start no pool unit.
+                    raise asyncio.TimeoutError()
+                if budget > 0 and not fits:
+                    # The estimate, not a used-up slice, sends it on.
+                    self.metrics.count("server_inline_skips")
             if not self._uses_process_pool:
-                store = self._snippet_store
-                return await loop.run_in_executor(
-                    pool, analysis_unit, self.engine, store, source, patch, exclude
+                result, seconds = await loop.run_in_executor(
+                    pool, _timed, analysis_unit, self.engine, store, source, patch, exclude
                 )
+                self._learn(len(source), seconds)
+                return result
             try:
                 return await loop.run_in_executor(
                     pool, _pool_unit, source, patch, exclude
@@ -456,6 +566,117 @@ class PatchitPyServer(Pipeline):
                 )
         finally:
             self._release_slot()
+
+    def _budget(
+        self, loop: asyncio.AbstractEventLoop, deadline_at: Optional[float]
+    ) -> Tuple[float, bool]:
+        """The seconds an inline unit may run now, and whether the
+        request's deadline rather than the loop's slice sets them.
+
+        Each turn of the loop grants inline work one GIL switch interval
+        (``sys.getswitchinterval()``), the bound the GIL gives a pool
+        thread, however many units the turn runs; the next turn, after
+        the loop has polled its sockets, grants a fresh one.
+        """
+        now = loop.time()
+        if self._slice_end is None:
+            self._slice_end = now + sys.getswitchinterval()
+            loop.call_soon(self._end_slice)
+        budget = self._slice_end - now
+        if deadline_at is not None and deadline_at - now <= budget:
+            return deadline_at - now, True
+        return budget, False
+
+    def _end_slice(self) -> None:
+        self._slice_end = None
+
+    def _pace(self) -> float:
+        """Estimated seconds per character of a unit; 0 before the first."""
+        return self._pace_seconds / self._pace_chars if self._pace_chars else 0.0
+
+    def _learn(self, chars: int, seconds: float, overran: bool = False) -> None:
+        """Fold one unit's length and time into :meth:`_pace`.
+
+        Decaying sums of seconds and of characters weigh each unit by
+        its length, so a snippet's fixed cost does not inflate the rate
+        a long document is judged by.  An overrun's time is only a lower
+        bound: the estimate rises to at least its rate, so the next unit
+        as long goes to the pool instead of paying the budget again.
+        """
+        self._pace_seconds += _PACE_WEIGHT * (seconds - self._pace_seconds)
+        self._pace_chars += _PACE_WEIGHT * (chars - self._pace_chars)
+        if overran and chars:
+            floor = seconds / chars * self._pace_chars
+            self._pace_seconds = max(self._pace_seconds, floor)
+
+    def _inline_unit(
+        self, budget: float, source: str, patch: bool, exclude: frozenset
+    ) -> Optional[Tuple[dict, ScanMetrics]]:
+        """The unit run on the loop under a ``budget``-second alarm, or
+        ``None`` when the alarm cut it.
+
+        The alarm covers the tier lookup and the analysis only: a miss
+        is published after the alarm is disarmed, so a cut unit never
+        publishes and its re-run misses as it did.  Nothing on that
+        path holds a lock or catches a ``BaseException``.
+        """
+        store = self._snippet_store
+        started = clock()
+        unit = self._under_alarm(
+            budget, lookup_and_analyze, self.engine, store, source, patch, exclude
+        )
+        seconds = clock() - started
+        if unit is None:
+            self.metrics.count("server_inline_overruns")
+            self._learn(len(source), seconds, overran=True)
+            return None
+        self.metrics.count("server_inline_units")
+        self._learn(len(source), seconds)
+        payload, metrics, miss = unit
+        if miss is not None:
+            assert store is not None
+            write_through(store, miss, payload, metrics)
+        return payload, metrics
+
+    def _under_alarm(
+        self, budget: float, fn: Callable[..., _R], *args: Any
+    ) -> Optional[_R]:
+        """``fn(*args)``, or ``None`` once SIGALRM cuts it after
+        ``budget`` seconds.
+
+        The alarm repeats every switch interval until it is disarmed: a
+        cut that lands in a finalizer (a weakref callback the unit's
+        garbage triggers) is swallowed there, and the next one cuts the
+        unit.  Two ticks are that far apart, so one that lands in the
+        finally clause below, before it disarms, is the last.
+        """
+        try:
+            try:
+                self._armed = True
+                # at least a microsecond: a zero timer is no timer
+                signal.setitimer(
+                    signal.ITIMER_REAL, max(budget, 1e-6), sys.getswitchinterval()
+                )
+                return fn(*args)
+            finally:
+                self._armed = False
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        except _Overrun:
+            self._armed = False
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            return None
+
+    def _on_alarm(self, signum: int, frame: Any) -> None:
+        """SIGALRM: cut the inline unit, if one is running under the alarm."""
+        if self._armed:
+            raise _Overrun()
+
+    def _unraisable(self, unraisable: Any) -> None:
+        """``sys.unraisablehook`` while inline: a cut swallowed by a
+        finalizer is no error (the next tick cuts the unit); anything
+        else goes to the hook in place before."""
+        if not isinstance(unraisable.exc_value, _Overrun):
+            self._unraisable_previous(unraisable)
 
     def _release_slot(self) -> None:
         self._pending = max(0, self._pending - 1)
@@ -490,6 +711,7 @@ class PatchitPyServer(Pipeline):
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
                 "rules": len(self.engine.rules),
                 "pool": self._pool_kind,
+                "inline": self.inline,
                 "jobs": max(1, self.config.jobs),
                 "queue_depth": self.config.queue_depth,
                 "queued": self._pending,
@@ -538,7 +760,7 @@ class PatchitPyServer(Pipeline):
         started = clock()
 
         if want_trace:
-            # Traced analysis runs inline on the loop's default executor:
+            # Traced analysis runs on the loop's default executor:
             # the recorder's event buffer must come back with the result,
             # and the trace is a debugging surface, not the hot path.
             future = self._off_loop(
@@ -546,7 +768,7 @@ class PatchitPyServer(Pipeline):
             )
         else:
             self._acquire_slots(1)
-            future = self._run_unit(source, patch, exclude)
+            future = self._run_unit(source, patch, exclude, _deadline_at(deadline))
         payload, metrics = await _await_deadline(future, deadline, "analysis")
         self.metrics.merge(metrics)
         elapsed = clock() - started
@@ -577,21 +799,31 @@ class PatchitPyServer(Pipeline):
         started = clock()
 
         self._acquire_slots(len(sources))
+        deadline_at = _deadline_at(deadline)
         futures = [
-            asyncio.ensure_future(self._run_unit(source, patch)) for source in sources
+            asyncio.ensure_future(self._run_unit(source, patch, deadline_at=deadline_at))
+            for source in sources
         ]
         if stream:
             return batch_stream(self._stream_lines(ids, futures, deadline), started)
+        what = f"batch of {len(sources)}"
         gathered = asyncio.gather(*futures, return_exceptions=True)
-        await _await_deadline(gathered, deadline, f"batch of {len(sources)}")
+        results = await _await_deadline(gathered, deadline, what)
+        if any(isinstance(result, asyncio.TimeoutError) for result in results):
+            raise _missed(what, deadline)  # an item's deadline ran out inline
         return batch_reply(
             [self._item_line(item_id, f) for item_id, f in zip(ids, futures)], started
         )
 
-    def _item_line(self, item_id: Any, future: "asyncio.Future") -> dict:
+    def _item_line(
+        self, item_id: Any, future: "asyncio.Future", deadline: Optional[float] = None
+    ) -> dict:
         """One finished batch unit as its result line, or its error line."""
         try:
             payload, metrics = future.result()
+        except asyncio.TimeoutError:  # its deadline ran out inline
+            self.metrics.count("server_stream_deadline_drops")
+            return _deadline_line(item_id, deadline)
         except (Exception, asyncio.CancelledError) as error:
             return {"id": item_id, "error": str(error)}
         self.metrics.merge(metrics)
@@ -624,17 +856,11 @@ class PatchitPyServer(Pipeline):
             if not done:  # deadline expired with work still queued
                 for future, item_id in pending.items():
                     future.cancel()
-                    yield {
-                        "id": item_id,
-                        "error": (
-                            "batch item missed its deadline of "
-                            f"{(deadline or 0.0) * 1000.0:g}ms"
-                        ),
-                    }
+                    yield _deadline_line(item_id, deadline)
                 self.metrics.count("server_stream_deadline_drops", len(pending))
                 break
             for future in done:
-                yield self._item_line(pending.pop(future), future)
+                yield self._item_line(pending.pop(future), future, deadline)
 
     async def _handle_scan(self, request: Request) -> Response:
         body = json_object(request)
@@ -784,6 +1010,20 @@ class PatchitPyServer(Pipeline):
 
 
 
+def _deadline_at(deadline: Optional[float]) -> Optional[float]:
+    """The loop time at which a ``deadline`` starting now runs out."""
+    return None if deadline is None else asyncio.get_running_loop().time() + deadline
+
+
+def _missed(what: str, deadline: Optional[float]) -> HttpError:
+    return HttpError(504, f"{what} missed its deadline of {(deadline or 0.0) * 1000.0:g}ms")
+
+
+def _deadline_line(item_id: Any, deadline: Optional[float]) -> dict:
+    """A streamed batch item's line once its deadline ran out."""
+    return {"id": item_id, "error": _missed("batch item", deadline).detail}
+
+
 async def _await_deadline(awaitable, deadline: Optional[float], what: str) -> Any:
     """``awaitable``'s result, or 504 once ``deadline`` seconds pass
     (the awaited work is cancelled; pool work already running drains)."""
@@ -792,7 +1032,7 @@ async def _await_deadline(awaitable, deadline: Optional[float], what: str) -> An
     try:
         return await within(awaitable, deadline)
     except asyncio.TimeoutError:
-        raise HttpError(504, f"{what} missed its deadline of {deadline * 1000.0:g}ms")
+        raise _missed(what, deadline)
 
 
 class BackgroundServer(Background):

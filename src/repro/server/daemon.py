@@ -62,8 +62,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="analysis pool size: 1 = a single worker thread, N>1 = a "
-        "process pool of N warm engines (default 1)",
+        help="analysis pool size: 1 = analyze on the event loop under a "
+        "one-switch-interval budget, with a single worker thread for what "
+        "overruns it; N>1 = a process pool of N warm engines (default 1)",
     )
     parser.add_argument(
         "--queue-depth",

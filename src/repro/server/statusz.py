@@ -9,7 +9,8 @@ minute and five minutes) and the lifetime cache hit ratio — plus their
 own sections:
 
 - :func:`render_statusz` (one daemon) adds worker-pool and queue
-  saturation and the rule-health table with patch-verdict counts;
+  saturation, the inline-analysis counts of a daemon that analyzes on
+  its loop, and the rule-health table with patch-verdict counts;
 - :func:`render_fleet_statusz` (the fleet front door) adds the worker
   table (state, port, pid, restarts, requests served) and per-tenant
   quota rejections, and takes its cache ratio from the exact-merged
@@ -182,13 +183,14 @@ def render_statusz(server) -> str:
     """The dashboard HTML for one :class:`PatchitPyServer` instance.
 
     Reads ``config``, ``metrics``, ``window`` and the liveness gauges
-    (``_started_at``, ``_pool_kind``, ``_pending``, ``_inflight``,
-    ``_caches``).
+    (``_started_at``, ``_pool_kind``, ``inline``, ``_pending``,
+    ``_inflight``, ``_caches``).
     """
     cfg = server.config
     window = server.window
     facts = (
         f"pool {html.escape(server._pool_kind)}&times;{max(1, cfg.jobs)} &middot; "
+        f"inline {'on' if server.inline else 'off'} &middot; "
         f"rolling windows {window.slots}&times;{window.interval_s:g}s"
     )
 
@@ -207,6 +209,16 @@ def render_statusz(server) -> str:
         f"<td>{len(server._caches)}</td><td>&mdash;</td></tr>",
         "</table>",
     ]
+    if server.inline:
+        counters = server.metrics.counters
+        before.append(
+            "<h2>Inline analysis (lifetime)</h2>"
+            f"<p>{counters.get('server_inline_units', 0)} unit(s) on the event loop "
+            f"&middot; {counters.get('server_inline_overruns', 0)} cut by the "
+            "budget and re-run on the pool &middot; "
+            f"{counters.get('server_inline_skips', 0)} sent to the pool by the "
+            "size estimate</p>"
+        )
 
     # ---- rule health: watchdog breaches + patch verdicts ----------------
     after = ["<h2>Rule health (lifetime)</h2>"]

@@ -321,6 +321,7 @@ class TestStatusz:
             window = RollingWindow(interval_s=5.0, slots=12)
             _started_at = 0.0
             _pool_kind = "thread"
+            inline = False
             _pending = 0
             _inflight = 0
             _caches = {}

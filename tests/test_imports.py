@@ -18,6 +18,7 @@ from repro.core.imports import (
     string_spans,
 )
 from repro.core.rules import default_ruleset
+from repro.core.verify import syntax_context
 from tests.test_candidates import mutated_samples
 
 
@@ -140,6 +141,100 @@ class TestInsertion:
     def test_a_from_import_at_a_line_end_does_not_read_the_next_line(self):
         source = "from flask import\ndef f():\n    pass\n"
         assert insert_imports(source, ["import yaml"]) == "import yaml\n" + source
+
+
+class TestInsertionAboveAUse:
+    """New imports go above the first margin-level statement that uses a
+    name they bind, when that statement comes before the last import:
+    below it, the name is unbound when the statement runs."""
+
+    def test_a_module_level_use(self):
+        result = PatchitPy().patch("data = yaml.load(b)\nimport os")
+        # the regression: "data = yaml.safe_load(b)\nimport yaml\n", a NameError
+        assert result.patched == "import yaml\ndata = yaml.safe_load(b)\n"
+        assert [verdict.status for verdict in result.verdicts] == ["verified"]
+
+    def test_a_use_inside_an_indented_top_level_block(self):
+        source = "import sys\nif sys.argv:\n    data = yaml.load(b)\nimport os\n"
+        out = insert_imports(source, ["import yaml"])
+        assert out == "import sys\nimport yaml\nif sys.argv:\n    data = yaml.load(b)\nimport os\n"
+
+    def test_a_use_inside_a_def_body_keeps_the_placement(self):
+        # the body runs when called, after every top-level import
+        source = "import sys\ndef load(b):\n    return yaml.load(b)\nimport os\n"
+        assert insert_imports(source, ["import yaml"]) == source + "import yaml\n"
+
+    def test_a_decorated_def_keeps_its_decorator(self):
+        source = "@yaml.dec\ndef load(b):\n    pass\nimport os\n"
+        assert insert_imports(source, ["import yaml"]) == "import yaml\n" + source
+
+    def test_a_class_body_runs_at_once(self):
+        source = "import sys\nclass C:\n    y = yaml.z\nimport os\n"
+        out = insert_imports(source, ["import yaml"])
+        assert out == "import sys\nimport yaml\nclass C:\n    y = yaml.z\nimport os\n"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "s = 'yaml.load'\nimport os\n",
+            "s = 1  # yaml.load\nimport os\n",
+            "s = '#'  # yaml.load\nimport os\n",
+            '"""yaml.load"""\nimport os\n',
+            "s = myyaml.load\nimport os\n",
+            "s = x.yaml\nimport os\n",
+        ],
+    )
+    def test_names_in_strings_comments_or_other_words_are_no_use(self, source):
+        assert insert_imports(source, ["import yaml"]) == source + "import yaml\n"
+
+    def test_a_continuation_line_belongs_to_its_statement(self):
+        for source in (
+            "import sys\nx = [\nyaml.load(b)]\nimport os\n",
+            "import sys\nx = f(a, \\\nyaml.q)\nimport os\n",
+        ):
+            out = insert_imports(source, ["import yaml"])
+            assert out == source.replace("\nx = ", "\nimport yaml\nx = ", 1)
+            assert compile(out, "<t>", "exec")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import sys\nif c:\n    pass\nelse:\n    data = yaml.load(b)\nimport os\n",
+            "import sys\nif c:\n    pass\nelif yaml.d:\n    pass\nimport os\n",
+            "import sys\ntry:\n    pass\nexcept ValueError:\n    data = yaml.load(b)\nimport os\n",
+            "import sys\ntry:\n    pass\nexcept(ValueError):\n    pass\n"
+            "finally:\n    data = yaml.load(b)\nimport os\n",
+            "import sys\nfor i in c:\n    pass\nelse :\n    data = yaml.load(b)\nimport os\n",
+        ],
+    )
+    def test_a_clause_belongs_to_its_compound_statement(self, source):
+        # "else:", "elif", "except" and "finally:" continue the statement
+        # above them: the block goes above that statement, not between
+        # its clauses
+        out = insert_imports(source, ["import yaml"])
+        assert out == source.replace("import sys\n", "import sys\nimport yaml\n", 1)
+        assert compile(out, "<t>", "exec")
+
+    def test_a_clause_use_patches_and_verifies(self):
+        source = "import sys\ntry:\n    pass\nexcept ValueError:\n    data = yaml.load(b)\nimport os\n"
+        result = PatchitPy().patch(source)
+        # before the fix, "import yaml" landed above "except", a
+        # SyntaxError the verifier reverted, and yaml.load stayed
+        assert result.patched == (
+            "import yaml\ntry:\n    pass\nexcept ValueError:\n    data = yaml.safe_load(b)\n"
+        )
+        assert [verdict.status for verdict in result.verdicts] == ["verified"]
+
+    def test_a_statement_that_is_no_import_binds_nothing(self):
+        source = "x = 1\nimport os\n"
+        assert insert_imports(source, ["not an import"]) == source + "not an import\n"
+
+    def test_each_binding_of_the_block_counts(self):
+        source = "import sys\nh = sha256(d)\nimport os\n"
+        out = insert_imports(source, ["import json", "from hashlib import sha256"])
+        assert out == "import sys\nimport json\nfrom hashlib import sha256\n" + (
+            "h = sha256(d)\nimport os\n"
+        )
 
 
 class TestPruning:
@@ -511,7 +606,22 @@ def _agrees_with_the_old_layer(text):
     new, old = ImportManager(text), OldImportManager(text)
     assert new.insertion_offset() == old.insertion_offset()
     for statements in (PATCH_IMPORTS[:1], PATCH_IMPORTS):
-        assert new.insert(statements) == _old_insert(old, statements)
+        missing = new.missing(statements)
+        offset = new.insertion_offset(missing)
+        if offset == old.insertion_offset():
+            assert new.insert(statements) == _old_insert(old, statements)
+        else:
+            # A statement above the old point uses a name the block
+            # binds (TestInsertionAboveAUse): the same block goes in
+            # above that statement, never between the lines or the
+            # clauses of one statement.
+            assert offset < old.insertion_offset()
+            assert text[offset - 1 : offset] in ("", "\n", "\r")
+            block = "".join(f"{statement}\n" for statement in missing)
+            inserted = new.insert(statements)
+            assert inserted == text[:offset] + block + text[offset:]
+            if syntax_context(text) is not None:
+                assert syntax_context(inserted) is not None
     assert prune_unused_imports(text) == old_prune_unused_imports(text)
     return True
 

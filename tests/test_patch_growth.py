@@ -8,7 +8,8 @@ over every string span) for each patch that adds imports, and
 import line.  One 256 KiB ``/v1/analyze`` with ``patch`` held a pool
 thread for minutes.  Now the verifier derives the original's imports and
 bindings once, span lookups bisect, pruning searches from the line's
-end, and overlap resolution bisects the accepted spans.
+end, overlap resolution bisects the accepted spans, and the import
+placement masks each comment once.
 
 Each rewrite is held to what it replaced: the old implementations live
 below as oracles, on their own (Hypothesis) and together (the whole
@@ -46,6 +47,25 @@ def old_used_outside(source, name, start, end, _first_use):
     return bool(re.search(rf"(?<![\w.]){re.escape(name)}(?![\w])", rest))
 
 
+def old_blank_strings_and_comments(text, spans):
+    """Matched a comment from every ``#`` outside the literals, those
+    inside an earlier comment too: n²/2 steps for a line of n ``#``."""
+    masked = [(start, min(end, len(text)), '"') for start, end in spans if start < len(text)]
+    for mark in re.finditer("#", text):
+        at = mark.start()
+        if not old_offset_in_spans(at, spans):
+            masked.append((at, re.compile(r"#[^\r\n]*").match(text, at).end(), " "))
+    masked.sort()
+    pieces, pos = [], 0
+    for start, end, lead in masked:
+        if start < pos:
+            continue  # a "#" inside a comment
+        pieces += (text[pos:start], lead, " " * (end - start - 1))
+        pos = end
+    pieces.append(text[pos:])
+    return "".join(pieces)
+
+
 def old_resolve_overlaps(patches):
     accepted, skipped = [], []
     for patch in patches:
@@ -69,6 +89,7 @@ def _swap_in_the_old_path(mp):
     """Every rewritten piece of the patch path replaced by its oracle."""
     mp.setattr(imports, "_offset_in_spans", old_offset_in_spans)
     mp.setattr(imports, "_used_outside", old_used_outside)
+    mp.setattr(imports, "_blank_strings_and_comments", old_blank_strings_and_comments)
     mp.setattr(patcher, "_resolve_overlaps", old_resolve_overlaps)
     mp.setattr(
         PatchVerifier, "_bindings_of_original", lambda self, original: _Bindings(original)
@@ -99,6 +120,17 @@ def test_use_outside_a_line_agrees_with_the_rebuilt_text(text):
             assert imports._used_outside(
                 text, name, start, offset, first_use
             ) == old_used_outside(text, name, start, offset, None), (name, start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=QUOTED, cut=st.integers(0, 60))
+def test_comment_masking_agrees_with_the_old_loop(text, cut):
+    # the placement masks a prefix of the text with the whole text's spans
+    spans = string_spans(text)
+    region = text[:cut]
+    assert imports._blank_strings_and_comments(
+        region, spans
+    ) == old_blank_strings_and_comments(region, spans)
 
 
 SPANS = st.lists(
@@ -215,4 +247,19 @@ def test_unclosed_parenthesized_imports_grow_near_linearly():
         "from m import (\n" * lines + "x = pickle.loads(b)\n"
         for lines in (256, 1024, 4096)
     ]
+    _assert_grows_near_linearly(engine, texts)
+
+
+def test_a_long_comment_above_the_imports_grows_near_linearly():
+    """A use before the last import makes the import placement mask the
+    comments above that import.  Each comment is masked once: matching
+    one from every ``#`` in it made a line of n ``#`` cost n²/2 steps.
+    No corpus snippet holds such a line, so the tests above cannot see
+    it."""
+    engine = PatchitPy()
+    texts = [
+        "data = yaml.load(b)\n" + "#" * hashes + "\nimport os\n"
+        for hashes in (4096, 16384, 65536)
+    ]
+    assert engine.patch(texts[0]).patched.startswith("import yaml\n")
     _assert_grows_near_linearly(engine, texts)

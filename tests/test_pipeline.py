@@ -13,8 +13,9 @@ pin what sharing it buys on the wire:
 - a fleet batch is validated in full before it spends tenant quota;
 - a ``/v1/scan`` ``jobs`` that is not an integer is a 400, not a 500;
 - from Python 3.11, a keep-alive request spawns no asyncio Task at a
-  daemon or at a fleet's front door, forwarded or answered there: every
-  deadline on the way is a timer on the connection's own task.
+  daemon, on a loop thread or analyzing inline on the main thread, or
+  at a fleet's front door, forwarded or answered there: every deadline
+  on the way is a timer on the connection's own task.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro import (
     ServerError,
 )
 from repro.server.fleet import FRONT_DOOR
+from tests.test_server import MainThreadServer
 
 SNIPPET = "data = pickle.loads(blob)\n"
 
@@ -305,6 +307,14 @@ class TestNoTaskPerRequest:
     def test_daemon(self):
         with BackgroundServer(PatchitPyServer(config=ServerConfig(port=0))) as handle:
             assert _tasks_per_keep_alive_request(handle) == []
+
+    def test_daemon_on_the_main_thread(self):
+        """An inline unit runs in the connection's task, and its alarm
+        and the loop's slice are a timer and a callback, not Tasks."""
+        server = PatchitPyServer(config=ServerConfig(port=0))
+        assert MainThreadServer(server).run(_tasks_per_keep_alive_request) == []
+        assert server.inline
+        assert server.metrics.counters["server_inline_units"] >= 20
 
     def test_fleet_front_door(self):
         config = FleetConfig(

@@ -370,6 +370,107 @@ def _push_repo(root, files: int):
     git("commit", "-qm", "push")
 
 
+def _git_repo(root, base, push):
+    """A git repo at ``root``: a commit of the files ``base`` maps to
+    their bytes, then one that writes ``push`` over them."""
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("config", "user.email", "t@example.com")
+    git("config", "user.name", "t")
+    for files, message in ((base, "base"), (push, "push")):
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        git("add", "-A")
+        git("commit", "-qm", message)
+
+
+VULN_EVAL = b"y = eval(z)\n"
+
+
+class TestUnusualGitOutput:
+    """A pushed line that is not UTF-8 costs its own file an error row;
+    a path git quotes is reviewed under its real name."""
+
+    def test_a_non_utf8_line_is_its_files_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _git_repo(
+            tmp_path,
+            {"a.py": b"x = 1\n", "b.py": b"x = 1\n"},
+            {"a.py": b"x = 1\n# caf\xe9\n", "b.py": b"x = 1\n" + VULN_EVAL},
+        )
+        for kwargs in ({"base": "HEAD~1", "head": "HEAD"}, {"base": "HEAD~1"}):
+            report = review(tmp_path, use_cache=False, engine=ENGINE, **kwargs)
+            errors = {f.path: f.error for f in report.files if f.error}
+            assert list(errors) == ["a.py"], kwargs
+            assert "UTF-8" in errors["a.py"] or "utf-8" in errors["a.py"]
+            assert [(f.path, f.finding.rule_id) for f in report.introduced] == [
+                ("b.py", "PIT-A03-11")
+            ]
+            assert not report.fixed and not report.pre_existing
+        # the CLI: no traceback, the error row counted, exit 1 for the eval
+        code = main(["review", "HEAD~1..HEAD", "--root", str(tmp_path), "--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "unreadable files: 1" in out and "b.py:2" in out
+        # the same diff from a file, reviewed against the worktree
+        diff = subprocess.run(
+            ["git", "-C", str(tmp_path), "diff", "HEAD~1", "HEAD"],
+            check=True,
+            capture_output=True,
+        ).stdout
+        assert b"caf\xe9" in diff
+        (tmp_path / "push.diff").write_bytes(diff)
+        code = main(
+            ["review", "--diff", str(tmp_path / "push.diff"), "--root", str(tmp_path),
+             "--no-cache"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "unreadable files: 1" in out and "b.py:2" in out
+
+    def test_a_clean_push_with_a_non_utf8_line_exits_zero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _git_repo(tmp_path, {"a.py": b"x = 1\n"}, {"a.py": b"x = 1\n# caf\xe9\n"})
+        code = main(["review", "HEAD~1..HEAD", "--root", str(tmp_path), "--no-cache"])
+        assert code == 0
+        assert "unreadable files: 1" in capsys.readouterr().out
+
+    def test_quoted_paths_are_reviewed_under_their_names(self, tmp_path):
+        names = ["café.py", 'say "hi" now.py', "a.py"]
+        _git_repo(
+            tmp_path,
+            {name: b"x = 1\n" for name in names},
+            {name: b"x = 1\n" + VULN_EVAL for name in names},
+        )
+        raw = subprocess.run(
+            ["git", "-C", str(tmp_path), "diff", "HEAD~1", "HEAD"],
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        assert '"a/caf\\303\\251.py"' in raw and '\\"hi\\"' in raw
+        for kwargs in ({"base": "HEAD~1", "head": "HEAD"}, {"base": "HEAD~1"}):
+            report = review(tmp_path, use_cache=False, engine=ENGINE, **kwargs)
+            assert not [f for f in report.files if f.error], kwargs
+            assert sorted(f.path for f in report.introduced) == sorted(names)
+
+    def test_c_style_escapes_are_undone(self):
+        diff = (
+            '--- "a/caf\\303\\251 \\"q\\" \\\\ \\t\\n.py"\n'
+            '+++ "b/caf\\303\\251 \\"q\\" \\\\ \\t\\n.py"\n'
+            "@@ -1 +1 @@\n"
+            "-x = 1\n"
+            "+x = 2\n"
+        )
+        (fd,) = parse_unified_diff(diff)
+        assert fd.old_path == fd.new_path == 'café "q" \\ \t\n.py'
+
+
 class TestBlobsInOneGitProcess:
     """A revision review reads its blobs with one ``git cat-file
     --batch``; ``git show`` per side per file is the reference."""

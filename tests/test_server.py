@@ -1,16 +1,23 @@
 """Tests for the persistent scan server (``repro.server``).
 
 Every test runs a real :class:`~repro.server.PatchitPyServer` on a
-loopback socket via :class:`~repro.server.BackgroundServer` and talks to
-it with the stdlib :class:`~repro.server.ServerClient` — round-tripping
-the actual HTTP framing, not calling handlers directly.
+loopback socket and talks to it with the stdlib
+:class:`~repro.server.ServerClient` — round-tripping the actual HTTP
+framing, not calling handlers directly.  Most run the server's loop on
+a :class:`~repro.server.BackgroundServer` thread, where each analysis
+unit goes to the pool thread.  The deadline, drain and inline tests
+also run it on the main thread (:class:`MainThreadServer`), as
+``patchitpy serve`` does, where a ``--jobs 1`` server analyzes on its
+loop under a SIGALRM budget.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import socket
+import sys
 import threading
 import time
 
@@ -52,6 +59,61 @@ class SlowEngine(PatchitPy):
         return super().detect(source, metrics=metrics, trace=trace)
 
 
+class MainThreadServer:
+    """Serve on the calling (main) thread, as ``patchitpy serve`` does.
+
+    :meth:`run` drives the server's loop here with ``asyncio.run``, so a
+    ``--jobs 1`` server analyzes inline, and runs ``body(handle)`` on an
+    executor thread, where a test's clients live.  The handle offers what
+    a :class:`~repro.server.BackgroundServer` handle does: ``port``,
+    ``stop`` and the loop as ``_loop``.
+    """
+
+    def __init__(self, server):
+        self.server = server
+        self._loop = None
+
+    @property
+    def port(self):
+        return self.server.port
+
+    def run(self, body):
+        async def serve():
+            self._loop = asyncio.get_running_loop()
+            await self.server.start()
+            try:
+                return await self._loop.run_in_executor(None, body, self)
+            finally:
+                await self.server.shutdown()
+
+        assert threading.current_thread() is threading.main_thread()
+        return asyncio.run(serve())
+
+    def stop(self, timeout=60.0):
+        """Drain the server from the body's thread (idempotent)."""
+        asyncio.run_coroutine_threadsafe(self.server.shutdown(), self._loop).result(
+            timeout
+        )
+
+
+def on_a_loop_thread(server, body):
+    """Start ``server`` on a :class:`BackgroundServer` thread, return
+    ``body(handle)`` and stop it: every unit goes to the pool."""
+    with BackgroundServer(server) as handle:
+        return body(handle)
+
+
+def on_the_main_thread(server, body):
+    """The same, with the server's loop on the main thread, where a
+    ``--jobs 1`` server runs its units inline."""
+
+    def inline_body(handle):
+        assert server.inline is (server.config.jobs == 1)
+        return body(handle)
+
+    return MainThreadServer(server).run(inline_body)
+
+
 class TestEndpointRoundTrips:
     def test_healthz_reports_warm_engine(self, running_server):
         server, client = running_server
@@ -59,6 +121,8 @@ class TestEndpointRoundTrips:
         assert health["status"] == "ok"
         assert health["rules"] == len(server.engine.rules)
         assert health["pool"] == "thread"
+        # a loop off the main thread sends every unit to the pool thread
+        assert health["inline"] is False
         assert health["queue_depth"] == server.config.queue_depth
 
     def test_analyze_matches_inprocess_detect(self, running_server):
@@ -319,22 +383,36 @@ class TestBackpressure:
 
 
 class TestDeadlines:
+    #: How a test runs its server (:class:`TestDeadlinesOnTheMainThread`
+    #: runs every test again on the main thread).
+    serve = staticmethod(on_a_loop_thread)
+
     def test_deadline_expiry_is_504(self):
         server = PatchitPyServer(engine=SlowEngine(), config=ServerConfig(port=0))
-        with BackgroundServer(server) as handle:
+
+        def body(handle):
             with ServerClient(port=handle.port) as client:
+                started = time.monotonic()
                 with pytest.raises(ServerError) as info:
                     client.analyze(VULN, deadline_ms=50)
+                elapsed = time.monotonic() - started
                 # the server survives the expiry and keeps answering
                 assert client.healthz()["status"] == "ok"
-        assert info.value.status == 504
+            return info.value.status, elapsed
+
+        status, elapsed = self.serve(server, body)
+        assert status == 504
+        # answered at the deadline, not when the stalled detect ends
+        assert elapsed < 0.5, elapsed
 
     def test_generous_deadline_succeeds(self):
         server = PatchitPyServer(engine=SlowEngine(), config=ServerConfig(port=0))
-        with BackgroundServer(server) as handle:
+
+        def body(handle):
             with ServerClient(port=handle.port) as client:
-                payload = client.analyze(VULN, deadline_ms=30_000)
-        assert payload["vulnerable"] is True
+                return client.analyze(VULN, deadline_ms=30_000)
+
+        assert self.serve(server, body)["vulnerable"] is True
 
     def test_non_numeric_deadline_is_400(self, running_server):
         _, client = running_server
@@ -348,27 +426,50 @@ class TestDeadlines:
         after 3.2 s and ``/healthz`` stalled for 3.1 s."""
         server = PatchitPyServer(config=ServerConfig(port=0, jobs=1))
         source = 'conn.search_s(f"' + "{a} " * 4000
-        round_trips = []
-        with BackgroundServer(server) as handle:
-            analyzed = threading.Event()
-
-            def poll():
-                with ServerClient(port=handle.port) as poller:
-                    while not analyzed.is_set():
-                        started = time.monotonic()
-                        poller.healthz()
-                        round_trips.append(time.monotonic() - started)
-
-            polling = threading.Thread(target=poll)
-            polling.start()
-            try:
-                with ServerClient(port=handle.port) as client:
-                    payload = client.analyze(source, deadline_ms=500)
-            finally:
-                analyzed.set()
-                polling.join()
+        payload, round_trips = self.serve(
+            server, lambda handle: _analyze_while_polling(handle, source, 500)
+        )
         assert payload["vulnerable"] is False
         assert round_trips and max(round_trips) < 0.5, max(round_trips)
+
+    def test_a_stalled_unit_leaves_healthz_responsive(self):
+        """A unit that stalls 0.5 s runs on the pool thread, not on the
+        loop: an inline server's alarm cuts it after one switch interval
+        and re-runs it there."""
+        server = PatchitPyServer(engine=SlowEngine(), config=ServerConfig(port=0))
+        payload, round_trips = self.serve(
+            server, lambda handle: _analyze_while_polling(handle, VULN, 30_000)
+        )
+        assert payload["vulnerable"] is True
+        assert round_trips and max(round_trips) < 0.25, max(round_trips)
+
+
+class TestDeadlinesOnTheMainThread(TestDeadlines):
+    serve = staticmethod(on_the_main_thread)
+
+
+def _analyze_while_polling(handle, source, deadline_ms):
+    """Analyze ``source`` while a second client polls ``/healthz``:
+    ``(payload, health round-trip seconds)``."""
+    round_trips = []
+    analyzed = threading.Event()
+
+    def poll():
+        with ServerClient(port=handle.port) as poller:
+            while not analyzed.is_set():
+                started = time.monotonic()
+                poller.healthz()
+                round_trips.append(time.monotonic() - started)
+
+    polling = threading.Thread(target=poll)
+    polling.start()
+    try:
+        with ServerClient(port=handle.port) as client:
+            payload = client.analyze(source, deadline_ms=deadline_ms)
+    finally:
+        analyzed.set()
+        polling.join()
+    return payload, round_trips
 
 
 def _pickle_key(engine):
@@ -430,20 +531,26 @@ class TestExclude:
 
 
 class TestGracefulDrain:
+    #: How a test runs its server (:class:`TestGracefulDrainOnTheMainThread`
+    #: runs every test again on the main thread).
+    serve = staticmethod(on_a_loop_thread)
+
     def test_inflight_request_completes_during_drain(self):
         server = PatchitPyServer(engine=SlowEngine(), config=ServerConfig(port=0))
-        handle = BackgroundServer(server).start()
         outcome = {}
 
-        def slow_request():
-            with ServerClient(port=handle.port) as client:
-                outcome["payload"] = client.analyze(VULN)
+        def body(handle):
+            def slow_request():
+                with ServerClient(port=handle.port) as client:
+                    outcome["payload"] = client.analyze(VULN)
 
-        worker = threading.Thread(target=slow_request)
-        worker.start()
-        time.sleep(0.15)  # the slow detect is now in flight
-        handle.stop()  # SIGTERM path: drain, then stop
-        worker.join(timeout=30)
+            worker = threading.Thread(target=slow_request)
+            worker.start()
+            time.sleep(0.15)  # the slow detect is now in flight
+            handle.stop()  # SIGTERM path: drain, then stop
+            worker.join(timeout=30)
+
+        self.serve(server, body)
         assert outcome["payload"]["vulnerable"] is True
         assert server.draining is True
 
@@ -454,18 +561,22 @@ class TestGracefulDrain:
         server = PatchitPyServer(
             config=ServerConfig(port=0, idle_timeout_s=60.0, drain_timeout_s=1.0)
         )
-        handle = BackgroundServer(server).start()
-        with ServerClient(port=handle.port) as client:
-            client.healthz()  # the connection stays open, idle
-            started = time.monotonic()
-            handle.stop(timeout=10.0)
-            elapsed = time.monotonic() - started
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                client.healthz()  # the connection stays open, idle
+                started = time.monotonic()
+                handle.stop(timeout=10.0)
+                return time.monotonic() - started
+
+        elapsed = self.serve(server, body)
         assert server.draining is True
         assert elapsed < 5.0
 
     def test_draining_server_refuses_new_analysis(self):
         server = PatchitPyServer(config=ServerConfig(port=0))
-        with BackgroundServer(server) as handle:
+
+        def body(handle):
             with ServerClient(port=handle.port) as client:
                 client.analyze(SAFE)
             server.draining = True  # simulate mid-drain arrival
@@ -474,23 +585,334 @@ class TestGracefulDrain:
                     client.analyze(SAFE)
                 health = client.healthz()
             server.draining = False
-        assert info.value.status == 503
+            return info.value.status, health
+
+        status, health = self.serve(server, body)
+        assert status == 503
         assert health["status"] == "draining"
 
     def test_drain_closes_open_caches(self, tmp_path):
         (tmp_path / "bad.py").write_text(VULN)
-        server = PatchitPyServer(config=ServerConfig(port=0))
-        with BackgroundServer(server) as handle:
+
+        def scan(handle):
             with ServerClient(port=handle.port) as client:
-                client.scan(str(tmp_path))
-            caches = list(server._caches.values())
+                return client.scan(str(tmp_path))
+
+        server = PatchitPyServer(config=ServerConfig(port=0))
+        self.serve(server, scan)
+        caches = list(server._caches.values())
         assert caches and all(cache.closed for cache in caches)
         # the persisted store makes the next cold scan warm
-        reopened = PatchitPyServer(config=ServerConfig(port=0))
-        with BackgroundServer(reopened) as handle:
-            with ServerClient(port=handle.port) as client:
-                warm = client.scan(str(tmp_path))
+        warm = self.serve(PatchitPyServer(config=ServerConfig(port=0)), scan)
         assert warm["cache_hits"] == 1
+
+
+class TestGracefulDrainOnTheMainThread(TestGracefulDrain):
+    serve = staticmethod(on_the_main_thread)
+
+
+class StallingEngine(PatchitPy):
+    """An engine whose detect first sleeps ``stall`` seconds."""
+
+    def __init__(self, stall):
+        super().__init__()
+        self.stall = stall
+
+    def detect(self, source, metrics=None, trace=None):
+        time.sleep(self.stall)
+        return super().detect(source, metrics=metrics, trace=trace)
+
+
+class AlwaysInline(PatchitPyServer):
+    """A server whose estimate never predicts an overrun: every unit is
+    tried on the loop, however often the alarm cuts one."""
+
+    def _pace(self):
+        return 0.0
+
+
+def _reply(payload):
+    """A reply without its timing, the one field two runs never share."""
+    return {key: value for key, value in payload.items() if key != "duration_ms"}
+
+
+def _pool_submissions(monkeypatch, server):
+    """The functions submitted to ``server``'s analysis pool from now on."""
+    submitted = []
+    real = asyncio.base_events.BaseEventLoop.run_in_executor
+
+    def counting(loop, executor, func, *args):
+        if executor is not None and executor is server._pool:
+            submitted.append(func)
+        return real(loop, executor, func, *args)
+
+    monkeypatch.setattr(asyncio.base_events.BaseEventLoop, "run_in_executor", counting)
+    return submitted
+
+
+class TestInline:
+    """A ``--jobs 1`` server whose loop owns the main thread analyzes on
+    the loop under a SIGALRM budget; a unit the alarm cuts re-runs on the
+    pool thread, or answers 504 when its deadline is what ran out."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_inline_replies_equal_pool_replies_on_the_corpus(
+        self, flat_samples, tmp_path, shared
+    ):
+        sources = list(dict.fromkeys(sample.source for sample in flat_samples))
+
+        def config(name):
+            tier = str(tmp_path / name) if shared else None
+            return ServerConfig(port=0, shared_cache_dir=tier)
+
+        def replies(handle):
+            # with the shared tier, a miss and then a hit of every sample
+            with ServerClient(port=handle.port) as client:
+                return [
+                    _reply(client.analyze(source, patch=True))
+                    for source in sources * (2 if shared else 1)
+                ]
+
+        with BackgroundServer(PatchitPyServer(config=config("pool"))) as handle:
+            pooled = replies(handle)
+        server = PatchitPyServer(config=config("inline"))
+        inline = MainThreadServer(server).run(replies)
+        assert server.inline
+        assert inline == pooled
+        if shared:
+            assert [r.get("from_cache", False) for r in inline] == [False] * len(
+                sources
+            ) + [True] * len(sources)
+        counters = server.metrics.counters
+        assert counters["server_inline_units"] >= len(inline) * 0.9, counters
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_cut_units_answer_like_the_library(self, flat_samples, tmp_path, shared):
+        """At a 100 µs switch interval the alarm cuts most units at some
+        random point of their analysis; every reply still equals the
+        in-process patch, and the server keeps answering."""
+        engine = PatchitPy()
+        sources = [s.source for s in flat_samples if engine.detect(s.source)][::4]
+        expected = [
+            ([f.to_dict() for f in engine.detect(source)], engine.patch(source).patched)
+            for source in sources
+        ]
+        tier = str(tmp_path) if shared else None
+        server = AlwaysInline(config=ServerConfig(port=0, shared_cache_dir=tier))
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                got = [client.analyze(source, patch=True) for source in sources]
+                if shared:  # every cut miss was re-run and published once
+                    got += [client.analyze(source, patch=True) for source in sources]
+                return got, client.healthz()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            got, health = MainThreadServer(server).run(body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert health["status"] == "ok" and health["inline"] is True
+        assert [(r["findings"], r["patched_source"]) for r in got] == expected * (
+            2 if shared else 1
+        )
+        if shared:
+            assert all(r["from_cache"] for r in got[len(sources):])
+        overruns = server.metrics.counters.get("server_inline_overruns", 0)
+        assert overruns > len(sources) / 2, server.metrics.counters
+
+    def test_a_deadline_shorter_than_the_budget_starts_no_pool_unit(
+        self, monkeypatch
+    ):
+        server = PatchitPyServer(engine=SlowEngine(), config=ServerConfig(port=0))
+        submitted = _pool_submissions(monkeypatch, server)
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                started = time.monotonic()
+                with pytest.raises(ServerError) as info:
+                    client.analyze(VULN, deadline_ms=2)
+                return info.value.status, time.monotonic() - started
+
+        status, elapsed = MainThreadServer(server).run(body)
+        assert status == 504 and elapsed < 0.5, elapsed
+        assert submitted == []
+        assert server.metrics.counters["server_inline_overruns"] == 1
+        assert "server_inline_units" not in server.metrics.counters
+
+    def test_a_batch_whose_deadline_runs_out_inline_is_504(self, monkeypatch):
+        # AlwaysInline: the first batch's cuts would send the second's
+        # items to the pool thread, as predicted overruns
+        server = AlwaysInline(engine=SlowEngine(), config=ServerConfig(port=0))
+        submitted = _pool_submissions(monkeypatch, server)
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                with pytest.raises(ServerError) as info:
+                    client.batch([VULN, SAFE, VULN], deadline_ms=2)
+                lines = list(client.batch_stream([VULN, SAFE], deadline_ms=2))
+                return info.value, lines, client.healthz()
+
+        error, lines, health = MainThreadServer(server).run(body)
+        assert error.status == 504
+        assert error.payload["error"] == "batch of 3 missed its deadline of 2ms"
+        errors = sorted((line["id"], line["error"]) for line in lines[:-1])
+        assert errors == [(i, "batch item missed its deadline of 2ms") for i in (0, 1)]
+        assert lines[-1]["done"] is True and lines[-1]["failed"] == 2
+        assert submitted == [] and health["queued"] == 0
+        assert server.metrics.counters["server_stream_deadline_drops"] == 2
+
+    def test_a_cut_unit_leaves_no_tier_entry(self, tmp_path, monkeypatch):
+        """The alarm covers the lookup and the analysis, never the
+        write-through: a unit cut by its deadline publishes nothing, and
+        a cut unit re-run on the pool misses, so the one publish is the
+        re-run's."""
+        publishers = []
+        real_store = ResultStore.store
+
+        def store(self, digest, findings):
+            publishers.append(threading.current_thread() is threading.main_thread())
+            return real_store(self, digest, findings)
+
+        monkeypatch.setattr(ResultStore, "store", store)
+        engine = StallingEngine(0.05)
+        config = ServerConfig(port=0, shared_cache_dir=str(tmp_path))
+        server = PatchitPyServer(engine=engine, config=config)
+        expired, rerun = "x = eval(a)\n", "y = eval(b)\n"
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                with pytest.raises(ServerError) as info:
+                    client.analyze(expired, deadline_ms=2)
+                assert info.value.status == 504
+                return client.analyze(rerun)
+
+        reply = MainThreadServer(server).run(body)
+        sibling = ResultStore(tmp_path, engine.rules.fingerprint())
+        assert sibling.lookup(hash_source(expired)) is None
+        assert reply.get("from_cache", False) is False and reply["vulnerable"]
+        assert sibling.lookup(hash_source(rerun)) is not None
+        assert publishers == [False]  # one publish, from the pool thread
+        assert server.metrics.counters["server_inline_overruns"] == 2
+
+    def test_counts_show_in_metrics_statusz_and_healthz(self):
+        server = PatchitPyServer(config=ServerConfig(port=0))
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                client.analyze(VULN, patch=True)
+                return client.metrics_text(), client.statusz(), client.healthz()
+
+        text, html, health = MainThreadServer(server).run(body)
+        assert "patchitpy_server_inline_units 1" in text
+        assert "inline on" in html
+        assert "1 unit(s) on the event loop" in html
+        assert (health["inline"], health["pool"]) == (True, "thread")
+
+    def test_sigalrm_is_taken_at_default_and_restored(self):
+        assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+        hook = sys.unraisablehook
+        server = PatchitPyServer(config=ServerConfig(port=0))
+        during = MainThreadServer(server).run(
+            lambda handle: (signal.getsignal(signal.SIGALRM), sys.unraisablehook)
+        )
+        assert server.inline and during == (server._on_alarm, server._unraisable)
+        assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+        assert sys.unraisablehook is hook
+
+    def test_a_cut_swallowed_by_a_finalizer_is_not_reported(self):
+        """A tick that lands in a weakref callback is swallowed there and
+        reaches the unraisable hook; the next tick cuts the unit, so the
+        hook drops it and passes anything else on."""
+        from repro.server.app import _Overrun
+
+        server = PatchitPyServer(config=ServerConfig(port=0))
+        reported = []
+        server._unraisable_previous = reported.append
+        swallowed = type("Unraisable", (), {"exc_value": _Overrun()})()
+        other = type("Unraisable", (), {"exc_value": ValueError("x")})()
+        server._unraisable(swallowed)
+        server._unraisable(other)
+        assert reported == [other]
+
+    def test_an_embedders_sigalrm_handler_is_never_taken(self):
+        def embedders(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGALRM, embedders)
+        try:
+            server = PatchitPyServer(config=ServerConfig(port=0))
+
+            def body(handle):
+                with ServerClient(port=handle.port) as client:
+                    return client.analyze(VULN), client.healthz()
+
+            payload, health = MainThreadServer(server).run(body)
+            assert signal.getsignal(signal.SIGALRM) is embedders
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert payload["vulnerable"] is True
+        assert (health["inline"], health["pool"]) == (False, "thread")
+        assert "server_inline_units" not in server.metrics.counters
+
+    def test_more_than_one_job_keeps_the_process_pool(self):
+        server = PatchitPyServer(config=ServerConfig(port=0, jobs=2))
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                return client.healthz()
+
+        health = MainThreadServer(server).run(body)
+        assert (health["inline"], health["pool"]) == (False, "process")
+        assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+
+    def test_a_long_document_goes_straight_to_the_pool(self, flat_samples):
+        """A unit longer than the budget covers at the estimated rate
+        skips the inline attempt once the estimate has seen one cut."""
+        document = "\n".join(s.source for s in flat_samples)[: 64 * 1024]
+        server = PatchitPyServer(config=ServerConfig(port=0))
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                return [client.analyze(document, patch=True) for _ in range(3)]
+
+        replies = MainThreadServer(server).run(body)
+        expected = PatchitPy().patch(document).patched
+        assert [r["patched_source"] for r in replies] == [expected] * 3
+        counters = server.metrics.counters
+        assert counters["server_inline_overruns"] == 1, counters
+        assert counters["server_inline_skips"] == 2, counters
+
+
+    def test_a_used_up_slice_is_no_estimate_skip(self):
+        """A batch's items share one loop turn's slice.  At a 100 µs
+        switch interval the first item uses it up, inline or cut; the
+        rest go to the pool thread with no budget left, which the size
+        estimate had no part in, so no skip is counted."""
+        server = PatchitPyServer(config=ServerConfig(port=0))
+        sources = [VULN, SAFE] * 4
+
+        def body(handle):
+            with ServerClient(port=handle.port) as client:
+                return client.batch(sources, patch=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            reply = MainThreadServer(server).run(body)
+        finally:
+            sys.setswitchinterval(interval)
+        engine = PatchitPy()
+        assert [item["patched_source"] for item in reply["results"]] == [
+            engine.patch(source).patched for source in sources
+        ]
+        counters = server.metrics.counters
+        tried = counters.get("server_inline_units", 0) + counters.get(
+            "server_inline_overruns", 0
+        )
+        assert tried == 1, counters
+        assert counters.get("server_inline_skips", 0) == 0, counters
 
 
 class TestMetricsParity:
