@@ -16,7 +16,7 @@ from the parse-or-nothing mini-Bandit/mini-CodeQL baselines.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
 _METAVAR_RE = re.compile(r"\$([A-Z][A-Z0-9_]*)")
 _ELLIPSIS_TOKEN = "\x00ELLIPSIS\x00"
@@ -98,9 +98,3 @@ def _escape_punctuated(chunk: str) -> str:
         else:
             parts.append(re.escape(piece))
     return "".join(parts)
-
-
-def find_matches(compiled: "re.Pattern[str]", source: str) -> Iterator[Tuple[int, int, str]]:
-    """Yield ``(start, end, text)`` for each match in ``source``."""
-    for match in compiled.finditer(source):
-        yield match.start(), match.end(), match.group(0)

@@ -146,18 +146,23 @@ class _TrieScanner:
 
 @dataclass
 class IndexLookup:
-    """One source's candidate partition, in catalog order.
+    """One source's candidate partition of ``rules``, in catalog order.
 
     ``candidates`` must run (every required literal present, or no
-    requirement derivable); ``skipped`` provably cannot match (at least
-    one required literal absent).  ``mask`` sets bit *i* iff catalog
-    position *i* is a candidate: what a measured scan tallies as the
-    catalog's offer counts.
+    requirement derivable).  ``mask`` sets bit *i* iff catalog position
+    *i* is a candidate: what a measured scan tallies as the catalog's
+    offer counts.  :attr:`skipped` is derived from it when read.
     """
 
     candidates: List["object"]
-    skipped: List["object"]
-    mask: int = field(default=0)
+    mask: int
+    rules: Tuple["object", ...] = field(repr=False)
+
+    @property
+    def skipped(self) -> List["object"]:
+        """The rules that provably cannot match: at least one required
+        literal is absent."""
+        return [rule for i, rule in enumerate(self.rules) if not self.mask >> i & 1]
 
 
 class RuleIndex:
@@ -234,7 +239,7 @@ class RuleIndex:
         return len(self._rules)
 
     def lookup(self, source: str) -> IndexLookup:
-        """Partition the rules into candidates and provable skips."""
+        """Select the candidate rules for ``source``."""
         exact_found = self._exact_scanner.present_mask(source)
         folded_found = 0
         if self.folded_literals:
@@ -247,7 +252,6 @@ class RuleIndex:
                 # wrong skip.
                 folded_found = self._folded_all
         candidates: List[object] = []
-        skipped: List[object] = []
         mask = 0
         bit = 1
         for rule, exact_mask, folded_mask, groups in self._entries:
@@ -261,10 +265,8 @@ class RuleIndex:
             ):
                 candidates.append(rule)
                 mask |= bit
-            else:
-                skipped.append(rule)
             bit <<= 1
-        return IndexLookup(candidates=candidates, skipped=skipped, mask=mask)
+        return IndexLookup(candidates, mask, self._rules)
 
     def grouped_for(self, lookup: IndexLookup) -> SimpleNamespace:
         """Benchmark seam: the lookup's candidates as a three-field plan.

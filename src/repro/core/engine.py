@@ -25,6 +25,13 @@ from repro.observability.provenance import (
 from repro.observability.trace import NULL_TRACE, TraceRecorder
 from repro.types import AnalysisReport, Finding, Patch, Span
 
+#: Patching repeats detect→patch until a fixed point or this many passes,
+#: because one applied patch can reveal or shift later matches.
+MAX_PASSES = 3
+#: How many times :meth:`PatchitPy.patch` verifies its output and
+#: re-patches with the failing patches banned before it reverts them all.
+MAX_VERIFY_ATTEMPTS = 3
+
 
 def detect_with(
     engine,
@@ -72,11 +79,6 @@ class PatchResult:
         return self.patched != self.original
 
     @property
-    def repair_attempted(self) -> bool:
-        """True when at least one patch was applied."""
-        return bool(self.applied)
-
-    @property
     def unverified(self) -> List[PatchVerdict]:
         """Verdicts of patches that failed verification (and were reverted)."""
         return [v for v in self.verdicts if not v.ok]
@@ -94,9 +96,6 @@ class PatchitPy:
     ----------
     rules:
         The rule set to execute; defaults to the paper's 85-rule set.
-    max_passes:
-        Patching repeats detect→patch until a fixed point (or this limit),
-        because one applied patch can reveal or shift later matches.
     metrics:
         A :class:`~repro.observability.ScanMetrics` collector that every
         detect/patch call reports into.  Defaults to the shared no-op
@@ -111,36 +110,19 @@ class PatchitPy:
         enabled recorder every finding additionally carries a
         :class:`~repro.observability.Provenance` record.  Per-call
         ``trace=`` arguments override it, mirroring ``metrics``.
-    max_verify_attempts:
-        Every :meth:`patch` call runs the Verifier stage
-        (:mod:`repro.core.verify`) on its output and re-patches with
-        failing patches banned, up to this many times; patches that
-        cannot be verified are reverted instead of shipped.  Each failed
-        attempt bans at least one patch by finding identity, so the loop
-        always terminates; when the bound is hit (or banning cannot make
-        progress) the whole patch set is reverted and the original text
-        is returned unchanged.
     """
 
     def __init__(
         self,
         rules: Optional[RuleSet] = None,
-        max_passes: int = 3,
         prune_imports: bool = True,
         metrics: Optional[ScanMetrics] = None,
         trace: Optional[TraceRecorder] = None,
-        max_verify_attempts: int = 3,
     ) -> None:
-        if max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
-        if max_verify_attempts < 1:
-            raise ValueError("max_verify_attempts must be >= 1")
         self.rules = rules if rules is not None else default_ruleset()
-        self.max_passes = max_passes
         self.prune_imports = prune_imports
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.trace = trace if trace is not None else NULL_TRACE
-        self.max_verify_attempts = max_verify_attempts
 
     def _metrics(self, override: Optional[ScanMetrics]) -> ScanMetrics:
         return override if override is not None else self.metrics
@@ -279,7 +261,7 @@ class PatchitPy:
         last_skipped: List[Patch] = []
         passes = 0
         patches = rendered
-        for pass_index in range(self.max_passes):
+        for pass_index in range(MAX_PASSES):
             if pass_index:
                 patches = self.render_patches(current, pass_findings, t)
             if banned:
@@ -314,14 +296,14 @@ class PatchitPy:
         """Phase 2: substitute safe alternatives for detected patterns.
 
         Runs repeated passes until no patchable finding remains or
-        ``max_passes`` is reached; overlapping patches in one pass are
+        :data:`MAX_PASSES` is reached; overlapping patches in one pass are
         retried on the next pass against the updated text.
 
         The Verifier stage then re-scans the output: patches whose
         triggering finding survived, that introduced a new finding, broke
         the syntax, or collide with an existing binding are banned by
         finding identity and patching re-runs without them, up to
-        ``max_verify_attempts`` times.  If the loop cannot converge on a
+        :data:`MAX_VERIFY_ATTEMPTS` times.  If the loop cannot converge on a
         fully verified patch set, *everything* is reverted — the original
         text ships unchanged rather than an unproven edit.  All examined
         patches keep their verdict in ``PatchResult.verdicts``.
@@ -379,7 +361,7 @@ class PatchitPy:
                 verdicts = list(reverted) + judged
                 break
             new_bans = {v.trigger_key for v in failing if v.trigger_key} - banned
-            if new_bans and attempts < self.max_verify_attempts:
+            if new_bans and attempts < MAX_VERIFY_ATTEMPTS:
                 for v in failing:
                     v.reverted = True
                 reverted.extend(failing)

@@ -135,13 +135,14 @@ class ImportLine(NamedTuple):
     """One import statement outside string literals: its offsets (``end``
     just past the line break of its last line), its leading whitespace,
     its text on one line (a parenthesized from-import's names joined by
-    ``, ``) and that text's :func:`_parse_imports` entries."""
+    ``, ``) and that text's :func:`parse_import` entries and bindings."""
 
     start: int
     end: int
     indent: str
     statement: str
     entries: List[Tuple[str, str, frozenset]]
+    bindings: List[str]
 
 
 class ImportLayout(NamedTuple):
@@ -195,10 +196,10 @@ def import_layout(source: str) -> ImportLayout:
                     statement, stop = found
                     resume = stop
             try:
-                entries = _parse_imports(statement)
+                entries, bindings = parse_import(statement)
             except ValueError:
                 continue
-            lines.append(ImportLine(start, stop, indent, statement, entries))
+            lines.append(ImportLine(start, stop, indent, statement, entries, bindings))
     return ImportLayout(margin or "", lines, spans)
 
 
@@ -243,10 +244,15 @@ class ImportManager:
         when *every* module they name is.
         """
         try:
-            wanted = _parse_imports(statement)
+            return self.has_parsed(parse_import(statement))
         except ValueError:
             return False
-        return all(self._has_entry(kind, module, names) for kind, module, names in wanted)
+
+    def has_parsed(self, parsed: ParsedImport) -> bool:
+        """:meth:`has_import` of a statement :func:`parse_import` read."""
+        return all(
+            self._has_entry(kind, module, names) for kind, module, names in parsed.entries
+        )
 
     def _has_entry(self, kind: str, module: str, names: frozenset) -> bool:
         for existing_kind, existing_module, existing_names in self._existing:
@@ -427,18 +433,29 @@ def _blank_strings_and_comments(text: str, spans: Sequence[Tuple[int, int]]) -> 
     return "".join(pieces)
 
 
-def _split_alias(part: str) -> Tuple[str, str]:
-    """``"module as alias"`` → ``(module, binding_name)``."""
-    target, _, alias = part.partition(" as ")
-    target = target.strip()
-    alias = alias.strip()
-    if alias:
-        return target, alias
-    return target, target.split(".")[0]
+def _split_aliases(names: str) -> List[Tuple[str, str]]:
+    """``"a.b as c, d.e"`` → ``[("a.b", "c"), ("d.e", "d")]``: each
+    imported target and the name it binds."""
+    pairs: List[Tuple[str, str]] = []
+    for part in names.split(","):
+        part = part.strip()
+        if part:
+            target, _, alias = part.partition(" as ")
+            target = target.strip()
+            pairs.append((target, alias.strip() or target.split(".")[0]))
+    return pairs
 
 
-def _parse_imports(statement: str) -> List[Tuple[str, str, frozenset]]:
-    """Parse into ``(kind, module, names)`` entries; ValueError if neither.
+class ParsedImport(NamedTuple):
+    """What one import statement imports and binds (:func:`parse_import`)."""
+
+    entries: List[Tuple[str, str, frozenset]]
+    bindings: List[str]
+
+
+def parse_import(statement: str) -> ParsedImport:
+    """Parse into ``(kind, module, names)`` entries and the module-scope
+    names the statement binds; ValueError if it is no import.
 
     A ``from`` import yields one entry; a plain import yields **one entry
     per module** — ``import os, pickle`` records both ``os`` and
@@ -448,23 +465,20 @@ def _parse_imports(statement: str) -> List[Tuple[str, str, frozenset]]:
     """
     from_match = _FROM_IMPORT_RE.match(statement)
     if from_match:
-        names = frozenset(
-            name.strip().split(" as ")[0].strip()
-            for name in from_match.group("names").split(",")
-            if name.strip()
+        pairs = _split_aliases(from_match.group("names"))
+        names = frozenset(target for target, _binding in pairs)
+        return ParsedImport(
+            [("from", from_match.group("module"), names)],
+            [binding for _target, binding in pairs],
         )
-        return [("from", from_match.group("module"), names)]
     plain_match = _PLAIN_IMPORT_RE.match(statement)
-    if plain_match:
-        entries: List[Tuple[str, str, frozenset]] = []
-        for part in plain_match.group("modules").split(","):
-            if not part.strip():
-                continue
-            module, _binding = _split_alias(part.strip())
-            entries.append(("import", module, frozenset()))
-        if entries:
-            return entries
-    raise ValueError(f"not an import statement: {statement!r}")
+    pairs = _split_aliases(plain_match.group("modules")) if plain_match else []
+    if not pairs:
+        raise ValueError(f"not an import statement: {statement!r}")
+    return ParsedImport(
+        [("import", module, frozenset()) for module, _binding in pairs],
+        [binding for _module, binding in pairs],
+    )
 
 
 def import_bindings(statement: str) -> List[str]:
@@ -474,26 +488,7 @@ def import_bindings(statement: str) -> List[str]:
     ``from flask import Flask, request as req`` binds ``Flask`` and
     ``req``.  Raises ``ValueError`` for non-import text.
     """
-    from_match = _FROM_IMPORT_RE.match(statement)
-    if from_match:
-        bindings: List[str] = []
-        for part in from_match.group("names").split(","):
-            if not part.strip():
-                continue
-            _target, binding = _split_alias(part.strip())
-            bindings.append(binding)
-        return bindings
-    plain_match = _PLAIN_IMPORT_RE.match(statement)
-    if plain_match:
-        bindings = []
-        for part in plain_match.group("modules").split(","):
-            if not part.strip():
-                continue
-            _module, binding = _split_alias(part.strip())
-            bindings.append(binding)
-        if bindings:
-            return bindings
-    raise ValueError(f"not an import statement: {statement!r}")
+    return parse_import(statement).bindings
 
 
 def insert_imports(source: str, statements: Sequence[str]) -> str:
@@ -550,7 +545,7 @@ def prune_unused_imports(source: str) -> str:
             continue
         if any(
             _used_outside(source, binding, line.start, line.end, first_use)
-            for binding in import_bindings(line.statement)
+            for binding in line.bindings
         ):
             continue
         kept.append(source[offset : line.start])

@@ -167,7 +167,7 @@ def _run_measured(
     """
     lookup = index.lookup(source)
     metrics.count("index_candidates", len(lookup.candidates))
-    metrics.count("index_skips", len(lookup.skipped))
+    metrics.count("index_skips", len(index) - len(lookup.candidates))
     metrics.tally_rules(index.rule_ids, lookup.mask)
     findings: List[Finding] = []
     memo: Dict[Tuple[str, int], bool] = {}
@@ -207,18 +207,18 @@ def _run_traced(
     findings: List[Finding] = []
     record_metrics = metrics is not None and metrics.enabled
     lookup = index.lookup(source)
-    skipped = {id(rule) for rule in lookup.skipped}
+    skipped = len(index) - len(lookup.candidates)
     trace.event(
         "index-lookup",
         "candidates",
         candidates=len(lookup.candidates),
-        skipped=len(lookup.skipped),
+        skipped=skipped,
     )
     if record_metrics:
         metrics.count("index_candidates", len(lookup.candidates))
-        metrics.count("index_skips", len(lookup.skipped))
+        metrics.count("index_skips", skipped)
     memo: Dict[Tuple[str, int], bool] = {}
-    for rule in index.rules:
+    for position, rule in enumerate(index.rules):
         start = clock()
         stats = metrics.rule_stats(rule.rule_id) if record_metrics else None
         if stats is not None:
@@ -227,7 +227,7 @@ def _run_traced(
         outcome = "no-match"
         rule_findings: List[Finding] = []
         vetoes = 0
-        if id(rule) in skipped:
+        if not lookup.mask >> position & 1:
             outcome = "prefilter-skip"
             if stats is not None:
                 stats.prefilter_skips += 1

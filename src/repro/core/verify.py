@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Counter as CounterType, Dict, List, Optional, Sequence, Tuple
 from collections import Counter
 
-from repro.core.imports import ImportManager, import_bindings
+from repro.core.imports import ImportManager, parse_import
 from repro.core.patcher import apply_patches
 from repro.types import Finding, Patch
 
@@ -202,14 +202,13 @@ class _Bindings:
         """:func:`binding_collisions` of ``source`` and ``statements``."""
         collisions: Dict[str, str] = {}
         for statement in statements:
-            cleaned = statement.strip()
-            if not cleaned or self.imports.has_import(cleaned):
-                continue
             try:
-                names = import_bindings(cleaned)
+                parsed = parse_import(statement.strip())
             except ValueError:
                 continue
-            for name in names:
+            if self.imports.has_parsed(parsed):
+                continue
+            for name in parsed.bindings:
                 if name not in self._how:
                     self._how[name] = _existing_binding(self.source, name)
                 how = self._how[name]

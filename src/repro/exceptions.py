@@ -20,18 +20,6 @@ class DuplicateRuleError(RuleError):
     """Two rules were registered under the same identifier."""
 
 
-class PatchError(ReproError):
-    """A patch could not be rendered or applied."""
-
-
-class PatchConflictError(PatchError):
-    """Two patches target overlapping spans of the same document."""
-
-
-class StandardizationError(ReproError):
-    """The named entity tagger failed to standardize a snippet."""
-
-
 class MiningError(ReproError):
     """Rule mining could not derive a pattern from a sample pair."""
 
@@ -54,10 +42,6 @@ class BaselineError(ReproError):
 
 class QueryError(BaselineError):
     """A mini-CodeQL query is malformed or references unknown facts."""
-
-
-class EvaluationError(ReproError):
-    """The evaluation harness was configured inconsistently."""
 
 
 class DocumentError(ReproError):

@@ -64,10 +64,6 @@ class ConfusionMatrix:
         """(TP + TN) / total; 0.0 when empty."""
         return (self.tp + self.tn) / self.total if self.total else 0.0
 
-    def as_row(self) -> Tuple[float, float, float, float]:
-        """(precision, recall, f1, accuracy) tuple for table rows."""
-        return (self.precision, self.recall, self.f1, self.accuracy)
-
 
 def from_verdicts(pairs: Iterable[Tuple[bool, bool]]) -> ConfusionMatrix:
     """Build a matrix from ``(truth, predicted)`` verdict pairs."""

@@ -44,11 +44,6 @@ class MinedPattern:
         """LCS_s rendered back to readable text."""
         return detokenize(_as_tokens(self.lcs_safe))
 
-    @property
-    def has_additions(self) -> bool:
-        """True when at least one fragment adds safe tokens."""
-        return any(f.safe_tokens for f in self.fragments)
-
 
 def _token_texts(source: str) -> List[str]:
     return [t.text for t in tokenize(source)]

@@ -871,6 +871,9 @@ class PatchitPyServer(Pipeline):
             jobs = max(1, int(body.get("jobs", 1)))
         except (TypeError, ValueError, OverflowError):
             raise HttpError(400, "jobs must be an integer")
+        # Threads past the core count buy nothing: the findings do not
+        # depend on ``jobs``, and the scan threads share one GIL.
+        jobs = min(jobs, os.cpu_count() or 1)
         use_cache = bool(body.get("use_cache", True))
         deadline = deadline_s(body, self.config.default_deadline_ms)
         started = clock()

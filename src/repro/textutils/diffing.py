@@ -67,8 +67,3 @@ def opcode_summary(vulnerable: Sequence[str], safe: Sequence[str]) -> List[Tuple
     """Compact opcode view ``(tag, vulnerable_len, safe_len)`` for reports."""
     matcher = SequenceMatcher(a=list(vulnerable), b=list(safe), autojunk=False)
     return [(tag, i2 - i1, j2 - j1) for tag, i1, i2, j1, j2 in matcher.get_opcodes()]
-
-
-def token_similarity(vulnerable: Sequence[str], safe: Sequence[str]) -> float:
-    """``SequenceMatcher.ratio`` over token streams (0..1)."""
-    return SequenceMatcher(a=list(vulnerable), b=list(safe), autojunk=False).ratio()

@@ -47,11 +47,6 @@ class Token:
     start: int
     end: int
 
-    @property
-    def is_identifier(self) -> bool:
-        """True for plain NAME tokens."""
-        return self.kind is TokenKind.NAME
-
     def with_text(self, text: str) -> "Token":
         """Copy with replaced text (spans kept for provenance)."""
         return Token(self.kind, text, self.start, self.end)

@@ -475,14 +475,6 @@ class CodeSample:
         return bool(self.true_cwe_ids)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Expert-written secure implementation for a prompt (§III-C)."""
-
-    prompt_id: str
-    source: str
-
-
 def iter_lines_with_offsets(source: str) -> Iterator[Tuple[int, int, str]]:
     """Yield ``(line_number, start_offset, line_text)`` for each line."""
     offset = 0

@@ -1,4 +1,5 @@
-"""Tests for the documentation tooling (generator + example linter).
+"""Tests for the documentation tooling (generator + example linter) and
+the dead-definition lint.
 
 These run the actual scripts the CI workflow runs, so a local
 ``pytest`` failure here predicts the CI docs-lint failure exactly.
@@ -14,6 +15,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GEN = REPO_ROOT / "scripts" / "gen_cli_docs.py"
 LINT = REPO_ROOT / "scripts" / "check_docs_examples.py"
+DEAD_CODE = REPO_ROOT / "scripts" / "check_dead_code.py"
 
 
 def _run(*argv: str) -> subprocess.CompletedProcess:
@@ -92,6 +94,25 @@ class TestDocsExamples:
 
         assert linter.check_json('{"ok": true}\n') == ""
         assert "does not parse" in linter.check_json("{nope}\n")
+
+
+class TestDeadCodeLint:
+    def test_every_definition_in_src_is_referenced(self):
+        result = _run(str(DEAD_CODE))
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_an_unreferenced_function_fails(self, tmp_path):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "def used():\n    return 1\n\n\ndef unused():\n    return used()\n"
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text("from pkg.mod import used\n")
+        result = _run(str(DEAD_CODE), str(tmp_path))
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "src/pkg/mod.py:5: unused is referenced nowhere" in result.stdout
+        assert ": used " not in result.stdout
 
 
 class TestVersionMetadata:

@@ -108,10 +108,6 @@ class TestPatch:
         result = engine.patch(source)
         assert "exec(payload)" in result.patched
 
-    def test_max_passes_validation(self):
-        with pytest.raises(ValueError):
-            PatchitPy(max_passes=0)
-
     def test_applied_patch_metadata(self, engine):
         result = engine.patch(SQLI)
         assert result.applied

@@ -15,7 +15,6 @@ _EXAMPLES = [
     "rule_mining_demo.py",
     "ide_session.py",
     "language_server_demo.py",
-    "javascript_audit.py",
     "project_scan_report.py",
 ]
 

@@ -335,7 +335,7 @@ class TestParenthesizedFromImport:
         assert (line.start, line.end) == (0, source.index("print"))
         assert line.statement == "from a.b import c, d as e"
         assert line.entries == [("from", "a.b", frozenset({"c", "d"}))]
-        assert import_bindings(line.statement) == ["c", "e"]
+        assert import_bindings(line.statement) == line.bindings == ["c", "e"]
         assert ImportManager(source).has_import("from a.b import d")
         assert prune_unused_imports(source) == source
 
@@ -388,6 +388,28 @@ class TestImportBindings:
     def test_an_import_that_names_nothing_raises(self, statement):
         with pytest.raises(ValueError):
             import_bindings(statement)
+
+    def test_each_statement_is_parsed_once(self, monkeypatch):
+        from repro.core import verify
+
+        parse = imports.parse_import
+        parsed = []
+
+        def counting(statement):
+            parsed.append(statement)
+            return parse(statement)
+
+        monkeypatch.setattr(imports, "parse_import", counting)
+        monkeypatch.setattr(verify, "parse_import", counting)
+        source = "import os\nfrom a import b as c\nx = 1\n"
+        assert prune_unused_imports(source) == "x = 1\n"
+        assert parsed == ["import os", "from a import b as c"]
+        bindings = verify._Bindings(source)
+        del parsed[:]
+        assert bindings.collisions(["import os", "import x", "from m import n"]) == {
+            "x": "assignment"
+        }
+        assert parsed == ["import os", "import x", "from m import n"]
 
 
 class TestMargin:
@@ -505,11 +527,12 @@ class OldImportManager:
             ):
                 continue
             try:
-                self._existing.extend(imports._parse_imports(cleaned))
+                self._existing.extend(imports.parse_import(cleaned).entries)
             except ValueError:
                 continue
 
     has_import = ImportManager.has_import
+    has_parsed = ImportManager.has_parsed
     _has_entry = ImportManager._has_entry
     missing = ImportManager.missing
 
@@ -557,7 +580,7 @@ def old_prune_unused_imports(source):
             kept.append(line)
             continue
         try:
-            entries = imports._parse_imports(stripped)
+            entries = imports.parse_import(stripped).entries
         except ValueError:
             kept.append(line)
             continue

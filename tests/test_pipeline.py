@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
 import sys
 import threading
 import time
@@ -40,6 +41,7 @@ from repro import (
     ServerConfig,
     ServerError,
 )
+from repro.core.project import ProjectScanner
 from repro.server.fleet import FRONT_DOOR
 from tests.test_server import MainThreadServer
 
@@ -264,6 +266,25 @@ class TestScanJobs:
         body = b'{"root": %s, "jobs": "2", "use_cache": false}' % root
         status, _, doc = _exchange(port, "POST", "/v1/scan", body)
         assert status == 200 and doc["files_scanned"] == 1
+
+    def test_jobs_is_clamped_to_the_cpu_count(self, daemon, tmp_path, monkeypatch):
+        # the recording scan runs one thread, so no request here starts
+        # the million threads it asks for
+        _, port = daemon
+        (tmp_path / "app.py").write_text(SNIPPET)
+        asked = []
+        scan = ProjectScanner.scan
+
+        def recording(scanner, root, jobs=1, **kwargs):
+            asked.append(jobs)
+            return scan(scanner, root, jobs=1, **kwargs)
+
+        monkeypatch.setattr(ProjectScanner, "scan", recording)
+        root = json.dumps(str(tmp_path)).encode()
+        body = b'{"root": %s, "jobs": 1000000, "use_cache": false}' % root
+        status, _, doc = _exchange(port, "POST", "/v1/scan", body)
+        assert status == 200 and doc["files_scanned"] == 1
+        assert asked == [os.cpu_count() or 1]
 
 
 def _tasks_per_keep_alive_request(handle, requests: int = 10) -> list:

@@ -13,7 +13,6 @@ from repro.core.prefilter import (
     literal_requirements,
 )
 from repro.core.rules import default_ruleset, extended_ruleset, full_catalog
-from repro.core.rules.javascript import javascript_ruleset
 
 
 def provenance(pattern):
@@ -105,10 +104,7 @@ class TestOneDerivation:
 class TestSafety:
     """The safety invariant: if the regex matches, the literal is present."""
 
-    @pytest.mark.parametrize(
-        "ruleset_name,rules",
-        [("python", list(extended_ruleset())), ("javascript", list(javascript_ruleset()))],
-    )
+    @pytest.mark.parametrize("ruleset_name,rules", [("python", list(extended_ruleset()))])
     def test_literal_present_in_rule_matches(self, ruleset_name, rules, flat_samples):
         derived = {
             r.rule_id: r.literals.provenance

@@ -804,7 +804,15 @@ class TestInline:
                 client.analyze(VULN, patch=True)
                 return client.metrics_text(), client.statusz(), client.healthz()
 
-        text, html, health = MainThreadServer(server).run(body)
+        # The budget is one switch interval. At the default 5 ms a busy
+        # host can stretch the first patched analysis (2-3 ms alone) past
+        # it, and a cut unit counts as an overrun, not as an inline unit.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.05)
+        try:
+            text, html, health = MainThreadServer(server).run(body)
+        finally:
+            sys.setswitchinterval(interval)
         assert "patchitpy_server_inline_units 1" in text
         assert "inline on" in html
         assert "1 unit(s) on the event loop" in html

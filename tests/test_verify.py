@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import PatchitPy
 from repro.core.rules import PatchTemplate, RuleSet, rule
 from repro.core.sarif import dumps_plain, to_sarif
@@ -255,15 +256,12 @@ class TestRepatchLoop:
         assert [v.status for v in result.verdicts] == [VERDICT_SYNTAX_BROKEN] * 2
         assert all("no wrapper context" in v.detail for v in result.verdicts)
 
-    def test_attempts_bounded(self):
-        engine = PatchitPy(rules=_rules(NOOP_RULE), max_verify_attempts=1)
+    def test_attempts_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_VERIFY_ATTEMPTS", 1)
+        engine = PatchitPy(rules=_rules(NOOP_RULE))
         result = engine.patch("noop_bad()\n")
         assert result.patched == "noop_bad()\n"
         assert all(v.reverted for v in result.verdicts)
-
-    def test_invalid_max_verify_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            PatchitPy(max_verify_attempts=0)
 
 
 class TestWarningFilters:
